@@ -62,6 +62,6 @@ from .formulas import (
     right_angled_homology,
 )
 from .groups import GroupModel, conjugacy_classes, realize_group
-from .snf import IntMatrix, homology_at, kernel_basis, smith_normal_form
+from .snf import IntMatrix, homology_at, smith_normal_form
 
 __version__ = "0.1.0"

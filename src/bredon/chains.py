@@ -93,10 +93,7 @@ class BredonComplex:
     def homology(self, max_degree: int | None = None) -> HomologyProfile:
         top = self.top_dimension
         limit = top if max_degree is None else min(max_degree, top)
-        groups = {}
-        for d in range(limit + 1):
-            groups[d] = homology_at(self.boundary(d), self.boundary(d + 1))
-        return HomologyProfile(groups, method="chain")
+        return HomologyProfile(homology_at(self.differentials, limit), method="chain")
 
 
 def assemble_complex(

@@ -20,7 +20,7 @@ matrix of Frobenius induced-character multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, gcd, isqrt, lcm, pi, sqrt
+from math import cos, isqrt, lcm, pi, sqrt
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class CharacterTable:
         gram = (self.values * sizes) @ self.values.conj().T / self.order
         if np.max(np.abs(gram - np.eye(k))) > VALUE_TOL:
             raise ConsistencyError("first orthogonality relations fail")
-
-
-def _translate_word(word, members) -> tuple[int, ...]:
-    return tuple(members[p] for p in word)
 
 
 def trivial_table() -> CharacterTable:
@@ -349,7 +345,6 @@ def _charpoly_roots(mat: np.ndarray, p: int) -> list[int]:
     # Lagrange interpolation of the degree-d polynomial through (xs, ys)
     coeffs = np.zeros(d + 1, dtype=np.int64)  # coeffs[i] multiplies x^i
     for x0, y0 in zip(xs, ys):
-        num = np.zeros(1, dtype=object)
         num = np.array([1], dtype=object)
         denom = 1
         for x1 in xs:

@@ -23,7 +23,7 @@ from pathlib import Path
 from .abelian import HomologyProfile
 from .chains import assemble_complex
 from .characters import RepRingCache
-from .coxeter import CoxeterMatrix, enumerate_spherical, parse_matrix
+from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical, parse_matrix
 from .errors import (
     ConsistencyError,
     ContractError,
@@ -82,39 +82,37 @@ def system_from_json(data, origin: str = "input") -> CoxeterMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _chain_block(w, rings, poset):
-    cx = assemble_complex(w, rings, poset)
-    return cx.homology()
-
-
-def _factor_profile(w, factor, rings, order_cap):
+def _factor_profile(w, factor, rings):
     sub = w.submatrix(factor)
     sub_poset = enumerate_spherical(sub)
-    if max(sub_poset.orders.values()) <= order_cap:
-        return _chain_block(sub, rings, sub_poset)
+    if max(sub_poset.orders.values()) <= rings.order_cap:
+        return assemble_complex(sub, rings, sub_poset).homology()
     for name in applicable_closed_forms(sub):
         try:
             return closed_form_homology(sub, name, rings)
         except ResourceCapError:
             continue
     raise ResourceCapError(
-        f"no route fits factor {factor} under order cap {order_cap}"
+        f"no route fits factor {factor} under order cap {rings.order_cap}"
     )
 
 
 def run_analysis(
     w: CoxeterMatrix,
+    rings: RepRingCache,
+    poset: SphericalPoset | None = None,
     method: str = "auto",
-    order_cap: int = DEFAULT_ORDER_CAP,
     max_degree: int | None = None,
 ):
     """Run the requested homology routes and reconcile them.
 
+    rings.order_cap bounds the parabolics the routes may realize.
     Returns (report dict, timings dict, exit code).  The report is fully
     JSON-serializable and deterministic; timings are text-mode garnish.
     """
-    rings = RepRingCache(order_cap)
-    poset = enumerate_spherical(w)
+    if poset is None:
+        poset = enumerate_spherical(w)
+    order_cap = rings.order_cap
     if max_degree is None:
         max_degree = w.rank
     max_parabolic = max(poset.orders.values())
@@ -160,11 +158,11 @@ def run_analysis(
                         f"largest spherical parabolic has order {max_parabolic}, "
                         f"above the cap {order_cap}"
                     )
-                profiles[name] = _chain_block(w, rings, poset)
+                profiles[name] = assemble_complex(w, rings, poset).homology()
             elif name == "kunneth":
                 combined = None
                 for factor in factors:
-                    part = _factor_profile(w, factor, rings, order_cap)
+                    part = _factor_profile(w, factor, rings)
                     combined = part if combined is None else kunneth_product(combined, part)
                 profiles[name] = HomologyProfile(combined.groups, method="kunneth")
             else:
@@ -476,24 +474,20 @@ def cmd_classify(args) -> int:
 
 def cmd_homology(args) -> int:
     w = load_system(args.input)
+    rings = RepRingCache(args.order_cap)
+    poset = enumerate_spherical(w)
     report, timings, code = run_analysis(
-        w,
-        method=args.method,
-        order_cap=args.order_cap,
-        max_degree=args.max_degree,
+        w, rings, poset, method=args.method, max_degree=args.max_degree
     )
     extra_renderers = []
-    if args.dump_tables or args.cells:
-        rings = RepRingCache(args.order_cap)
-        poset = enumerate_spherical(w)
-        if args.dump_tables:
-            tables = tables_payload(w, rings, poset)
-            report["tables"] = tables
-            extra_renderers.append(lambda out: _tables_text(tables, out))
-        if args.cells:
-            cells = cells_payload(w, rings, poset)
-            report["cells"] = cells
-            extra_renderers.append(lambda out: _cells_text(cells, out))
+    if args.dump_tables:
+        tables = tables_payload(w, rings, poset)
+        report["tables"] = tables
+        extra_renderers.append(lambda out: _tables_text(tables, out))
+    if args.cells:
+        cells = cells_payload(w, rings, poset)
+        report["cells"] = cells
+        extra_renderers.append(lambda out: _cells_text(cells, out))
 
     def render(out):
         _homology_text(report, timings, out)
@@ -527,6 +521,7 @@ def cmd_validate(args) -> int:
         raise MatrixError(f"no .json cases in {directory}")
     cases = []
     failures = 0
+    rings = RepRingCache(args.order_cap)  # keyed by induced matrix, so shared
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -535,9 +530,7 @@ def cmd_validate(args) -> int:
         ok = True
         try:
             w = system_from_json(data.get("system"), origin=str(path))
-            report, _, code = run_analysis(
-                w, method="auto", order_cap=args.order_cap
-            )
+            report, _, code = run_analysis(w, rings)
             if code != EXIT_OK:
                 ok = False
                 detail.append(f"analysis exit code {code}")

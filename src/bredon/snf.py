@@ -1,16 +1,15 @@
-"""Exact integer matrices, Smith normal form, and homology of a pair of maps.
+"""Exact integer matrices, Smith normal form, and homology of a chain complex.
 
 Everything here runs on arbitrary-precision Python ints; numpy never
 touches these matrices because intermediate entries can outgrow fixed
-width.  The Smith reduction tracks the right transform V and its inverse
-so kernels can be expressed in the original basis, which is what the
-homology computation needs.
+width.  The Smith reduction returns only the invariant factors: homology
+is read off the ranks and invariant factors of the differentials, so no
+transform matrix is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .abelian import FgAbGroup
 from .errors import ConsistencyError, ContractError
@@ -29,22 +28,12 @@ class IntMatrix:
         return cls(nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-        return cls(n, n, rows)
-
-    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ContractError("ragged rows")
         return cls(len(rows), ncols, rows)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.nrows, self.ncols, [row[:] for row in self.rows])
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
@@ -69,62 +58,40 @@ class IntMatrix:
 
 @dataclass
 class SmithResult:
-    """Diagonal invariant factors d_1 | d_2 | ... (positive, length = rank),
-    plus optional transforms: s = U a V with V invertible over Z."""
+    """Diagonal invariant factors d_1 | d_2 | ... (positive, length = rank)."""
 
     diagonal: list[int]
     rank: int
-    v: IntMatrix | None = None
-    v_inv: IntMatrix | None = None
 
 
-def smith_normal_form(a: IntMatrix, transforms: bool = False) -> SmithResult:
+def smith_normal_form(a: IntMatrix) -> SmithResult:
     """Smith normal form by repeated pivoting on a least-magnitude entry.
 
     Pivot choice: among nonzero entries of the remaining submatrix, pick
     minimal |value|, breaking ties by smallest row then column.  Row and
     column operations clear the pivot cross; a divisibility sweep then
-    guarantees d_i | d_{i+1}.  Only column operations touch V and V^-1.
+    guarantees d_i | d_{i+1}.
     """
     m = [row[:] for row in a.rows]
     nr, nc = a.nrows, a.ncols
-    if transforms:
-        v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-        vinv = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    else:
-        v = vinv = None
 
     def swap_cols(i, j):
         if i == j:
             return
         for row in m:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def negate_col(i):
         for row in m:
             row[i] = -row[i]
-        if v is not None:
-            for row in v:
-                row[i] = -row[i]
-            vinv[i] = [-x for x in vinv[i]]
 
     def add_col(dst, src, q):
-        # column dst += q * column src;  V tracks it, V^-1 absorbs the inverse
+        # column dst += q * column src
         if q == 0:
             return
         for row in m:
             if row[src]:
                 row[dst] += q * row[src]
-        if v is not None:
-            for row in v:
-                if row[src]:
-                    row[dst] += q * row[src]
-            vsrc, vdst = vinv[src], vinv[dst]
-            vinv[src] = [x - q * y for x, y in zip(vsrc, vdst)]
 
     def find_pivot(s):
         best = None
@@ -197,46 +164,41 @@ def smith_normal_form(a: IntMatrix, transforms: bool = False) -> SmithResult:
     for d, e in zip(diagonal, diagonal[1:]):
         if e % d:
             raise ConsistencyError("invariant factors failed the divisor chain")
-    return SmithResult(
-        diagonal=diagonal,
-        rank=s,
-        v=IntMatrix(nc, nc, v) if transforms else None,
-        v_inv=IntMatrix(nc, nc, vinv) if transforms else None,
-    )
+    return SmithResult(diagonal=diagonal, rank=s)
 
 
-def rank_of(a: IntMatrix) -> int:
-    return smith_normal_form(a).rank
+def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup]:
+    """Homology H_0 .. H_top of a chain complex of free Z-modules.
 
+    differentials[k] is the map C_k -> C_{k-1} on column vectors, with
+    index 0 the zero map out of C_0; a negative top gives no groups.
+    Each d_1 .. d_{top+1} that exists is reduced once; with r_k its rank,
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a basis of ker(a) over Z (a acts on column vectors)."""
-    res = smith_normal_form(a, transforms=True)
-    n, r = a.ncols, res.rank
-    rows = [[res.v.rows[i][j] for j in range(r, n)] for i in range(n)]
-    return IntMatrix(n, n - r, rows)
+        H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}.
 
-
-def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> FgAbGroup:
-    """ker(d_out) / im(d_in) for integer maps with d_out . d_in = 0.
-
-    d_out maps the middle term down, d_in maps into it; both act on
-    column vectors.  Writing S = U d_out V, the kernel is spanned by the
-    columns of V past rank(d_out); d_in is rewritten in that basis via
-    V^-1 and a second Smith reduction reads off the quotient.
+    This holds because im d_d lies in the free module C_{d-1}, so ker d_d
+    is a direct summand of C_d.  The composites d_k . d_{k+1} are checked
+    to vanish, since the formula is meaningless otherwise.
     """
-    n = d_out.ncols
-    if d_in.nrows != n:
-        raise ContractError("chain degrees do not line up")
-    if n == 0:
-        return FgAbGroup()
-    res = smith_normal_form(d_out, transforms=True)
-    r = res.rank
-    coords = res.v_inv.mul(d_in)
-    for i in range(r):
-        if any(coords.rows[i]):
-            raise ConsistencyError("composite of differentials is nonzero")
-    quot = IntMatrix(n - r, d_in.ncols, coords.rows[r:])
-    inner = smith_normal_form(quot)
-    torsion = [d for d in inner.diagonal if d > 1]
-    return FgAbGroup.from_factors(n - r - inner.rank, torsion)
+    if top >= len(differentials):
+        raise ContractError(
+            f"degree {top} is outside the complex (top degree {len(differentials) - 1})"
+        )
+    for k in range(1, len(differentials)):
+        if differentials[k].nrows != differentials[k - 1].ncols:
+            raise ContractError("chain degrees do not line up")
+    last = min(top + 1, len(differentials) - 1)
+    ranks = [0] * (top + 2)
+    torsion: list[list[int]] = [[] for _ in range(top + 2)]
+    for k in range(1, last + 1):
+        if k < last and not differentials[k].mul(differentials[k + 1]).is_zero():
+            raise ConsistencyError(f"d_{k} . d_{k + 1} is nonzero")
+        res = smith_normal_form(differentials[k])
+        ranks[k] = res.rank
+        torsion[k] = [x for x in res.diagonal if x > 1]
+    return {
+        d: FgAbGroup.from_factors(
+            differentials[d].ncols - ranks[d] - ranks[d + 1], torsion[d + 1]
+        )
+        for d in range(top + 1)
+    }

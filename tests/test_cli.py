@@ -107,6 +107,28 @@ def test_dump_tables(write_system, capsys):
     assert sorted(tables[(0, 1)]["degrees"]) == [1, 1, 1, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 3, 2], [3, 1, 3], [2, 3, 1]],  # A3: Dixon table, finite route
+        [[1, 4, 6], [4, 1, 0], [6, 0, 1]],  # infinite, dihedral tables
+    ],
+)
+def test_dumps_share_the_analysis_cache(write_system, capsys, rows):
+    path = write_system(rows)
+    _, plain, _ = run(capsys, "homology", path, "--output", "json")
+    code, dumped, _ = run(capsys, "homology", path, "--dump-tables", "--cells",
+                          "--output", "json")
+    _, cells, _ = run(capsys, "cells", path, "--output", "json")
+    assert code == 0
+    report = json.loads(dumped)
+    assert report.pop("tables")
+    cells_report = json.loads(cells)
+    del cells_report["input"]
+    assert report.pop("cells") == cells_report
+    assert report == json.loads(plain)
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "homology", "/nonexistent/file.json")
     assert code == 4

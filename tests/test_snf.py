@@ -5,14 +5,22 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from bredon.abelian import FgAbGroup
-from bredon.snf import IntMatrix, homology_at, kernel_basis, rank_of, smith_normal_form
+from bredon.errors import ConsistencyError
+from bredon.snf import IntMatrix, homology_at, smith_normal_form
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
     )
+
+
+def complex_of(*maps):
+    """Differentials d_1, d_2, ... in the list layout, zero map prepended."""
+    return [IntMatrix.zero(0, maps[0].nrows), *maps]
 
 
 def exact_minor_det(rows, row_idx, col_idx):
@@ -72,48 +80,25 @@ def test_snf_matches_minor_gcd_oracle():
                 assert g == 0
 
 
-def test_transforms_reconstruct_input():
-    rng = random.Random(3331)
-    for _ in range(25):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        a = random_matrix(rng, nrows, ncols)
-        res = smith_normal_form(a, transforms=True)
-        # V inverse really inverts V
-        prod = res.v.mul(res.v_inv)
-        assert prod == IntMatrix.identity(ncols)
-        # A * V has the pivot columns first and zeros beyond the rank
-        av = a.mul(res.v)
-        for j in range(res.rank, ncols):
-            assert all(av.rows[i][j] == 0 for i in range(nrows))
-
-
-def test_kernel_basis_annihilates():
-    rng = random.Random(71)
-    for _ in range(25):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
-        a = random_matrix(rng, nrows, ncols)
-        basis = kernel_basis(a)
-        assert basis.ncols == ncols - rank_of(a)
-        assert a.mul(basis).is_zero()
-
-
 def test_homology_of_known_complexes():
-    # 0 -> Z^2 --0--> Z^2 -> 0 at the middle spot: H = Z^2
-    zero_out = IntMatrix.zero(1, 2)
-    zero_in = IntMatrix.zero(2, 1)
-    assert homology_at(zero_out, zero_in) == FgAbGroup.free(2)
+    # Z --0--> Z^2 --0--> Z, in the middle: H_1 = Z^2
+    zeros = complex_of(IntMatrix.zero(1, 2), IntMatrix.zero(2, 1))
+    assert homology_at(zeros, 1)[1] == FgAbGroup.free(2)
 
-    # multiplication by 2 on Z: cokernel Z/2
+    # multiplication by 2 into the middle Z: cokernel Z/2
     two = IntMatrix.from_rows([[2]])
-    assert homology_at(IntMatrix.zero(1, 1), two) == FgAbGroup.from_factors(0, [2])
+    h = homology_at(complex_of(IntMatrix.zero(1, 1), two), 1)
+    assert h[1] == FgAbGroup.from_factors(0, [2])
 
     # diag(2, 3) into Z^2: quotient Z/2 + Z/3, normalized to Z/6
     diag = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert homology_at(IntMatrix.zero(1, 2), diag) == FgAbGroup.from_factors(0, [6])
+    h = homology_at(complex_of(IntMatrix.zero(1, 2), diag), 1)
+    assert h[1] == FgAbGroup.from_factors(0, [6])
 
     # [[1, 1], [1, -1]] has determinant -2: cokernel Z/2
     hadamard = IntMatrix.from_rows([[1, 1], [1, -1]])
-    assert homology_at(IntMatrix.zero(1, 2), hadamard) == FgAbGroup.from_factors(0, [2])
+    h = homology_at(complex_of(IntMatrix.zero(1, 2), hadamard), 1)
+    assert h[1] == FgAbGroup.from_factors(0, [2])
 
 
 def test_homology_chain_rule():
@@ -122,12 +107,100 @@ def test_homology_chain_rule():
     # kernel of B is spanned by e3; pick A mapping onto multiples of e3
     a = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0], [3, 0, 0]])
     assert b.mul(a).is_zero()
-    h = homology_at(b, a)
-    assert h == FgAbGroup.from_factors(0, [3])
+    h = homology_at(complex_of(b, a), 2)
+    assert h == {
+        0: FgAbGroup.from_factors(1, [2]),  # coker B
+        1: FgAbGroup.from_factors(0, [3]),
+        2: FgAbGroup.free(2),  # ker A
+    }
+    # a lower top degree reads the same groups
+    assert homology_at(complex_of(b, a), 1) == {0: h[0], 1: h[1]}
+    assert homology_at(complex_of(b, a), -1) == {}
+
+
+def test_nonzero_composite_is_rejected():
+    one = IntMatrix.from_rows([[1]])
+    diffs = complex_of(one, one)
+    with pytest.raises(ConsistencyError):
+        homology_at(diffs, 1)
+    # degree 0 needs only d_1, so the bad composite is never formed
+    assert homology_at(diffs, 0) == {0: FgAbGroup()}
+
+
+def elementary_pair(rng, n, steps=12):
+    """A random unimodular P and its inverse, as products of elementary
+    operations (row additions, swaps and negations)."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(steps if n else 0):
+        kind = rng.randrange(3)
+        if kind == 0 and n > 1:
+            # P <- E P, P^-1 <- P^-1 E^-1 with E = I + q e_ij
+            i, j = rng.sample(range(n), 2)
+            q = rng.choice([-2, -1, 1, 2])
+            p[i] = [x + q * y for x, y in zip(p[i], p[j])]
+            for row in p_inv:
+                row[j] -= q * row[i]
+        elif kind == 1 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            p[i], p[j] = p[j], p[i]
+            for row in p_inv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            i = rng.randrange(n)
+            p[i] = [-x for x in p[i]]
+            for row in p_inv:
+                row[i] = -row[i]
+    return IntMatrix(n, n, p), IntMatrix(n, n, p_inv)
+
+
+def planted_complex(rng, free, factors):
+    """Differentials with H_k = Z^free[k] + Z/factors[k+1] (entries > 1),
+    hidden by random unimodular base changes d'_k = P_{k-1} d_k P_k^-1.
+
+    Coordinates of C_k, in order: the image of d_{k+1}, the free
+    homology, and the part d_k maps onto the image block of C_{k-1}.
+    """
+    top = len(free) - 1
+    ranks = [0] + [len(factors[k]) for k in range(1, top + 1)] + [0]
+    dims = [ranks[k + 1] + free[k] + ranks[k] for k in range(top + 1)]
+    bases = [elementary_pair(rng, n) for n in dims]
+    diffs = [IntMatrix.zero(0, dims[0])]
+    for k in range(1, top + 1):
+        d = IntMatrix.zero(dims[k - 1], dims[k])
+        first = dims[k] - ranks[k]
+        for i, e in enumerate(factors[k]):
+            d.rows[i][first + i] = e
+        p_below, _ = bases[k - 1]
+        _, p_inv = bases[k]
+        diffs.append(p_below.mul(d).mul(p_inv))
+    return diffs
+
+
+def test_homology_recovers_planted_groups():
+    rng = random.Random(20060419)
+    cases = [([1, 0, 2, 1], {1: [2], 2: [1, 6], 3: [4]})]
+    for _ in range(30):
+        top = rng.randint(0, 4)
+        free = [rng.randint(0, 2) for _ in range(top + 1)]
+        factors = {
+            k: rng.choice([[], [1], [2], [6], [4], [1, 2], [2, 4], [1, 3, 6]])
+            for k in range(1, top + 1)
+        }
+        cases.append((free, factors))
+    for free, factors in cases:
+        diffs = planted_complex(rng, free, factors)
+        top = len(free) - 1
+        want = {
+            k: FgAbGroup.from_factors(
+                free[k], [e for e in factors.get(k + 1, []) if e > 1]
+            )
+            for k in range(top + 1)
+        }
+        assert homology_at(diffs, top) == want
 
 
 def test_snf_empty_and_zero():
     z = IntMatrix.zero(3, 3)
     res = smith_normal_form(z)
     assert res.rank == 0 and res.diagonal == []
-    assert kernel_basis(z).ncols == 3
