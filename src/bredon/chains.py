@@ -80,16 +80,6 @@ class BredonComplex:
     def top_dimension(self) -> int:
         return len(self.cells) - 1
 
-    def boundary(self, k: int) -> IntMatrix:
-        """The map C_k -> C_{k-1}; zero maps outside the cell range."""
-        if k <= 0:
-            return IntMatrix.zero(0, self.dims[0] if self.dims else 0)
-        if k > self.top_dimension:
-            cols = 0
-            rows = self.dims[k - 1] if k - 1 <= self.top_dimension else 0
-            return IntMatrix.zero(rows, cols)
-        return self.differentials[k]
-
     def homology(self, max_degree: int | None = None) -> HomologyProfile:
         top = self.top_dimension
         limit = top if max_degree is None else min(max_degree, top)
@@ -129,7 +119,10 @@ def assemble_complex(
     ]
     differentials = [IntMatrix.zero(0, dims[0])]
     for d in range(1, len(cells)):
-        mat = IntMatrix.zero(dims[d - 1], dims[d])
+        # Cells are visited in column order and the faces of one cell are
+        # distinct cells, so every row receives its entries sorted and no
+        # entry is written twice.
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(dims[d - 1])]
         for ci, chain in enumerate(cells[d]):
             col0 = offsets[d][ci]
             for k in range(1, len(chain) + 1):
@@ -139,16 +132,12 @@ def assemble_complex(
                 sign = -1 if k % 2 else 1
                 if k == 1:
                     block = rings.induction(w, chain[0], chain[1])
-                    for i in range(block.nrows):
-                        row = mat.rows[row0 + i]
-                        brow = block.rows[i]
-                        for j in range(block.ncols):
-                            if brow[j]:
-                                row[col0 + j] += sign * brow[j]
+                    for i, brow in enumerate(block.rows):
+                        rows[row0 + i].extend((col0 + j, sign * v) for j, v in brow)
                 else:
                     for j in range(block_ranks[d][ci]):
-                        mat.rows[row0 + j][col0 + j] += sign
-        differentials.append(mat)
+                        rows[row0 + j].append((col0 + j, sign))
+        differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
     return BredonComplex(
         matrix=w,
         cells=cells,
@@ -191,11 +180,9 @@ def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
         dims.append(len(coords))
     differentials = [IntMatrix.zero(0, dims[0] if dims else 0)]
     for d in range(1, len(keep)):
-        old = full.differentials[d]
-        rows = [
-            [old.rows[r][c] for c in coord_lists[d]] for r in coord_lists[d - 1]
-        ]
-        differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
+        differentials.append(
+            full.differentials[d].submatrix(coord_lists[d - 1], coord_lists[d])
+        )
     return BredonComplex(
         matrix=full.matrix,
         cells=cells,

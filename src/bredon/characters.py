@@ -518,7 +518,7 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-def _round_int_matrix(raw: np.ndarray, what: str) -> IntMatrix:
+def _round_int_rows(raw: np.ndarray, what: str) -> list[list[int]]:
     if raw.size and np.max(np.abs(raw.imag)) > VALUE_TOL:
         raise ConsistencyError(f"{what} has a complex entry")
     nearest = np.round(raw.real)
@@ -526,7 +526,7 @@ def _round_int_matrix(raw: np.ndarray, what: str) -> IntMatrix:
         raise ConsistencyError(f"{what} has a non-integer entry")
     if raw.size and np.min(nearest) < 0:
         raise ConsistencyError(f"{what} has a negative entry")
-    return IntMatrix.from_rows(nearest.astype(int).tolist())
+    return nearest.astype(int).tolist()
 
 
 def induction_matrix(
@@ -553,16 +553,16 @@ def induction_matrix(
     ind_vals *= scale
     sizes = np.array(big.class_sizes, dtype=float)
     raw = (big.values * sizes) @ ind_vals.conj().T / big.order
-    mat = _round_int_matrix(raw, "induction matrix")
+    rows = _round_int_rows(raw, "induction matrix")
     index = big.order // sub.order
     for j in range(sub.n_irreducibles):
-        total = sum(mat.rows[i][j] * big.degrees[i] for i in range(big.n_irreducibles))
+        total = sum(rows[i][j] * big.degrees[i] for i in range(big.n_irreducibles))
         if total != index * sub.degrees[j]:
             raise ConsistencyError(
                 "induced degree mismatch: column "
                 f"{j} gives {total}, expected {index * sub.degrees[j]}"
             )
-    return mat
+    return IntMatrix.from_rows(rows)
 
 
 def restriction_matrix(
@@ -578,12 +578,12 @@ def restriction_matrix(
     rest_vals = big.values[:, embedding]
     sizes = np.array(sub.class_sizes, dtype=float)
     raw = (rest_vals * sizes) @ sub.values.conj().T / sub.order
-    mat = _round_int_matrix(raw, "restriction matrix")
+    rows = _round_int_rows(raw, "restriction matrix")
     for i in range(big.n_irreducibles):
-        total = sum(mat.rows[i][j] * sub.degrees[j] for j in range(sub.n_irreducibles))
+        total = sum(rows[i][j] * sub.degrees[j] for j in range(sub.n_irreducibles))
         if total != big.degrees[i]:
             raise ConsistencyError("restricted degree mismatch")
-    return mat
+    return IntMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

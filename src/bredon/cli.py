@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .abelian import HomologyProfile
-from .chains import assemble_complex
+from .chains import BredonComplex, assemble_complex
 from .characters import RepRingCache
 from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical, parse_matrix
 from .errors import (
@@ -107,8 +107,10 @@ def run_analysis(
     """Run the requested homology routes and reconcile them.
 
     rings.order_cap bounds the parabolics the routes may realize.
-    Returns (report dict, timings dict, exit code).  The report is fully
-    JSON-serializable and deterministic; timings are text-mode garnish.
+    Returns (report dict, timings dict, exit code, complex), where complex
+    is the BredonComplex the chain route assembled, or None when that
+    route did not run.  The report is fully JSON-serializable and
+    deterministic; timings are text-mode garnish.
     """
     if poset is None:
         poset = enumerate_spherical(w)
@@ -148,6 +150,7 @@ def run_analysis(
     profiles: dict[str, HomologyProfile] = {}
     skipped: dict[str, str] = {}
     timings: dict[str, float] = {}
+    chain_complex = None
     cap_hit = False
     for name in plan:
         start = time.perf_counter()
@@ -158,7 +161,8 @@ def run_analysis(
                         f"largest spherical parabolic has order {max_parabolic}, "
                         f"above the cap {order_cap}"
                     )
-                profiles[name] = assemble_complex(w, rings, poset).homology()
+                chain_complex = assemble_complex(w, rings, poset)
+                profiles[name] = chain_complex.homology()
             elif name == "kunneth":
                 combined = None
                 for factor in factors:
@@ -225,7 +229,7 @@ def run_analysis(
         code = EXIT_RESOURCE if cap_hit else EXIT_INPUT
     else:
         code = EXIT_OK
-    return report, timings, code
+    return report, timings, code, chain_complex
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,7 @@ def tables_payload(w: CoxeterMatrix, rings: RepRingCache, poset) -> list[dict]:
     return out
 
 
-def cells_payload(w: CoxeterMatrix, rings: RepRingCache, poset) -> dict:
-    cx = assemble_complex(w, rings, poset)
+def cells_payload(cx: BredonComplex, poset) -> dict:
     dimensions = []
     for d, level in enumerate(cx.cells):
         cells = []
@@ -476,7 +479,7 @@ def cmd_homology(args) -> int:
     w = load_system(args.input)
     rings = RepRingCache(args.order_cap)
     poset = enumerate_spherical(w)
-    report, timings, code = run_analysis(
+    report, timings, code, cx = run_analysis(
         w, rings, poset, method=args.method, max_degree=args.max_degree
     )
     extra_renderers = []
@@ -485,7 +488,9 @@ def cmd_homology(args) -> int:
         report["tables"] = tables
         extra_renderers.append(lambda out: _tables_text(tables, out))
     if args.cells:
-        cells = cells_payload(w, rings, poset)
+        if cx is None:
+            cx = assemble_complex(w, rings, poset)
+        cells = cells_payload(cx, poset)
         report["cells"] = cells
         extra_renderers.append(lambda out: _cells_text(cells, out))
 
@@ -502,7 +507,7 @@ def cmd_cells(args) -> int:
     w = load_system(args.input)
     rings = RepRingCache(args.order_cap)
     poset = enumerate_spherical(w)
-    payload = cells_payload(w, rings, poset)
+    payload = cells_payload(assemble_complex(w, rings, poset), poset)
     report = {"input": {"rank": w.rank, "m": w.to_raw()}, **payload}
     _emit(args, report, lambda out: _cells_text(payload, out))
     return EXIT_OK
@@ -530,7 +535,7 @@ def cmd_validate(args) -> int:
         ok = True
         try:
             w = system_from_json(data.get("system"), origin=str(path))
-            report, _, code = run_analysis(w, rings)
+            report, _, code, _ = run_analysis(w, rings)
             if code != EXIT_OK:
                 ok = False
                 detail.append(f"analysis exit code {code}")

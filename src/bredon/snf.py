@@ -1,10 +1,12 @@
-"""Exact integer matrices, Smith normal form, and homology of a chain complex.
+"""Sparse integer matrices, Smith normal form, and homology of a chain complex.
 
-Everything here runs on arbitrary-precision Python ints; numpy never
-touches these matrices because intermediate entries can outgrow fixed
-width.  The Smith reduction returns only the invariant factors: homology
-is read off the ranks and invariant factors of the differentials, so no
-transform matrix is ever formed.
+Matrices are stored by row, keeping only their nonzero entries, in
+arbitrary-precision Python ints: intermediate entries can outgrow any
+fixed width, and the Bredon differentials are about 1% dense.  Homology
+is read off the ranks and invariant factors of the differentials.  Each
+differential first loses its +-1 pivots to sparse elimination; only the
+residual is densified for the Smith reduction, which returns the
+invariant factors alone, so no transform matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -17,43 +19,60 @@ from .errors import ConsistencyError, ContractError
 
 @dataclass
 class IntMatrix:
-    """Dense integer matrix with explicit shape (rows may be empty)."""
+    """Sparse integer matrix stored by row (shape explicit, rows may be empty).
+
+    rows[i] lists the nonzero entries of row i as (column, value) pairs in
+    increasing column order; zeros are never stored.
+    """
 
     nrows: int
     ncols: int
-    rows: list[list[int]]
+    rows: list[list[tuple[int, int]]]
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(nrows, ncols, [[0] * ncols for _ in range(nrows)])
+        return cls(nrows, ncols, [[] for _ in range(nrows)])
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
+        """The matrix whose dense rows are given."""
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ContractError("ragged rows")
-        return cls(len(rows), ncols, rows)
+        return cls(len(rows), ncols, [[(j, v) for j, v in enumerate(r) if v] for r in rows])
+
+    def dense(self) -> list[list[int]]:
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for row, entries in zip(out, self.rows):
+            for j, v in entries:
+                row[j] = v
+        return out
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(self.rows)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ContractError(
                 f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
             )
-        # sparse-aware: skip zero coefficients, they dominate chain matrices
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.rows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
+        out = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for k, a in row:
+                for j, b in other.rows[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(sorted((j, v) for j, v in acc.items() if v))
         return IntMatrix(self.nrows, other.ncols, out)
+
+    def submatrix(self, row_ids: list[int], col_ids: list[int]) -> "IntMatrix":
+        """The rows row_ids and columns col_ids, both increasing, renumbered from 0."""
+        new_col = {c: n for n, c in enumerate(col_ids)}
+        rows = [
+            [(new_col[c], v) for c, v in self.rows[r] if c in new_col] for r in row_ids
+        ]
+        return IntMatrix(len(row_ids), len(col_ids), rows)
 
 
 @dataclass
@@ -70,9 +89,10 @@ def smith_normal_form(a: IntMatrix) -> SmithResult:
     Pivot choice: among nonzero entries of the remaining submatrix, pick
     minimal |value|, breaking ties by smallest row then column.  Row and
     column operations clear the pivot cross; a divisibility sweep then
-    guarantees d_i | d_{i+1}.
+    guarantees d_i | d_{i+1}.  The matrix is densified first, so callers
+    hand it only what sparse elimination leaves.
     """
-    m = [row[:] for row in a.rows]
+    m = a.dense()
     nr, nc = a.nrows, a.ncols
 
     def swap_cols(i, j):
@@ -167,12 +187,83 @@ def smith_normal_form(a: IntMatrix) -> SmithResult:
     return SmithResult(diagonal=diagonal, rank=s)
 
 
+def eliminate_units(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """Eliminate +-1 pivots; return their count and the residual matrix.
+
+    Each step takes a unit entry of least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1), clears its column with
+    row operations and drops its row and column, which column operations
+    would clear without touching any other row.  So a is equivalent to
+    the identity on the units eliminated plus the residual, whose nonzero
+    rows and columns are renumbered in order.  Unit entries wait in a
+    heap under the cost they had when pushed; a popped entry whose cost
+    has since grown goes back with its current cost.
+    """
+    import heapq  # here, not at module load: every CLI request imports snf
+
+    rows = [dict(r) for r in a.rows]
+    cols: list[set[int]] = [set() for _ in range(a.ncols)]
+    heap = []
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                heap.append(((len(row) - 1) * (len(cols[j]) - 1), i, j))
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        pivot_row = rows[i]
+        v = pivot_row.get(j)
+        if v != 1 and v != -1:
+            continue  # row gone, or the entry changed since it was pushed
+        now = (len(pivot_row) - 1) * (len(cols[j]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        units += 1
+        col = cols[j]
+        col.discard(i)
+        for r in col:
+            target = rows[r]
+            f = target.pop(j) * v  # v = 1/v
+            for c, x in pivot_row.items():
+                if c == j:
+                    continue
+                old = target.get(c, 0)
+                y = old - f * x
+                if y:
+                    if not old:
+                        cols[c].add(r)
+                    target[c] = y
+                    if (y == 1 or y == -1) and old != 1 and old != -1:
+                        # a unit entry that was a unit already is in the heap
+                        fill_cost = (len(target) - 1) * (len(cols[c]) - 1)
+                        heapq.heappush(heap, (fill_cost, r, c))
+                elif old:
+                    del target[c]
+                    cols[c].discard(r)
+        cols[j] = set()
+        for c in pivot_row:
+            cols[c].discard(i)
+        rows[i] = {}
+    live = [row for row in rows if row]
+    new_col = {c: n for n, c in enumerate(sorted(set().union(*live)))}
+    residual = [sorted((new_col[c], x) for c, x in row.items()) for row in live]
+    return units, IntMatrix(len(live), len(new_col), residual)
+
+
 def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup]:
     """Homology H_0 .. H_top of a chain complex of free Z-modules.
 
     differentials[k] is the map C_k -> C_{k-1} on column vectors, with
     index 0 the zero map out of C_0; a negative top gives no groups.
-    Each d_1 .. d_{top+1} that exists is reduced once; with r_k its rank,
+    Each d_1 .. d_{top+1} that exists is reduced once: its +-1 pivots are
+    eliminated sparsely and smith_normal_form runs on the residual, so
+    r_k = (units eliminated) + (residual rank), and the residual's
+    invariant factors carry the torsion.  Then
 
         H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}.
 
@@ -193,8 +284,9 @@ def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup
     for k in range(1, last + 1):
         if k < last and not differentials[k].mul(differentials[k + 1]).is_zero():
             raise ConsistencyError(f"d_{k} . d_{k + 1} is nonzero")
-        res = smith_normal_form(differentials[k])
-        ranks[k] = res.rank
+        units, residual = eliminate_units(differentials[k])
+        res = smith_normal_form(residual)
+        ranks[k] = units + res.rank
         torsion[k] = [x for x in res.diagonal if x > 1]
     return {
         d: FgAbGroup.from_factors(

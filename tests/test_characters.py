@@ -121,7 +121,7 @@ def test_induction_from_trivial_subgroup_is_regular(rings):
     mat = rings.induction(w, (), (0, 1))
     tab = rings.table(w, (0, 1))
     # multiplicity of each irreducible in the regular rep equals its degree
-    assert [row[0] for row in mat.rows] == list(tab.degrees)
+    assert [row[0] for row in mat.dense()] == list(tab.degrees)
 
 
 def test_induction_reflection_to_dihedral(rings):
@@ -129,7 +129,7 @@ def test_induction_reflection_to_dihedral(rings):
     # I2(4) induces to chi_1 + hat-chi_3 + phi_1 (degrees 1 + 1 + 2 = 4)
     w = parse_matrix([[1, 4], [4, 1]])
     mat = rings.induction(w, (0,), (0, 1))
-    assert mat.rows == [[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]]
+    assert mat.dense() == [[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]]
 
 
 def test_induction_degree_bookkeeping(rings):
@@ -145,9 +145,10 @@ def test_induction_degree_bookkeeping(rings):
         sub = rings.table(w, small)
         sup = rings.table(w, big)
         index = sup.order // sub.order
+        dense = mat.dense()
         for j, dj in enumerate(sub.degrees):
             total = sum(
-                mat.rows[i][j] * sup.degrees[i] for i in range(sup.n_irreducibles)
+                dense[i][j] * sup.degrees[i] for i in range(sup.n_irreducibles)
             )
             assert total == index * dj
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import bredon.cli
 from bredon.cli import main
 
 
@@ -114,11 +115,21 @@ def test_dump_tables(write_system, capsys):
         [[1, 4, 6], [4, 1, 0], [6, 0, 1]],  # infinite, dihedral tables
     ],
 )
-def test_dumps_share_the_analysis_cache(write_system, capsys, rows):
+def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows):
     path = write_system(rows)
     _, plain, _ = run(capsys, "homology", path, "--output", "json")
+    calls = []
+    assemble = bredon.cli.assemble_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(bredon.cli, "assemble_complex", counted)
     code, dumped, _ = run(capsys, "homology", path, "--dump-tables", "--cells",
                           "--output", "json")
+    # the cells dump reuses the complex the chain route assembled
+    assert len(calls) == 1
     _, cells, _ = run(capsys, "cells", path, "--output", "json")
     assert code == 0
     report = json.loads(dumped)

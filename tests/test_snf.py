@@ -9,7 +9,7 @@ import pytest
 
 from bredon.abelian import FgAbGroup
 from bredon.errors import ConsistencyError
-from bredon.snf import IntMatrix, homology_at, smith_normal_form
+from bredon.snf import IntMatrix, eliminate_units, homology_at, smith_normal_form
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -72,7 +72,7 @@ def test_snf_matches_minor_gcd_oracle():
         res = smith_normal_form(a)
         prod = 1
         for k in range(1, min(nrows, ncols) + 1):
-            g = minor_gcd(a.rows, nrows, ncols, k)
+            g = minor_gcd(a.dense(), nrows, ncols, k)
             if k <= res.rank:
                 prod *= res.diagonal[k - 1]
                 assert prod == g
@@ -151,7 +151,7 @@ def elementary_pair(rng, n, steps=12):
             p[i] = [-x for x in p[i]]
             for row in p_inv:
                 row[i] = -row[i]
-    return IntMatrix(n, n, p), IntMatrix(n, n, p_inv)
+    return IntMatrix.from_rows(p), IntMatrix.from_rows(p_inv)
 
 
 def planted_complex(rng, free, factors):
@@ -170,7 +170,7 @@ def planted_complex(rng, free, factors):
         d = IntMatrix.zero(dims[k - 1], dims[k])
         first = dims[k] - ranks[k]
         for i, e in enumerate(factors[k]):
-            d.rows[i][first + i] = e
+            d.rows[i] = [(first + i, e)]
         p_below, _ = bases[k - 1]
         _, p_inv = bases[k]
         diffs.append(p_below.mul(d).mul(p_inv))
@@ -198,6 +198,84 @@ def test_homology_recovers_planted_groups():
             for k in range(top + 1)
         }
         assert homology_at(diffs, top) == want
+
+
+def random_sparse_complex(rng):
+    """A random chain complex with entries in {0, +-1, +-2, +-3}.
+
+    The boundary maps of a random simplicial complex, each scaled by 1, 2
+    or 3, summed with one-step pieces Z^q -> Z^p of random entries (zero
+    elsewhere, so d . d stays 0), then hidden by a random signed
+    permutation of each chain group's basis.
+    """
+    n = rng.randint(3, 7)
+    simplices = set()
+    for _ in range(rng.randint(1, 6)):
+        facet = sorted(rng.sample(range(n), rng.randint(1, min(n, 4))))
+        for size in range(1, len(facet) + 1):
+            simplices.update(combinations(facet, size))
+    by_dim = [sorted(s for s in simplices if len(s) == d + 1) for d in range(4)]
+    while not by_dim[-1]:
+        by_dim.pop()
+    dims = [len(level) for level in by_dim]
+    entries = [{} for _ in dims]  # entries[k][(row, col)] of d_k
+    for k in range(1, len(dims)):
+        scale = rng.choice([1, 1, 2, 3])
+        index = {s: i for i, s in enumerate(by_dim[k - 1])}
+        for col, s in enumerate(by_dim[k]):
+            for i in range(len(s)):
+                entries[k][index[s[:i] + s[i + 1:]], col] = scale * (-1) ** i
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(1, len(dims))
+        if k == len(dims):
+            dims.append(0)
+            entries.append({})
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        for i in range(p):
+            for j in range(q):
+                value = rng.choice([0, 1, -1, 2, -2, 3, -3])
+                if value:
+                    entries[k][dims[k - 1] + i, dims[k] + j] = value
+        dims[k - 1] += p
+        dims[k] += q
+    perms = [rng.sample(range(d), d) for d in dims]
+    signs = [[rng.choice([1, -1]) for _ in range(d)] for d in dims]
+    diffs = [IntMatrix.zero(0, dims[0])]
+    for k in range(1, len(dims)):
+        dense = [[0] * dims[k] for _ in range(dims[k - 1])]
+        for (i, j), v in entries[k].items():
+            dense[perms[k - 1][i]][perms[k][j]] = signs[k - 1][i] * signs[k][j] * v
+        diffs.append(IntMatrix.from_rows(dense))
+    return diffs
+
+
+def test_unit_elimination_matches_dense_smith_form():
+    # homology_at eliminates +-1 pivots before the Smith form; the
+    # reference reduces the unreduced matrices densely
+    rng = random.Random(20010701)
+    residual_torsion = 0
+    for _ in range(60):
+        diffs = random_sparse_complex(rng)
+        top = len(diffs) - 1
+        ranks, torsion = [0] * (top + 2), [[] for _ in range(top + 2)]
+        for k in range(1, top + 1):
+            full = smith_normal_form(diffs[k])
+            ranks[k] = full.rank
+            torsion[k] = [x for x in full.diagonal if x > 1]
+            units, residual = eliminate_units(diffs[k])
+            res = smith_normal_form(residual)
+            assert units + res.rank == full.rank
+            assert [x for x in res.diagonal if x > 1] == torsion[k]
+            residual_torsion += bool(residual.nrows and torsion[k])
+        want = {
+            d: FgAbGroup.from_factors(
+                diffs[d].ncols - ranks[d] - ranks[d + 1], torsion[d + 1]
+            )
+            for d in range(top + 1)
+        }
+        assert homology_at(diffs, top) == want
+    # no benchmark system leaves a residual, so make sure these do
+    assert residual_torsion >= 10
 
 
 def test_snf_empty_and_zero():
