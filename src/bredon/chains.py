@@ -58,6 +58,15 @@ def build_cells(
     return by_dim
 
 
+def faces(chain: Chain) -> list[tuple[Chain, int]]:
+    """(face, sign) for deleting entry k = 1..n, sign (-1)^k; the first
+    face is the induction block and every later one an identity block."""
+    return [
+        (chain[: k - 1] + chain[k:], -1 if k % 2 else 1)
+        for k in range(1, len(chain) + 1)
+    ]
+
+
 @dataclass
 class BredonComplex:
     """Assembled chain complex: cells, coordinate layout, differentials.
@@ -100,9 +109,9 @@ def assemble_complex(
     if poset is None:
         poset = enumerate_spherical(w)
     cells = build_cells(poset, max_top_rank)
-    block_ranks = [
-        [rings.classes(w, chain[0]).count for chain in level] for level in cells
-    ]
+    # cells[0] holds one singleton chain per subset
+    rank_of = {t: rings.classes(w, t).count for (t,) in cells[0]}
+    block_ranks = [[rank_of[chain[0]] for chain in level] for level in cells]
     offsets = []
     dims = []
     for level_ranks in block_ranks:
@@ -117,6 +126,7 @@ def assemble_complex(
     index_of = [
         {chain: ci for ci, chain in enumerate(level)} for level in cells
     ]
+    inductions: dict[Chain, IntMatrix] = {}  # keyed by (T_1, T_2)
     differentials = [IntMatrix.zero(0, dims[0])]
     for d in range(1, len(cells)):
         # Cells are visited in column order and the faces of one cell are
@@ -125,14 +135,13 @@ def assemble_complex(
         rows: list[list[tuple[int, int]]] = [[] for _ in range(dims[d - 1])]
         for ci, chain in enumerate(cells[d]):
             col0 = offsets[d][ci]
-            for k in range(1, len(chain) + 1):
-                face = chain[: k - 1] + chain[k:]
-                fi = index_of[d - 1][face]
-                row0 = offsets[d - 1][fi]
-                sign = -1 if k % 2 else 1
-                if k == 1:
-                    block = rings.induction(w, chain[0], chain[1])
-                    for i, brow in enumerate(block.rows):
+            for k, (face, sign) in enumerate(faces(chain)):
+                row0 = offsets[d - 1][index_of[d - 1][face]]
+                if k == 0:
+                    pair = chain[:2]
+                    if pair not in inductions:
+                        inductions[pair] = rings.induction(w, *pair)
+                    for i, brow in enumerate(inductions[pair].rows):
                         rows[row0 + i].extend((col0 + j, sign * v) for j, v in brow)
                 else:
                     for j in range(block_ranks[d][ci]):

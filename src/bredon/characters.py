@@ -608,7 +608,7 @@ class RepRingCache:
         self._inductions: dict = {}
 
     def model(self, w: CoxeterMatrix, t) -> GroupModel:
-        sub = w.submatrix(canonical_subset(t))
+        sub = w.submatrix(t)
         key = sub.m
         if key not in self._models:
             self._models[key] = realize_group(
@@ -617,14 +617,14 @@ class RepRingCache:
         return self._models[key]
 
     def classes(self, w: CoxeterMatrix, t) -> ConjugacyClasses:
-        sub = w.submatrix(canonical_subset(t))
+        sub = w.submatrix(t)
         key = sub.m
         if key not in self._classes:
             self._classes[key] = conjugacy_classes(self.model(w, t))
         return self._classes[key]
 
     def table(self, w: CoxeterMatrix, t) -> CharacterTable:
-        sub = w.submatrix(canonical_subset(t))
+        sub = w.submatrix(t)
         key = sub.m
         if key not in self._tables:
             self._tables[key] = self._build_table(sub)

@@ -20,8 +20,8 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from .abelian import HomologyProfile
-from .chains import BredonComplex, assemble_complex
+from .abelian import FgAbGroup, HomologyProfile
+from .chains import BredonComplex, assemble_complex, faces
 from .characters import RepRingCache
 from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical, parse_matrix
 from .errors import (
@@ -54,16 +54,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def load_system(path: str) -> CoxeterMatrix:
-    """Read {"rank": N, "m": [[...]]} with 0 standing for infinity."""
+def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MatrixError(f"{path} is not valid JSON: {exc}") from exc
-    return system_from_json(data, origin=path)
+
+
+def load_system(path: str) -> CoxeterMatrix:
+    """Read {"rank": N, "m": [[...]]} with 0 standing for infinity."""
+    return system_from_json(_read_json(path), origin=path)
 
 
 def system_from_json(data, origin: str = "input") -> CoxeterMatrix:
@@ -82,14 +85,49 @@ def system_from_json(data, origin: str = "input") -> CoxeterMatrix:
 # ---------------------------------------------------------------------------
 
 
+METHODS = ("auto", "chain", "closed", "kunneth")
+
+# why a single-route method has nothing to run on a system
+_NO_ROUTE = {
+    "closed": (
+        "no closed form applies to this system; available routes "
+        "are --method chain (exact, any system) or --method auto"
+    ),
+    "kunneth": (
+        "the diagram is connected, so there is no product "
+        "decomposition for the Kunneth route"
+    ),
+}
+
+
+def _run_route(name: str, w: CoxeterMatrix, rings: RepRingCache, poset: SphericalPoset):
+    """Homology of w along one route, as (profile, the chain route's
+    complex or None); raises ResourceCapError above rings.order_cap."""
+    if name == "chain":
+        max_parabolic = max(poset.orders.values())
+        if max_parabolic > rings.order_cap:
+            raise ResourceCapError(
+                f"largest spherical parabolic has order {max_parabolic}, "
+                f"above the cap {rings.order_cap}"
+            )
+        cx = assemble_complex(w, rings, poset)
+        return cx.homology(), cx
+    if name == "kunneth":
+        combined = None
+        for factor in diagram_factors(w):
+            part = _factor_profile(w, factor, rings)
+            combined = part if combined is None else kunneth_product(combined, part)
+        return HomologyProfile(combined.groups, method="kunneth"), None
+    return closed_form_homology(w, name.split(":", 1)[1], rings), None
+
+
 def _factor_profile(w, factor, rings):
+    """Homology of one connected factor by the first route that fits the cap."""
     sub = w.submatrix(factor)
     sub_poset = enumerate_spherical(sub)
-    if max(sub_poset.orders.values()) <= rings.order_cap:
-        return assemble_complex(sub, rings, sub_poset).homology()
-    for name in applicable_closed_forms(sub):
+    for name in ["chain", *(f"closed:{n}" for n in applicable_closed_forms(sub))]:
         try:
-            return closed_form_homology(sub, name, rings)
+            return _run_route(name, sub, rings, sub_poset)[0]
         except ResourceCapError:
             continue
     raise ResourceCapError(
@@ -106,96 +144,58 @@ def run_analysis(
 ):
     """Run the requested homology routes and reconcile them.
 
-    rings.order_cap bounds the parabolics the routes may realize.
-    Returns (report dict, timings dict, exit code, complex), where complex
-    is the BredonComplex the chain route assembled, or None when that
-    route did not run.  The report is fully JSON-serializable and
-    deterministic; timings are text-mode garnish.
+    The routes are the applicable closed forms, then kunneth when the
+    diagram splits, then chain; method "auto" runs them all and any other
+    method the ones it names.  rings.order_cap bounds the parabolics the
+    routes may realize.  Returns (report dict, timings dict, exit code,
+    complex), where complex is the BredonComplex the chain route
+    assembled, or None when that route did not run.  The report is fully
+    JSON-serializable and deterministic; timings are text-mode garnish.
     """
+    if method not in METHODS:
+        raise ContractError(f"unknown method {method!r}")
     if poset is None:
         poset = enumerate_spherical(w)
-    order_cap = rings.order_cap
     if max_degree is None:
         max_degree = w.rank
-    max_parabolic = max(poset.orders.values())
-    chain_fits = max_parabolic <= order_cap
-    factors = diagram_factors(w)
-
-    closed_names = applicable_closed_forms(w)
-    plan: list[str] = []
-    if method == "auto":
-        plan.extend(f"closed:{name}" for name in closed_names)
-        if len(factors) >= 2:
-            plan.append("kunneth")
-        plan.append("chain")
-    elif method == "chain":
-        plan.append("chain")
-    elif method == "closed":
-        if not closed_names:
-            raise ContractError(
-                "no closed form applies to this system; available routes "
-                "are --method chain (exact, any system) or --method auto"
-            )
-        plan.extend(f"closed:{name}" for name in closed_names)
-    elif method == "kunneth":
-        if len(factors) < 2:
-            raise ContractError(
-                "the diagram is connected, so there is no product "
-                "decomposition for the Kunneth route"
-            )
-        plan.append("kunneth")
-    else:
-        raise ContractError(f"unknown method {method!r}")
+    routes = [f"closed:{name}" for name in applicable_closed_forms(w)]
+    if len(diagram_factors(w)) >= 2:
+        routes.append("kunneth")
+    routes.append("chain")
+    plan = [name for name in routes if method in ("auto", name.split(":")[0])]
+    if not plan:
+        raise ContractError(_NO_ROUTE[method])
 
     profiles: dict[str, HomologyProfile] = {}
     skipped: dict[str, str] = {}
     timings: dict[str, float] = {}
     chain_complex = None
-    cap_hit = False
     for name in plan:
         start = time.perf_counter()
         try:
-            if name == "chain":
-                if not chain_fits:
-                    raise ResourceCapError(
-                        f"largest spherical parabolic has order {max_parabolic}, "
-                        f"above the cap {order_cap}"
-                    )
-                chain_complex = assemble_complex(w, rings, poset)
-                profiles[name] = chain_complex.homology()
-            elif name == "kunneth":
-                combined = None
-                for factor in factors:
-                    part = _factor_profile(w, factor, rings)
-                    combined = part if combined is None else kunneth_product(combined, part)
-                profiles[name] = HomologyProfile(combined.groups, method="kunneth")
-            else:
-                profiles[name] = closed_form_homology(
-                    w, name.split(":", 1)[1], rings
-                )
+            profiles[name], cx = _run_route(name, w, rings, poset)
         except ResourceCapError as exc:
             if method != "auto":
                 raise
             skipped[name] = str(exc)
-            cap_hit = True
             continue
         timings[name] = time.perf_counter() - start
+        if cx is not None:
+            chain_complex = cx
 
     discrepancies: list[dict] = []
     names = list(profiles)
     for other in names[1:]:
         a, b = profiles[names[0]], profiles[other]
-        if a != b:
-            degrees = sorted(set(a.groups) | set(b.groups))
-            for d in degrees:
-                if a.group_at(d) != b.group_at(d):
-                    discrepancies.append(
-                        {
-                            "methods": [names[0], other],
-                            "degree": d,
-                            "values": [str(a.group_at(d)), str(b.group_at(d))],
-                        }
-                    )
+        for d in sorted(set(a.groups) | set(b.groups)):
+            if a.group_at(d) != b.group_at(d):
+                discrepancies.append(
+                    {
+                        "methods": [names[0], other],
+                        "degree": d,
+                        "values": [str(a.group_at(d)), str(b.group_at(d))],
+                    }
+                )
 
     agreed = profiles[names[0]] if profiles and not discrepancies else None
     verdict = k_homology(agreed) if agreed is not None else None
@@ -205,7 +205,7 @@ def run_analysis(
         "input": {"rank": w.rank, "m": w.to_raw()},
         "parameters": {
             "method": method,
-            "order_cap": order_cap,
+            "order_cap": rings.order_cap,
             "max_degree": max_degree,
         },
         "classification": {
@@ -226,7 +226,9 @@ def run_analysis(
     if discrepancies:
         code = EXIT_DISCREPANCY
     elif not profiles:
-        code = EXIT_RESOURCE if cap_hit else EXIT_INPUT
+        # auto always plans the chain route and any other method raises
+        # on a cap, so no profile means every route hit the cap
+        code = EXIT_RESOURCE
     else:
         code = EXIT_OK
     return report, timings, code, chain_complex
@@ -283,14 +285,13 @@ def cells_payload(cx: BredonComplex, poset) -> dict:
         level_blocks = []
         index_of = {chain: fi for fi, chain in enumerate(cx.cells[d - 1])}
         for ci, chain in enumerate(cx.cells[d]):
-            for k in range(1, len(chain) + 1):
-                face = chain[: k - 1] + chain[k:]
+            for k, (face, sign) in enumerate(faces(chain)):
                 level_blocks.append(
                     {
                         "cell": ci,
                         "face": index_of[face],
-                        "sign": -1 if k % 2 else 1,
-                        "kind": "induction" if k == 1 else "identity",
+                        "sign": sign,
+                        "kind": "induction" if k == 0 else "identity",
                     }
                 )
         blocks.append({"degree": d, "blocks": level_blocks})
@@ -304,27 +305,6 @@ def cells_payload(cx: BredonComplex, poset) -> dict:
 # ---------------------------------------------------------------------------
 # text renderers
 # ---------------------------------------------------------------------------
-
-
-def _fmt_group(data) -> str:
-    if data is None:
-        return "?"
-    parts = []
-    free = data.get("free_rank", 0)
-    if free == 1:
-        parts.append("Z")
-    elif free > 1:
-        parts.append(f"Z^{free}")
-    parts.extend(f"Z/{d}" for d in data.get("torsion", []))
-    return " + ".join(parts) if parts else "0"
-
-
-def _fmt_profile(hom: dict) -> str:
-    if not hom:
-        return "H_* = 0"
-    return ", ".join(
-        f"H_{d} = {_fmt_group(g)}" for d, g in sorted(hom.items(), key=lambda kv: int(kv[0]))
-    )
 
 
 def _classify_text(report: dict, out) -> None:
@@ -361,7 +341,7 @@ def _homology_text(report: dict, timings: dict, out) -> None:
     )
     for name, data in report["methods"].items():
         suffix = f"  ({timings[name]:.2f}s)" if name in timings else ""
-        print(f"{name}: {_fmt_profile(data['homology'])}{suffix}", file=out)
+        print(f"{name}: {HomologyProfile.from_json(data['homology'])}{suffix}", file=out)
     for name, reason in report["skipped"].items():
         print(f"{name}: skipped ({reason})", file=out)
     if report["discrepancies"]:
@@ -373,12 +353,13 @@ def _homology_text(report: dict, timings: dict, out) -> None:
                 file=out,
             )
     elif report["homology"] is not None:
-        print(f"agreed: {_fmt_profile(report['homology'])}", file=out)
+        print(f"agreed: {HomologyProfile.from_json(report['homology'])}", file=out)
     kt = report.get("k_theory")
     if kt:
         if kt["decided"]:
             print(
-                f"K_0 = {_fmt_group(kt['K0'])}, K_1 = {_fmt_group(kt['K1'])}",
+                f"K_0 = {FgAbGroup.from_json(kt['K0'])}, "
+                f"K_1 = {FgAbGroup.from_json(kt['K1'])}",
                 file=out,
             )
             print(f"  ({kt['note']})", file=out)
@@ -517,6 +498,43 @@ def bundled_corpus_dir() -> Path:
     return Path(resources.files("bredon") / "corpus")
 
 
+_EXPECTED = {"homology": HomologyProfile, "k0": FgAbGroup, "k1": FgAbGroup}
+
+
+def _check_case(data: dict, origin: str, rings: RepRingCache) -> list[str]:
+    """Run one corpus case; returns its failures, empty when it passed."""
+    w = system_from_json(data.get("system"), origin=origin)
+    expected = data.get("expected", {})
+    try:
+        wants = {
+            key: kind.from_json(expected[key])
+            for key, kind in _EXPECTED.items()
+            if expected.get(key) is not None
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MatrixError(f"{origin}: malformed expected value: {exc}") from exc
+    report, _, code, _ = run_analysis(w, rings)
+    detail = []
+    if code != EXIT_OK:
+        detail.append(f"analysis exit code {code}")
+        for d in report["discrepancies"]:
+            detail.append(
+                f"degree {d['degree']}: "
+                f"{d['methods'][0]} {d['values'][0]} vs "
+                f"{d['methods'][1]} {d['values'][1]}"
+            )
+    got = {}
+    if report["homology"] is not None:
+        got["homology"] = HomologyProfile.from_json(report["homology"])
+    kt = report["k_theory"]
+    if kt and kt["decided"]:
+        got["k0"], got["k1"] = FgAbGroup.from_json(kt["K0"]), FgAbGroup.from_json(kt["K1"])
+    for key, want in wants.items():
+        if key in got and want != got[key]:
+            detail.append(f"{key}: expected {want}, got {got[key]}")
+    return detail
+
+
 def cmd_validate(args) -> int:
     directory = Path(args.corpus) if args.corpus else bundled_corpus_dir()
     if not directory.is_dir():
@@ -528,49 +546,18 @@ def cmd_validate(args) -> int:
     failures = 0
     rings = RepRingCache(args.order_cap)  # keyed by induced matrix, so shared
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        name = data.get("name", path.stem)
-        detail: list[str] = []
-        ok = True
+        name = path.stem
         try:
-            w = system_from_json(data.get("system"), origin=str(path))
-            report, _, code, _ = run_analysis(w, rings)
-            if code != EXIT_OK:
-                ok = False
-                detail.append(f"analysis exit code {code}")
-                for d in report["discrepancies"]:
-                    detail.append(
-                        f"degree {d['degree']}: "
-                        f"{d['methods'][0]} {d['values'][0]} vs "
-                        f"{d['methods'][1]} {d['values'][1]}"
-                    )
-            expected = data.get("expected", {})
-            got_hom = report["homology"]
-            want_hom = expected.get("homology")
-            if want_hom is not None and got_hom is not None:
-                want = HomologyProfile.from_json(want_hom)
-                got = HomologyProfile.from_json(got_hom)
-                if want != got:
-                    ok = False
-                    detail.append(f"homology: expected {want}, got {got}")
-            kt = report.get("k_theory")
-            for key in ("k0", "k1"):
-                if key in expected and kt and kt.get("decided"):
-                    want_k = expected[key]
-                    got_k = kt["K0" if key == "k0" else "K1"]
-                    if want_k != got_k:
-                        ok = False
-                        detail.append(
-                            f"{key}: expected {_fmt_group(want_k)}, "
-                            f"got {_fmt_group(got_k)}"
-                        )
+            data = _read_json(path)
+            if not isinstance(data, dict):
+                raise MatrixError(f"{path} is not a JSON object")
+            name = data.get("name", name)
+            detail = _check_case(data, str(path), rings)
         except (MatrixError, ContractError, ResourceCapError, ConsistencyError) as exc:
-            ok = False
-            detail.append(str(exc))
-        if not ok:
+            detail = [str(exc)]
+        if detail:
             failures += 1
-        cases.append({"name": name, "ok": ok, "detail": detail})
+        cases.append({"name": name, "ok": not detail, "detail": detail})
     report = {
         "corpus": str(directory),
         "cases": cases,
@@ -611,7 +598,7 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument(
         "--method",
-        choices=("auto", "chain", "closed", "kunneth"),
+        choices=METHODS,
         default="auto",
         help="computation route (auto runs every applicable one)",
     )
@@ -645,6 +632,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for option, low in (("order_cap", 1), ("max_degree", 0)):
+            value = getattr(args, option, None)
+            if value is not None and value < low:
+                parser.error(f"--{option.replace('_', '-')} must be at least {low}, got {value}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -360,9 +360,6 @@ class SphericalPoset:
     def size(self) -> int:
         return sum(self.counts)
 
-    def contains(self, t) -> bool:
-        return canonical_subset(t) in self.orders
-
     def label_name(self, t) -> str:
         t = canonical_subset(t)
         if not t:

@@ -8,6 +8,7 @@ from bredon.chains import (
     build_cells,
     cell_pair_homology,
     chain_homology,
+    faces,
     relative_complex,
 )
 from bredon.characters import RepRingCache
@@ -53,6 +54,31 @@ def test_boundary_squares_to_zero(rings):
         for k in range(1, cx.top_dimension):
             prod = cx.differentials[k].mul(cx.differentials[k + 1])
             assert prod.is_zero()
+
+
+def test_each_induction_block_is_requested_once_per_pair():
+    w = parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    rings = RepRingCache()
+    calls = []
+    induction = rings.induction
+
+    def counted(w, t1, t2):
+        calls.append((t1, t2))
+        return induction(w, t1, t2)
+
+    rings.induction = counted
+    cx = assemble_complex(w, rings)
+    pairs = {chain[:2] for level in cx.cells[1:] for chain in level}
+    assert sorted(calls) == sorted(pairs)
+
+
+def test_faces_signs_and_order():
+    chain = ((), (0,), (0, 1))
+    assert faces(chain) == [
+        (((0,), (0, 1)), -1),
+        (((), (0, 1)), 1),
+        (((), (0,)), -1),
+    ]
 
 
 def test_infinite_dihedral_worked_boundary(rings):

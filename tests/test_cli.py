@@ -5,7 +5,10 @@ import json
 import pytest
 
 import bredon.cli
+from bredon.characters import RepRingCache
 from bredon.cli import main
+from bredon.coxeter import parse_matrix
+from bredon.errors import ContractError
 
 
 @pytest.fixture()
@@ -58,9 +61,11 @@ def test_homology_single_method(write_system, capsys):
     assert report["homology"]["1"] == {"free_rank": 1, "torsion": []}
 
 
+DINF_X_DINF = [[1, 0, 2, 2], [0, 1, 2, 2], [2, 2, 1, 0], [2, 2, 0, 1]]
+
+
 def test_homology_kunneth_route(write_system, capsys):
-    rows = [[1, 0, 2, 2], [0, 1, 2, 2], [2, 2, 1, 0], [2, 2, 0, 1]]
-    path = write_system(rows)
+    path = write_system(DINF_X_DINF)
     code, out, _ = run(capsys, "homology", path, "--method", "kunneth",
                        "--output", "json")
     assert code == 0
@@ -68,11 +73,54 @@ def test_homology_kunneth_route(write_system, capsys):
     assert report["homology"] == {"0": {"free_rank": 9, "torsion": []}}
 
 
+def test_kunneth_factors_fall_back_to_closed_forms(write_system, capsys):
+    # under order cap 1 neither factor fits the chain route, so each one
+    # takes its right-angled closed form
+    path = write_system(DINF_X_DINF)
+    code, out, _ = run(capsys, "homology", path, "--method", "kunneth",
+                       "--order-cap", "1", "--output", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["homology"] == {"0": {"free_rank": 9, "torsion": []}}
+
+
+def test_kunneth_names_the_factor_no_route_fits(write_system, capsys):
+    # I2(5) x A1: the order-10 factor fits neither the chain route nor a
+    # closed form under cap 4
+    path = write_system([[1, 5, 2], [5, 1, 2], [2, 2, 1]])
+    code, _, err = run(capsys, "homology", path, "--method", "kunneth",
+                       "--order-cap", "4")
+    assert code == 3
+    assert err == "resource cap: no route fits factor (0, 1) under order cap 4\n"
+
+
 def test_kunneth_rejected_on_connected_diagram(write_system, capsys):
     path = write_system([[1, 3], [3, 1]])
     code, _, err = run(capsys, "homology", path, "--method", "kunneth")
     assert code == 4
     assert "connected" in err
+
+
+def test_closed_rejected_without_a_closed_form(write_system, capsys):
+    # affine A3: connected, neither even nor right-angled, rank 4
+    path = write_system([[1, 3, 2, 3], [3, 1, 3, 2], [2, 3, 1, 3], [3, 2, 3, 1]])
+    code, _, err = run(capsys, "homology", path, "--method", "closed")
+    assert code == 4
+    assert "no closed form applies" in err
+
+
+def test_run_analysis_rejects_unknown_method():
+    w = parse_matrix([[1, 3], [3, 1]])
+    with pytest.raises(ContractError):
+        bredon.cli.run_analysis(w, RepRingCache(), method="bogus")
+
+
+def test_auto_lists_routes_in_plan_order(write_system, capsys):
+    path = write_system(DINF_X_DINF)
+    code, out, _ = run(capsys, "homology", path)
+    assert code == 0
+    names = [line.split(": ")[0] for line in out.splitlines()[1:5]]
+    assert names == ["closed:right-angled", "closed:even", "kunneth", "chain"]
 
 
 def test_classify_output(write_system, capsys):
@@ -174,6 +222,24 @@ def test_exit_code_order_cap(write_system, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "{path}", "--order-cap", "0"],
+        ["homology", "{path}", "--order-cap", "-3"],
+        ["homology", "{path}", "--max-degree", "-1"],
+        ["cells", "{path}", "--order-cap", "0"],
+        ["validate", "--order-cap", "0"],
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(write_system, capsys, argv):
+    path = write_system([[1, 0], [0, 1]])
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("usage error: ") and "must be at least" in err
+
+
 def test_auto_degrades_to_resource_exit_when_all_routes_capped(
     write_system, capsys
 ):
@@ -229,6 +295,47 @@ def test_validate_reports_wrong_expectation(tmp_path, capsys):
     assert code == 2
     assert "FAIL wrong" in out
     assert "expected" in out
+
+
+GOOD_CASE = {
+    "name": "good",
+    "system": {"rank": 2, "m": [[1, 0], [0, 1]]},
+    # K-groups accept the same shorthand as homology: no torsion key
+    "expected": {"homology": {"0": {"free_rank": 3}}, "k0": {"free_rank": 3}},
+}
+
+
+def test_validate_accepts_shorthand_groups(tmp_path, capsys):
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_CASE))
+    code, out, _ = run(capsys, "validate", str(tmp_path))
+    assert code == 0
+    assert "1/1 cases passed" in out
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (b"{not json", "is not valid JSON"),
+        (b"\xff\xfe{}", "is not valid JSON"),
+        (b"[1, 2]", "is not a JSON object"),
+        (
+            json.dumps(
+                {**GOOD_CASE, "name": "bad", "expected": {"k1": {"free_rank": "x"}}}
+            ).encode(),
+            "malformed expected value",
+        ),
+    ],
+)
+def test_validate_reports_malformed_case_and_goes_on(tmp_path, capsys, text, reason):
+    (tmp_path / "bad.json").write_bytes(text)
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_CASE))
+    code, out, _ = run(capsys, "validate", str(tmp_path))
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "FAIL bad"
+    assert reason in lines[1]
+    assert "ok   good" in lines
+    assert lines[-1] == "1/2 cases passed"
 
 
 def test_validate_empty_directory(tmp_path, capsys):
