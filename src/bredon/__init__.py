@@ -35,7 +35,6 @@ from .coxeter import (
     classify_subset,
     components,
     enumerate_spherical,
-    is_spherical,
     numeric_finiteness_check,
     parse_matrix,
     spherical_order,

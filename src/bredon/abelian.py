@@ -102,7 +102,14 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FgAbGroup":
-        return cls(int(data["free_rank"]), tuple(int(d) for d in data.get("torsion", ())))
+        """Inverse of to_json.  The free rank and the torsion entries must
+        be ints: a float, string or bool is a TypeError, not truncated."""
+        free_rank = data["free_rank"]
+        torsion = tuple(data.get("torsion", ()))
+        for x in (free_rank, *torsion):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"group entries must be integers, got {x!r}")
+        return cls(free_rank, torsion)
 
     def __str__(self) -> str:
         parts = []

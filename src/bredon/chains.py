@@ -27,17 +27,12 @@ from .snf import IntMatrix, homology_at
 Chain = tuple[tuple[int, ...], ...]
 
 
-def build_cells(
-    poset: SphericalPoset, max_top_rank: int | None = None
-) -> list[list[Chain]]:
+def build_cells(poset: SphericalPoset) -> list[list[Chain]]:
     """All strictly increasing chains of spherical subsets, by dimension.
 
-    Chains whose top subset has rank above max_top_rank are dropped when
-    the bound is given.  Each dimension is sorted lexicographically.
+    Each dimension is sorted lexicographically.
     """
     subs = poset.subsets
-    if max_top_rank is not None:
-        subs = [t for t in subs if len(t) <= max_top_rank]
     sups: dict[tuple[int, ...], list[tuple[int, ...]]] = {
         t: [u for u in subs if len(u) > len(t) and set(t) < set(u)] for t in subs
     }
@@ -99,7 +94,6 @@ def assemble_complex(
     w: CoxeterMatrix,
     rings: RepRingCache,
     poset: SphericalPoset | None = None,
-    max_top_rank: int | None = None,
 ) -> BredonComplex:
     """Build cells and differentials for the system w.
 
@@ -108,7 +102,7 @@ def assemble_complex(
     """
     if poset is None:
         poset = enumerate_spherical(w)
-    cells = build_cells(poset, max_top_rank)
+    cells = build_cells(poset)
     # cells[0] holds one singleton chain per subset
     rank_of = {t: rings.classes(w, t).count for (t,) in cells[0]}
     block_ranks = [[rank_of[chain[0]] for chain in level] for level in cells]

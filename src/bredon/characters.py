@@ -6,9 +6,10 @@ subgroup:
 * rank 1 and dihedral parabolics get the textbook closed forms;
 * reducible parabolics are tensor products of their factor tables;
 * every other irreducible finite type goes through the Burnside-Dixon
-  modular algorithm: common eigenvectors of the class-sum matrices over a
-  prime field F_p with p = 1 mod exponent(G), lifted to C by discrete
-  Fourier inversion along power maps.
+  modular algorithm: the common eigenvectors of the class-sum matrices
+  over F_p, p = 1 mod exponent(G), come from intersecting the eigenspaces
+  of one matrix after another (one mod-p nullspace per root), and are
+  lifted to C by discrete Fourier inversion along power maps.
 
 A table's columns are always the conjugacy classes of the group model in
 canonical order (identity first), so tables, models and induction
@@ -250,117 +251,46 @@ def _primitive_root(p: int) -> int:
     raise ConsistencyError("no primitive root found")
 
 
-def _mod_rref_columns(cols: np.ndarray, p: int):
-    """Column-reduce mod p; returns (columns, pivot_rows) with each pivot
-    entry 1 and its row cleared in the other columns."""
-    cols = cols.astype(np.int64) % p
-    k, d = cols.shape
-    pivots = []
-    for t in range(d):
-        pr = -1
-        for r in range(k):
-            if r not in pivots and cols[r, t] % p:
-                pr = r
-                break
-        if pr < 0:
-            raise ConsistencyError("dependent columns in subspace basis")
-        inv = pow(int(cols[pr, t]), -1, p)
-        cols[:, t] = cols[:, t] * inv % p
-        for u in range(d):
-            if u != t and cols[pr, u]:
-                cols[:, u] = (cols[:, u] - int(cols[pr, u]) * cols[:, t]) % p
-        pivots.append(pr)
-    return cols, pivots
-
-
-def _mod_coords(cols, pivots, vec, p):
-    """Coordinates of vec in an echelonized column basis; vec must lie in
-    the span, which is an invariance statement for our callers."""
-    coeffs = np.array([vec[r] for r in pivots], dtype=np.int64) % p
-    residual = (vec - cols @ coeffs) % p
-    if np.any(residual):
-        raise ConsistencyError("class-sum matrix left an invariant subspace")
-    return coeffs
-
 def _mod_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning the nullspace of a square matrix mod p."""
-    a = mat % p
-    d = a.shape[0]
-    a = a.astype(np.int64)
-    pivot_of_col: dict[int, int] = {}
-    row = 0
-    for col in range(d):
-        sel = None
-        for r in range(row, d):
-            if a[r, col] % p:
-                sel = r
-                break
-        if sel is None:
+    """Columns spanning the nullspace of any m x n matrix mod p: reduce
+    to reduced row echelon form, one basis vector per free column."""
+    a = mat.astype(np.int64) % p
+    n = a.shape[1]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        nonzero = np.nonzero(a[r:, col])[0]
+        if nonzero.size == 0:
             continue
-        a[[row, sel]] = a[[sel, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row] = a[row] * inv % p
-        for r in range(d):
-            if r != row and a[r, col]:
-                a[r] = (a[r] - int(a[r, col]) * a[row]) % p
-        pivot_of_col[col] = row
-        row += 1
-    free_cols = [c for c in range(d) if c not in pivot_of_col]
-    basis = np.zeros((d, len(free_cols)), dtype=np.int64)
-    for idx, fc in enumerate(free_cols):
-        basis[fc, idx] = 1
-        for col, r in pivot_of_col.items():
-            basis[col, idx] = (-a[r, fc]) % p
+        sel = r + int(nonzero[0])
+        a[[r, sel]] = a[[sel, r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
+        factors = a[:, col].copy()
+        factors[r] = 0
+        a = (a - np.outer(factors, a[r])) % p
+        pivots.append(col)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    basis[np.ix_(pivots, range(len(free)))] = -a[: len(pivots)][:, free] % p
     return basis
 
 
-def _mod_det(mat: np.ndarray, p: int) -> int:
-    a = mat.astype(np.int64) % p
-    d = a.shape[0]
-    det = 1
-    for col in range(d):
-        sel = None
-        for r in range(col, d):
-            if a[r, col] % p:
-                sel = r
-                break
-        if sel is None:
-            return 0
-        if sel != col:
-            a[[col, sel]] = a[[sel, col]]
-            det = -det
-        det = det * int(a[col, col]) % p
-        inv = pow(int(a[col, col]), -1, p)
-        for r in range(col + 1, d):
-            if a[r, col]:
-                a[r] = (a[r] - int(a[r, col]) * inv % p * a[col]) % p
-    return det % p
-
-
-def _charpoly_roots(mat: np.ndarray, p: int) -> list[int]:
-    """Roots in F_p of det(mat - x I), by interpolation then a full scan."""
-    d = mat.shape[0]
-    xs = list(range(d + 1))
-    ys = [_mod_det((mat - x * np.eye(d, dtype=np.int64)) % p, p) for x in xs]
-    # Lagrange interpolation of the degree-d polynomial through (xs, ys)
-    coeffs = np.zeros(d + 1, dtype=np.int64)  # coeffs[i] multiplies x^i
-    for x0, y0 in zip(xs, ys):
-        num = np.array([1], dtype=object)
-        denom = 1
-        for x1 in xs:
-            if x1 == x0:
-                continue
-            # multiply num by (x - x1)
-            shifted = np.concatenate(([0], num))
-            scaled = np.concatenate((num * (-x1), [0]))
-            num = (shifted + scaled) % p
-            denom = denom * (x0 - x1) % p
-        scale = y0 * pow(int(denom % p), -1, p) % p
-        coeffs = (coeffs + num * scale) % p
+def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
+    """Roots in F_p of det(x I - a) by a scan of F_p, with coefficients
+    from Faddeev-LeVerrier: M_j = a M_{j-1} + c_{k-j+1} I and
+    c_{k-j} = -tr(a M_j) / j, so p must exceed k."""
+    k = a.shape[0]
+    eye = np.eye(k, dtype=np.int64)
+    coeffs = [1]  # c_k, c_{k-1}, ..., c_0
+    am = np.zeros((k, k), dtype=np.int64)
+    for j in range(1, k + 1):
+        am = a @ ((am + coeffs[-1] * eye) % p) % p
+        coeffs.append(-int(np.trace(am)) * pow(j, -1, p) % p)
     lam = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
-    for c in coeffs[::-1]:
-        acc = (acc * lam + int(c)) % p
+    for c in coeffs:
+        acc = (acc * lam + c) % p
     return [int(x) for x in np.nonzero(acc == 0)[0]]
 
 
@@ -388,44 +318,44 @@ def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
 
 
 def _split_eigenvectors(mats: np.ndarray, p: int) -> list[np.ndarray]:
-    """Common eigenvectors (columns, normalized so entry 0 is 1) of the
-    commuting family mats[1:], by deterministic eigenspace refinement."""
+    """Common eigenvectors (normalized so entry 0 is 1) of the commuting
+    family mats[1:], by deterministic eigenspace intersection.
+
+    Each matrix A cuts every current space, a column basis B, into the
+    pieces B null((A - lam I) B), one per root lam of A in ascending
+    order.  The family commutes and is diagonalisable over F_p (p does
+    not divide |G|), so the pieces of an A-invariant space fill it; the
+    dimension count catches a space that A does not leave invariant.
+    """
     k = mats.shape[1]
-    spaces = [_mod_rref_columns(np.eye(k, dtype=np.int64), p)]
-    for i in range(1, mats.shape[0]):
-        if all(u.shape[1] == 1 for u, _ in spaces):
+    spaces = [np.eye(k, dtype=np.int64)]
+    for a in mats[1:]:
+        if all(b.shape[1] == 1 for b in spaces):
             break
-        a = mats[i]
+        roots = _charpoly_roots(a, p)
         refined = []
-        for cols, pivots in spaces:
-            d = cols.shape[1]
+        for b in spaces:
+            d = b.shape[1]
             if d == 1:
-                refined.append((cols, pivots))
+                refined.append(b)
                 continue
-            image = a @ cols % p
-            r = np.zeros((d, d), dtype=np.int64)
-            for t in range(d):
-                r[:, t] = _mod_coords(cols, pivots, image[:, t], p)
-            roots = _charpoly_roots(r, p)
-            if len(roots) <= 1:
-                refined.append((cols, pivots))
-                continue
+            ab = a @ b % p
             total = 0
             for lam in roots:
-                ns = _mod_nullspace((r - lam * np.eye(d, dtype=np.int64)) % p, p)
-                if ns.shape[1] == 0:
-                    continue
-                total += ns.shape[1]
-                sub = cols @ ns % p
-                refined.append(_mod_rref_columns(sub, p))
+                ns = _mod_nullspace(ab - lam * b, p)
+                if ns.shape[1]:
+                    total += ns.shape[1]
+                    refined.append(b @ ns % p)
+                    if total == d:
+                        break
             if total != d:
                 raise ConsistencyError("eigenspace refinement lost dimensions")
         spaces = refined
     vectors = []
-    for cols, _ in spaces:
-        if cols.shape[1] != 1:
+    for b in spaces:
+        if b.shape[1] != 1:
             raise ConsistencyError("class-sum matrices failed to split completely")
-        v = cols[:, 0] % p
+        v = b[:, 0]
         if v[0] == 0:
             raise ConsistencyError("central character vanishes at the identity")
         vectors.append(v * pow(int(v[0]), -1, p) % p)

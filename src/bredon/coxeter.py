@@ -302,10 +302,6 @@ def spherical_order(w: CoxeterMatrix, t) -> int | None:
     return order
 
 
-def is_spherical(w: CoxeterMatrix, t) -> bool:
-    return spherical_order(w, t) is not None
-
-
 def cosine_matrix(w: CoxeterMatrix, t) -> np.ndarray:
     """Symmetric bilinear form of the reflection representation on t:
     B_ij = -cos(pi / m_ij).  The formula also yields the unit diagonal

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from bredon.abelian import TRIVIAL, FgAbGroup, HomologyProfile, normalize_factors
 
 
@@ -93,6 +95,22 @@ def test_tensor_tor_symmetry():
 def test_json_round_trip():
     g = FgAbGroup.from_factors(3, [2, 6])
     assert FgAbGroup.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"free_rank": 3.9},
+        {"free_rank": "3"},
+        {"free_rank": True},
+        {"free_rank": 0, "torsion": [2.0]},
+        {"free_rank": 0, "torsion": ["2"]},
+        {"free_rank": 0, "torsion": [True, 2]},
+    ],
+)
+def test_from_json_rejects_non_integer_entries(data):
+    with pytest.raises((TypeError, ValueError)):
+        FgAbGroup.from_json(data)
 
 
 def test_profile_drops_trivial_degrees():

@@ -5,7 +5,6 @@ import pytest
 from bredon.abelian import FgAbGroup, HomologyProfile
 from bredon.chains import (
     assemble_complex,
-    build_cells,
     cell_pair_homology,
     chain_homology,
     faces,
@@ -152,17 +151,6 @@ def test_max_degree_truncation(rings):
     prof = chain_homology(w, rings, max_degree=0)
     assert prof.group_at(0) == FgAbGroup.free(5)
     assert prof.max_degree == 0
-
-
-def test_build_cells_top_rank_filter(rings):
-    w = parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
-    poset = enumerate_spherical(w)
-    full = build_cells(poset, max_top_rank=w.rank)
-    only_rank1 = build_cells(poset, max_top_rank=1)
-    assert all(
-        len(chain[-1]) <= 1 for level in only_rank1 for chain in level
-    )
-    assert sum(map(len, only_rank1)) < sum(map(len, full))
 
 
 def test_relative_complex_skeleton_decomposition(rings):

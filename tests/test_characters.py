@@ -1,10 +1,14 @@
 """Character tables, induction, restriction, and the representation-ring cache."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from bredon.characters import (
     RepRingCache,
+    _charpoly_roots,
+    _mod_nullspace,
     dixon_table,
     induction_matrix,
     restriction_matrix,
@@ -61,6 +65,85 @@ def test_dihedral_closed_form_matches_dixon(rings):
         a = sorted(key(r) for r in closed.values)
         b = sorted(key(r) for r in generic.values)
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2], [2, 1]],  # A1 x A1
+        [[1, 4, 2], [4, 1, 2], [2, 2, 1]],  # I2(4) x A1
+        [[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]],  # A2 x A2
+        [[1, 5, 2, 2], [5, 1, 2, 2], [2, 2, 1, 4], [2, 2, 4, 1]],  # I2(5) x B2
+        [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # A3 x A1
+    ],
+)
+def test_dixon_matches_product_tables(rings, rows):
+    # products have many repeated eigenvalues in their class-sum matrices,
+    # so the split must cut multi-dimensional eigenspaces several times
+    w = parse_matrix(rows)
+    product = rings.table(w, w.generators)
+    generic = dixon_table(rings.model(w, w.generators), rings.classes(w, w.generators))
+    generic.validate()
+
+    def pairs(table):
+        return sorted(
+            (d, [(round(v.real, 6), round(v.imag, 6)) for v in row])
+            for d, row in zip(table.degrees, table.values)
+        )
+
+    assert pairs(generic) == pairs(product)
+
+
+# -- mod-p linear algebra of the Dixon split -----------------------------------
+
+
+def _kernel_size(mat, p):
+    """Number of vectors x in F_p^n with mat x = 0, by enumeration."""
+    n = mat.shape[1]
+    vecs = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
+    return int(np.sum(np.all(mat @ vecs % p == 0, axis=0)))
+
+
+def _brute_nullity(mat, p):
+    size, nullity = _kernel_size(mat, p), 0
+    while size > 1:
+        size //= p
+        nullity += 1
+    return nullity
+
+
+def _mod_p_cases():
+    rng = np.random.default_rng(20260)
+    cases = []
+    for p in (5, 7):
+        for m, n in ((1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (1, 3), (5, 3), (3, 4)):
+            cases.append((p, np.zeros((m, n), dtype=np.int64)))
+            cases.append((p, rng.integers(0, p, (m, n))))
+            r = min(m, n) - 1 if min(m, n) > 1 else 1
+            cases.append((p, rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))))
+        for n in (1, 2, 3, 4):
+            cases.append((p, np.eye(n, dtype=np.int64) * 3))
+    return cases
+
+
+@pytest.mark.parametrize("p, mat", _mod_p_cases())
+def test_mod_nullspace_oracle(p, mat):
+    basis = _mod_nullspace(mat, p)
+    n = mat.shape[1]
+    assert basis.shape == (n, _brute_nullity(mat, p))
+    assert not np.any(mat @ basis % p)
+    # independent: only the zero combination of the columns vanishes
+    assert _kernel_size(basis, p) == 1
+
+
+@pytest.mark.parametrize(
+    "p, mat", [(p, m) for p, m in _mod_p_cases() if m.shape[0] == m.shape[1]]
+)
+def test_charpoly_roots_oracle(p, mat):
+    k = mat.shape[0]
+    eye = np.eye(k, dtype=np.int64)
+    expected = [x for x in range(p) if _brute_nullity((mat - x * eye) % p, p) > 0]
+    assert _charpoly_roots(mat % p, p) == expected
 
 
 def test_dixon_degrees_for_rank3_types(rings):

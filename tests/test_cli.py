@@ -324,6 +324,20 @@ def test_validate_accepts_shorthand_groups(tmp_path, capsys):
             ).encode(),
             "malformed expected value",
         ),
+        (
+            # D-infinity has H_0 = K_0 = Z^3: a truncated 3.2 or 3.9 would pass
+            json.dumps(
+                {
+                    **GOOD_CASE,
+                    "name": "bad",
+                    "expected": {
+                        "homology": {"0": {"free_rank": 3.2}},
+                        "k0": {"free_rank": 3.9},
+                    },
+                }
+            ).encode(),
+            "malformed expected value",
+        ),
     ],
 )
 def test_validate_reports_malformed_case_and_goes_on(tmp_path, capsys, text, reason):
