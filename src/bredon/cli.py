@@ -73,10 +73,11 @@ def system_from_json(data, origin: str = "input") -> CoxeterMatrix:
     if not isinstance(data, dict) or "m" not in data:
         raise MatrixError(f'{origin} must be an object with an "m" matrix')
     w = parse_matrix(data["m"])
-    if "rank" in data and data["rank"] != w.rank:
-        raise MatrixError(
-            f'{origin}: "rank" is {data["rank"]} but the matrix has size {w.rank}'
-        )
+    rank = data.get("rank", w.rank)
+    if type(rank) is not int:  # bool is a subclass of int
+        raise MatrixError(f'{origin}: "rank" must be an integer, got {rank!r}')
+    if rank != w.rank:
+        raise MatrixError(f'{origin}: "rank" is {rank} but the matrix has size {w.rank}')
     return w
 
 

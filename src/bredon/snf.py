@@ -3,17 +3,18 @@
 Matrices are stored by row, keeping only their nonzero entries, in
 arbitrary-precision Python ints: intermediate entries can outgrow any
 fixed width, and the Bredon differentials are about 1% dense.  Homology
-is read off the ranks and invariant factors of the differentials.  Each
-differential first loses its +-1 pivots to sparse elimination; only the
-residual is densified for the Smith reduction, which returns the
-invariant factors alone, so no transform matrix is ever formed.
+is read off the ranks and invariant factors of the differentials, which
+one sparse elimination finds: it pivots on +-1 entries by Markowitz cost
+while any is left and on entries of least magnitude after that, splitting
+off one diagonal entry per pivot.  Only the invariant factors are kept,
+so no transform matrix is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup
+from .abelian import FgAbGroup, normalize_factors
 from .errors import ConsistencyError, ContractError
 
 
@@ -84,120 +85,22 @@ class SmithResult:
 
 
 def smith_normal_form(a: IntMatrix) -> SmithResult:
-    """Smith normal form by repeated pivoting on a least-magnitude entry.
+    """Invariant factors of a by sparse elimination, one pivot at a time.
 
-    Pivot choice: among nonzero entries of the remaining submatrix, pick
-    minimal |value|, breaking ties by smallest row then column.  Row and
-    column operations clear the pivot cross; a divisibility sweep then
-    guarantees d_i | d_{i+1}.  The matrix is densified first, so callers
-    hand it only what sparse elimination leaves.
-    """
-    m = a.dense()
-    nr, nc = a.nrows, a.ncols
+    A step on the entry v at (i, j) leaves every other entry of column j
+    as its remainder mod v by row operations; once column j is clear,
+    column operations do the same to row i, touching no other row.  If v
+    is then alone in its row and column, a is (v) + the rest: the step
+    records |v| and drops row i and column j.  Otherwise a remainder
+    smaller than |v| is left for a later step.  The recorded pivots are a
+    diagonal equivalent to a, so their divisor chain is its Smith form.
 
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_col(i):
-        for row in m:
-            row[i] = -row[i]
-
-    def add_col(dst, src, q):
-        # column dst += q * column src
-        if q == 0:
-            return
-        for row in m:
-            if row[src]:
-                row[dst] += q * row[src]
-
-    def find_pivot(s):
-        best = None
-        for i in range(s, nr):
-            row = m[i]
-            for j in range(s, nc):
-                val = row[j]
-                if val:
-                    mag = -val if val < 0 else val
-                    if best is None or mag < best[0]:
-                        best = (mag, i, j)
-                        if mag == 1:
-                            return best
-        return best
-
-    s = 0
-    limit = min(nr, nc)
-    while s < limit:
-        best = find_pivot(s)
-        if best is None:
-            break
-        _, pi, pj = best
-        m[s], m[pi] = m[pi], m[s]
-        swap_cols(s, pj)
-        while True:
-            # clear column s below the pivot
-            dirty = False
-            for i in range(s + 1, nr):
-                if m[i][s]:
-                    q = m[i][s] // m[s][s]
-                    if q:
-                        ms = m[s]
-                        m[i] = [x - q * y for x, y in zip(m[i], ms)]
-                    if m[i][s]:
-                        # remainder smaller than pivot: promote it
-                        m[s], m[i] = m[i], m[s]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row s right of the pivot
-            for j in range(s + 1, nc):
-                if m[s][j]:
-                    q = m[s][j] // m[s][s]
-                    add_col(j, s, -q)
-                    if m[s][j]:
-                        swap_cols(s, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix
-            offender = None
-            pv = m[s][s]
-            for i in range(s + 1, nr):
-                row = m[i]
-                for j in range(s + 1, nc):
-                    if row[j] % pv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            ms = m[s]
-            m[s] = [x + y for x, y in zip(ms, m[offender])]
-        if m[s][s] < 0:
-            negate_col(s)
-        s += 1
-
-    diagonal = [m[i][i] for i in range(s)]
-    for d, e in zip(diagonal, diagonal[1:]):
-        if e % d:
-            raise ConsistencyError("invariant factors failed the divisor chain")
-    return SmithResult(diagonal=diagonal, rank=s)
-
-
-def eliminate_units(a: IntMatrix) -> tuple[int, IntMatrix]:
-    """Eliminate +-1 pivots; return their count and the residual matrix.
-
-    Each step takes a unit entry of least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1), clears its column with
-    row operations and drops its row and column, which column operations
-    would clear without touching any other row.  So a is equivalent to
-    the identity on the units eliminated plus the residual, whose nonzero
-    rows and columns are renumbered in order.  Unit entries wait in a
-    heap under the cost they had when pushed; a popped entry whose cost
-    has since grown goes back with its current cost.
+    Pivots are unit entries of least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1), waiting in a heap under
+    the cost they had when pushed (a popped entry whose cost has since
+    grown goes back with its current cost); once the heap is empty, an
+    entry of least magnitude (a unit, if a remainder left one), ties to
+    the lowest (row, column).
     """
     import heapq  # here, not at module load: every CLI request imports snf
 
@@ -212,47 +115,73 @@ def eliminate_units(a: IntMatrix) -> tuple[int, IntMatrix]:
             if v == 1 or v == -1:
                 heap.append(((len(row) - 1) * (len(cols[j]) - 1), i, j))
     heapq.heapify(heap)
-    units = 0
-    while heap:
-        cost, i, j = heapq.heappop(heap)
+
+    def next_pivot():
+        """(row, column) of the next pivot, or None once a is reduced."""
+        while heap:
+            cost, i, j = heapq.heappop(heap)
+            v = rows[i].get(j)
+            if v != 1 and v != -1:
+                continue  # row gone, or the entry changed since it was pushed
+            now = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+            if now > cost:
+                heapq.heappush(heap, (now, i, j))
+                continue
+            return i, j
+        least = min(
+            ((abs(v), i, j) for i, row in enumerate(rows) for j, v in row.items()),
+            default=None,
+        )
+        return least and least[1:]
+
+    pivots = []
+    while pivot := next_pivot():
+        i, j = pivot
         pivot_row = rows[i]
-        v = pivot_row.get(j)
-        if v != 1 and v != -1:
-            continue  # row gone, or the entry changed since it was pushed
-        now = (len(pivot_row) - 1) * (len(cols[j]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, i, j))
-            continue
-        units += 1
+        v = pivot_row.pop(j)  # back below unless the step splits (v) off
         col = cols[j]
         col.discard(i)
+        left = [i]  # rows still nonzero in column j
         for r in col:
             target = rows[r]
-            f = target.pop(j) * v  # v = 1/v
+            q, rem = divmod(target.pop(j), v)
+            if rem:
+                target[j] = rem
+                left.append(r)
             for c, x in pivot_row.items():
-                if c == j:
-                    continue
                 old = target.get(c, 0)
-                y = old - f * x
+                y = old - q * x
                 if y:
                     if not old:
                         cols[c].add(r)
                     target[c] = y
                     if (y == 1 or y == -1) and old != 1 and old != -1:
-                        # a unit entry that was a unit already is in the heap
+                        # pushed once, when the entry turns into a unit
                         fill_cost = (len(target) - 1) * (len(cols[c]) - 1)
                         heapq.heappush(heap, (fill_cost, r, c))
                 elif old:
                     del target[c]
                     cols[c].discard(r)
-        cols[j] = set()
-        for c in pivot_row:
-            cols[c].discard(i)
-        rows[i] = {}
-    live = [row for row in rows if row]
-    new_col = {c: n for n, c in enumerate(sorted(set().union(*live)))}
-    residual = [sorted((new_col[c], x) for c, x in row.items()) for row in live]
-    return units, IntMatrix(len(live), len(new_col), residual)
+        if len(left) == 1:
+            for c, x in list(pivot_row.items()):
+                x %= v
+                if x:
+                    pivot_row[c] = x
+                else:
+                    del pivot_row[c]
+                    cols[c].discard(i)
+            if not pivot_row:
+                pivots.append(abs(v))
+                cols[j] = set()
+                continue
+        pivot_row[j] = v
+        cols[j] = set(left)
+    torsion = list(normalize_factors(pivots))
+    diagonal = [1] * (len(pivots) - len(torsion)) + torsion
+    for d, e in zip(diagonal, diagonal[1:]):
+        if e % d:
+            raise ConsistencyError("invariant factors failed the divisor chain")
+    return SmithResult(diagonal=diagonal, rank=len(pivots))
 
 
 def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup]:
@@ -260,10 +189,9 @@ def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup
 
     differentials[k] is the map C_k -> C_{k-1} on column vectors, with
     index 0 the zero map out of C_0; a negative top gives no groups.
-    Each d_1 .. d_{top+1} that exists is reduced once: its +-1 pivots are
-    eliminated sparsely and smith_normal_form runs on the residual, so
-    r_k = (units eliminated) + (residual rank), and the residual's
-    invariant factors carry the torsion.  Then
+    Each d_1 .. d_{top+1} that exists is reduced once by
+    smith_normal_form, which gives its rank r_k and its invariant factors,
+    the torsion.  Then
 
         H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}.
 
@@ -284,9 +212,8 @@ def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup
     for k in range(1, last + 1):
         if k < last and not differentials[k].mul(differentials[k + 1]).is_zero():
             raise ConsistencyError(f"d_{k} . d_{k + 1} is nonzero")
-        units, residual = eliminate_units(differentials[k])
-        res = smith_normal_form(residual)
-        ranks[k] = units + res.rank
+        res = smith_normal_form(differentials[k])
+        ranks[k] = res.rank
         torsion[k] = [x for x in res.diagonal if x > 1]
     return {
         d: FgAbGroup.from_factors(

@@ -208,6 +208,22 @@ def test_exit_code_rank_mismatch(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "rank, m, shown",
+    [
+        ("2", [[1, 3], [3, 1]], "'2'"),
+        (True, [[1]], "True"),
+        (2.0, [[1, 3], [3, 1]], "2.0"),
+    ],
+)
+def test_exit_code_rank_not_an_integer(tmp_path, capsys, rank, m, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": rank, "m": m}))
+    code, _, err = run(capsys, "homology", str(path))
+    assert code == 4
+    assert f'"rank" must be an integer, got {shown}' in err
+
+
 def test_exit_code_usage_error(capsys):
     code, _, err = run(capsys, "homology")
     assert code == 4
