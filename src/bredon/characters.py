@@ -279,13 +279,19 @@ def _mod_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
 def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
     """Roots in F_p of det(x I - a) by a scan of F_p, with coefficients
     from Faddeev-LeVerrier: M_j = a M_{j-1} + c_{k-j+1} I and
-    c_{k-j} = -tr(a M_j) / j, so p must exceed k."""
+    c_{k-j} = -tr(a M_j) / j, so p must exceed k.  The products run in
+    float64 (BLAS), which is exact while k (p - 1)^2 < 2^53."""
     k = a.shape[0]
-    eye = np.eye(k, dtype=np.int64)
+    if k * (p - 1) ** 2 >= 2**53:
+        raise ResourceCapError(
+            f"float64 products mod {p} are not exact at dimension {k}"
+        )
+    af = (a % p).astype(np.float64)
+    eye = np.eye(k)
     coeffs = [1]  # c_k, c_{k-1}, ..., c_0
-    am = np.zeros((k, k), dtype=np.int64)
+    am = np.zeros((k, k))
     for j in range(1, k + 1):
-        am = a @ ((am + coeffs[-1] * eye) % p) % p
+        am = af @ ((am + coeffs[-1] * eye) % p) % p
         coeffs.append(-int(np.trace(am)) * pow(j, -1, p) % p)
     lam = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
@@ -298,22 +304,15 @@ def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
     """Class-algebra structure constants a_{ijk} mod p, as matrices
     A[i][j, k]: with z fixed in class k, a_{ijk} counts x in class i with
     x^{-1} z in class j."""
-    n = model.order
     k = classes.count
     perms = model.perms
-    inv_perms = np.argsort(perms, axis=1).astype(np.int32)
-    inv_idx = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        inv_idx[x] = model.index[inv_perms[x].tobytes()]
+    inv_idx = model.lookup(np.argsort(perms, axis=1)[:, : model.rank])
     p_inv = perms[inv_idx]
     class_of = classes.class_of.astype(np.int64)
     a = np.zeros((k, k, k), dtype=np.int64)
     for kk, z in enumerate(classes.reps):
-        rows = p_inv[:, perms[z]]
-        j_arr = np.empty(n, dtype=np.int64)
-        for x in range(n):
-            j_arr[x] = class_of[model.index[rows[x].tobytes()]]
-        np.add.at(a, (class_of, j_arr, np.full(n, kk, dtype=np.int64)), 1)
+        j_arr = class_of[model.lookup(p_inv[:, perms[z, : model.rank]])]
+        a[:, :, kk] = np.bincount(class_of * k + j_arr, minlength=k * k).reshape(k, k)
     return a % p, inv_idx
 
 

@@ -14,6 +14,7 @@ from bredon.characters import (
     restriction_matrix,
 )
 from bredon.coxeter import parse_matrix
+from bredon.errors import ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
 
 
@@ -282,3 +283,37 @@ def test_empty_subset_table(rings):
     tab = rings.table(w, ())
     assert tab.n_classes == 1
     assert list(tab.degrees) == [1]
+
+
+def _charpoly_roots_int64(a, p):
+    """Faddeev-LeVerrier in exact int64 products: the reference for the
+    float64 products of _charpoly_roots."""
+    k = a.shape[0]
+    eye = np.eye(k, dtype=np.int64)
+    coeffs = [1]
+    am = np.zeros((k, k), dtype=np.int64)
+    for j in range(1, k + 1):
+        am = a @ ((am + coeffs[-1] * eye) % p) % p
+        coeffs.append(-int(np.trace(am)) * pow(j, -1, p) % p)
+    return [x for x in range(p) if sum(c * pow(x, len(coeffs) - 1 - i, p) for i, c in enumerate(coeffs)) % p == 0]
+
+
+@pytest.mark.parametrize("k, p", [(25, 61), (40, 601), (65, 2521)])
+def test_charpoly_roots_match_int64_products(k, p):
+    rng = np.random.default_rng(k * p)
+    # diag(0..k-1) under random elementary conjugations keeps its roots
+    similar = np.diag(np.arange(k, dtype=np.int64))
+    for _ in range(3 * k):
+        i, j = rng.choice(k, 2, replace=False)
+        c = int(rng.integers(1, p))
+        similar[i] = (similar[i] + c * similar[j]) % p
+        similar[:, j] = (similar[:, j] - c * similar[:, i]) % p
+    assert _charpoly_roots(similar, p) == list(range(k))
+    for a in (similar, rng.integers(0, p, (k, k))):
+        assert _charpoly_roots(a, p) == _charpoly_roots_int64(a, p)
+
+
+def test_charpoly_roots_refuses_inexact_float_products():
+    # 2 * (p - 1)^2 >= 2^53: float64 sums of products would round
+    with pytest.raises(ResourceCapError):
+        _charpoly_roots(np.zeros((2, 2), dtype=np.int64), 2**27 + 1)

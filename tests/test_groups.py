@@ -1,12 +1,27 @@
 """Permutation realizations of finite standard parabolics and conjugacy."""
 
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bredon.coxeter import parse_matrix, spherical_order
-from bredon.errors import ResourceCapError
+from bredon.errors import ConsistencyError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
+
+
+def diagram(n, edges):
+    """Coxeter matrix on n generators from (i, j, label) edges."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, label in edges:
+        m[i][j] = m[j][i] = label
+    return m
+
+
+def path(labels):
+    return diagram(len(labels) + 1, [(i, i + 1, lab) for i, lab in enumerate(labels)])
 
 
 def realize(rows, cap=14400):
@@ -39,8 +54,6 @@ def test_orders_match_classification():
 
 def test_generator_relations_hold():
     g = realize(([[1, 4, 2], [4, 1, 3], [2, 3, 1]]))
-    import numpy as np
-
     n = g.nroots
     ident = np.arange(n)
     for i, p in enumerate(g.gen_elements):
@@ -130,3 +143,109 @@ def test_hyperoctahedral_class_count():
     # n = 3: 10 such pairs
     g = realize([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
     assert conjugacy_classes(g).count == 10
+
+
+# -- integer keys, batched lookups and the class oracle -----------------------
+
+
+def brute_force_classes(g):
+    """Classes {h x h^-1 : h in W} from scalar products, in canonical order."""
+    def rep_key(e):
+        return (len(g.words[e]), g.words[e])
+
+    orbits, seen = [], set()
+    for x in range(g.order):
+        if x not in seen:
+            orbit = {g.mult(g.mult(h, x), g.inverse(h)) for h in range(g.order)}
+            seen |= orbit
+            orbits.append(orbit)
+    orbits.sort(key=lambda orbit: rep_key(min(orbit, key=rep_key)))
+    class_of = [0] * g.order
+    for c, orbit in enumerate(orbits):
+        for e in orbit:
+            class_of[e] = c
+    reps = [min(orbit, key=rep_key) for orbit in orbits]
+    return reps, [g.words[e] for e in reps], [len(o) for o in orbits], class_of
+
+
+ORACLE_SYSTEMS = {
+    "A3": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
+    "B3": [[1, 4, 2], [4, 1, 3], [2, 3, 1]],
+    "H3": [[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+    "D4": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
+    "A2xA1": [[1, 3, 2], [3, 1, 2], [2, 2, 1]],
+    **{f"I2({m})": [[1, m], [m, 1]] for m in range(3, 9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_classes_match_brute_force_oracle(name):
+    g = realize(ORACLE_SYSTEMS[name])
+    classes = conjugacy_classes(g)
+    reps, rep_words, sizes, class_of = brute_force_classes(g)
+    assert classes.reps == reps
+    assert classes.rep_words == rep_words
+    assert classes.sizes == sizes
+    assert classes.class_of.tolist() == class_of
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_batched_lookup_inverts_the_element_list(name):
+    g = realize(ORACLE_SYSTEMS[name])
+    k = len(g.members)
+    assert g.lookup(g.perms[:, :k]).tolist() == list(range(g.order))
+    assert all(type(key) is int for key in g.index)
+    assert g.lookup(g.perms).tolist() == list(range(g.order))
+
+
+def test_lookup_rejects_keys_outside_the_group():
+    # A3 has one root orbit, and no element sends every simple root to a_0
+    g = realize(ORACLE_SYSTEMS["A3"])
+    with pytest.raises(ConsistencyError):
+        g.lookup(np.zeros((1, 3), dtype=np.int32))
+
+
+def test_many_commuting_generators_get_small_keys():
+    # A1^14: 28 roots, but each simple root's orbit has 2, so keys take 14 bits
+    w = parse_matrix(diagram(14, []))
+    g = realize_group(w, w.generators, order_cap=16384)
+    assert g.order == 16384
+    assert max(g.index) < 2**14
+    assert conjugacy_classes(g).count == 16384
+
+
+def test_e8_keys_overflow_before_allocating():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)]
+    w = parse_matrix(diagram(8, [(i, j, 3) for i, j in edges]))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceCapError):
+            realize_group(w, w.generators, order_cap=10**9)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2 * 2**20
+
+
+# (matrix, order, class count) of finite Coxeter groups (Carter 1972)
+CLASSICAL_COUNTS = {
+    "F4": (path([3, 4, 3]), 1152, 25),
+    "H4": (path([5, 3, 3]), 14400, 34),
+    "A7": (path([3] * 6), 40320, 22),
+    "B6": (path([4, 3, 3, 3, 3]), 46080, 65),
+    "D6": (diagram(6, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)]), 23040, 37),
+    "E6": (diagram(6, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (2, 5, 3)]), 51840, 25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_COUNTS))
+def test_classical_class_counts(name):
+    rows, order, count = CLASSICAL_COUNTS[name]
+    g = realize(rows, cap=60000)
+    assert g.order == order
+    classes = conjugacy_classes(g)
+    assert classes.count == count
+    assert sum(classes.sizes) == order
