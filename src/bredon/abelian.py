@@ -6,7 +6,7 @@ That normal form is unique, so equality of groups is tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import ContractError
@@ -103,7 +103,11 @@ class FgAbGroup:
     @classmethod
     def from_json(cls, data: dict) -> "FgAbGroup":
         """Inverse of to_json.  The free rank and the torsion entries must
-        be ints: a float, string or bool is a TypeError, not truncated."""
+        be ints: a float, string or bool is a TypeError, not truncated.
+        A key other than free_rank and torsion is a ValueError."""
+        unknown = sorted(set(data) - {"free_rank", "torsion"})
+        if unknown:
+            raise ValueError(f"unknown group keys {unknown}")
         free_rank = data["free_rank"]
         torsion = tuple(data.get("torsion", ()))
         for x in (free_rank, *torsion):
@@ -128,13 +132,12 @@ TRIVIAL = FgAbGroup()
 class HomologyProfile:
     """Graded collection H_0, H_1, ... with trivial degrees left implicit.
 
-    Equality compares the groups degree by degree and ignores the method
-    tag, so profiles from different computation routes can be checked
-    against each other directly.
+    Equality compares the groups degree by degree, so profiles from
+    different computation routes can be checked against each other
+    directly.
     """
 
     groups: dict[int, FgAbGroup]
-    method: str = field(default="", compare=False)
 
     def __post_init__(self):
         self.groups = {
@@ -151,20 +154,14 @@ class HomologyProfile:
         return max(self.groups, default=0)
 
     def truncated(self, max_degree: int) -> "HomologyProfile":
-        return HomologyProfile(
-            {d: g for d, g in self.groups.items() if d <= max_degree},
-            method=self.method,
-        )
+        return HomologyProfile({d: g for d, g in self.groups.items() if d <= max_degree})
 
     def to_json(self) -> dict:
         return {str(d): g.to_json() for d, g in self.groups.items()}
 
     @classmethod
-    def from_json(cls, data: dict, method: str = "") -> "HomologyProfile":
-        return cls(
-            {int(d): FgAbGroup.from_json(g) for d, g in data.items()},
-            method=method,
-        )
+    def from_json(cls, data: dict) -> "HomologyProfile":
+        return cls({int(d): FgAbGroup.from_json(g) for d, g in data.items()})
 
     def __str__(self) -> str:
         if not self.groups:

@@ -17,6 +17,7 @@ induction R(W_{T_1}) -> R(W_{T_2}), and every other deletion contributes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .abelian import HomologyProfile
 from .characters import RepRingCache
@@ -62,6 +63,18 @@ def faces(chain: Chain) -> list[tuple[Chain, int]]:
     ]
 
 
+def _layout(block_ranks: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """(offsets, dims): each level's blocks sit side by side, so a block's
+    offset is the running sum of the ranks before it and the level's
+    dimension is their total."""
+    offsets, dims = [], []
+    for level in block_ranks:
+        sums = list(accumulate(level, initial=0))
+        offsets.append(sums[:-1])
+        dims.append(sums[-1])
+    return offsets, dims
+
+
 @dataclass
 class BredonComplex:
     """Assembled chain complex: cells, coordinate layout, differentials.
@@ -73,7 +86,6 @@ class BredonComplex:
     offsets[d][ci].
     """
 
-    matrix: CoxeterMatrix
     cells: list[list[Chain]]
     block_ranks: list[list[int]]
     offsets: list[list[int]]
@@ -87,7 +99,7 @@ class BredonComplex:
     def homology(self, max_degree: int | None = None) -> HomologyProfile:
         top = self.top_dimension
         limit = top if max_degree is None else min(max_degree, top)
-        return HomologyProfile(homology_at(self.differentials, limit), method="chain")
+        return HomologyProfile(homology_at(self.differentials, limit))
 
 
 def assemble_complex(
@@ -106,16 +118,7 @@ def assemble_complex(
     # cells[0] holds one singleton chain per subset
     rank_of = {t: rings.classes(w, t).count for (t,) in cells[0]}
     block_ranks = [[rank_of[chain[0]] for chain in level] for level in cells]
-    offsets = []
-    dims = []
-    for level_ranks in block_ranks:
-        level_offsets = []
-        total = 0
-        for r in level_ranks:
-            level_offsets.append(total)
-            total += r
-        offsets.append(level_offsets)
-        dims.append(total)
+    offsets, dims = _layout(block_ranks)
 
     index_of = [
         {chain: ci for ci, chain in enumerate(level)} for level in cells
@@ -141,14 +144,7 @@ def assemble_complex(
                     for j in range(block_ranks[d][ci]):
                         rows[row0 + j].append((col0 + j, sign))
         differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
-    return BredonComplex(
-        matrix=w,
-        cells=cells,
-        block_ranks=block_ranks,
-        offsets=offsets,
-        dims=dims,
-        differentials=differentials,
-    )
+    return BredonComplex(cells, block_ranks, offsets, dims, differentials)
 
 
 def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
@@ -168,32 +164,17 @@ def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
     block_ranks = [
         [full.block_ranks[d][ci] for ci in keep[d]] for d in range(len(keep))
     ]
+    offsets, dims = _layout(block_ranks)
     coord_lists = []
-    offsets = []
-    dims = []
-    for d in range(len(keep)):
-        coords = []
-        level_offsets = []
-        for ci in keep[d]:
-            level_offsets.append(len(coords))
-            start = full.offsets[d][ci]
-            coords.extend(range(start, start + full.block_ranks[d][ci]))
-        coord_lists.append(coords)
-        offsets.append(level_offsets)
-        dims.append(len(coords))
+    for d, kept in enumerate(keep):
+        starts, ranks = full.offsets[d], full.block_ranks[d]
+        coord_lists.append([c for ci in kept for c in range(starts[ci], starts[ci] + ranks[ci])])
     differentials = [IntMatrix.zero(0, dims[0] if dims else 0)]
     for d in range(1, len(keep)):
         differentials.append(
             full.differentials[d].submatrix(coord_lists[d - 1], coord_lists[d])
         )
-    return BredonComplex(
-        matrix=full.matrix,
-        cells=cells,
-        block_ranks=block_ranks,
-        offsets=offsets,
-        dims=dims,
-        differentials=differentials,
-    )
+    return BredonComplex(cells, block_ranks, offsets, dims, differentials)
 
 
 def chain_homology(
@@ -224,6 +205,4 @@ def cell_pair_homology(
         raise ContractError(f"subset {t} is not spherical")
     sub = w.submatrix(t)
     full = assemble_complex(sub, rings)
-    rel = relative_complex(full, len(t))
-    profile = rel.homology()
-    return HomologyProfile(profile.groups, method="chain-pair")
+    return relative_complex(full, len(t)).homology()

@@ -20,12 +20,12 @@ matrix of Frobenius induced-character multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import cos, isqrt, lcm, pi, sqrt
 
 import numpy as np
 
-from .coxeter import CoxeterMatrix, canonical_subset, classify_subset, components
+from .coxeter import CoxeterMatrix, canonical_subset, classify_irreducible, components
 from .errors import ConsistencyError, ContractError, ResourceCapError
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -365,8 +365,20 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
     """Burnside-Dixon character table of an arbitrary finite model."""
     k = classes.count
     order = model.order
-    rep_orders = [model.element_order(e) for e in classes.reps]
-    exponent = lcm(*rep_orders) if rep_orders else 1
+    # power maps: step every representative's powers together, one lookup
+    # per step, until each is back at the identity; power_class[i, l] is
+    # the class of rep_i^l for l = 0..exponent-1
+    step = model.perms[classes.reps, : model.rank]
+    powers = [np.zeros(k, dtype=np.int64)]  # powers[l][i] = rep_i^l
+    rep_orders = np.zeros(k, dtype=np.int64)
+    while not rep_orders.all():
+        nxt = model.lookup(model.perms[powers[-1][:, None], step])
+        rep_orders[(nxt == 0) & (rep_orders == 0)] = len(powers)
+        powers.append(nxt)
+    exponent = lcm(*rep_orders.tolist())
+    power_class = classes.class_of[
+        np.array(powers)[np.arange(exponent) % rep_orders[:, None], np.arange(k)[:, None]]
+    ]
     p = _find_prime(exponent, max(int(2 * sqrt(order)) + 1, k + 2, exponent + 1))
 
     mats, inv_idx = _structure_matrices(model, classes, p)
@@ -394,14 +406,6 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
             raise ConsistencyError("no integer degree matches mod p")
         degrees.append(d_t)
         chi_bar[t] = d_t * omega % p * inv_sizes % p
-
-    # power maps: class of rep_i^l for l = 0..exponent-1
-    power_class = np.zeros((k, exponent), dtype=np.int64)
-    for i, e in enumerate(classes.reps):
-        cur = 0
-        for l in range(exponent):
-            power_class[i, l] = classes.class_of[cur]
-            cur = model.mult(cur, e)
 
     theta = pow(_primitive_root(p), (p - 1) // exponent, p)
     theta_pow = np.array(
@@ -520,6 +524,12 @@ def restriction_matrix(
 # ---------------------------------------------------------------------------
 
 
+def _fuse(model: GroupModel, classes: ConjugacyClasses, words) -> list[int]:
+    """Class fusion: the class of each word (in the model's generator
+    positions) evaluated in the model."""
+    return [int(classes.class_of[model.evaluate_word(word)]) for word in words]
+
+
 class RepRingCache:
     """Shared store of realized parabolics and their character data.
 
@@ -568,52 +578,34 @@ class RepRingCache:
         model = self.model(sub, t)
         classes = self.classes(sub, t)
         parts = components(sub, t)
-        if len(parts) == 1:
-            label = classify_subset(sub, t)[0]
+        if len(parts) > 1:
+            table = self._product_table(sub, model, classes, parts)
+        else:
+            label = classify_irreducible(sub, t)
             if label.family == "A" and label.rank == 1:
                 table = rank1_table(model, classes)
             elif label.family == "I":
                 table = dihedral_table(model, classes, label.edge)
             else:
                 table = dixon_table(model, classes)
-        else:
-            table = self._product_table(sub, model, classes, parts)
         table.validate()
         return table
 
     def _product_table(self, sub, model, classes, parts) -> CharacterTable:
-        factors = [self.table(sub, part) for part in parts]
         # factor tables are positional in their part; re-address them into
         # the ambient positions of sub before tensoring
-        addressed = []
-        for part, table in zip(parts, factors):
-            addressed.append(
-                CharacterTable(
-                    members=part,
-                    order=table.order,
-                    class_words=table.class_words,
-                    class_sizes=table.class_sizes,
-                    values=table.values,
-                    degrees=table.degrees,
-                )
-            )
-        combined = addressed[0]
-        for nxt in addressed[1:]:
+        factors = [replace(self.table(sub, part), members=part) for part in parts]
+        combined = factors[0]
+        for nxt in factors[1:]:
             combined = tensor_table(combined, nxt)
         # align the abstract product classes with the model's classes
-        col_map = [-1] * len(combined.class_words)
-        for a, word in enumerate(combined.class_words):
-            e = model.evaluate_word(word)
-            col_map[a] = int(classes.class_of[e])
+        col_map = _fuse(model, classes, combined.class_words)
         if sorted(col_map) != list(range(classes.count)):
             raise ConsistencyError("product classes do not match the model's classes")
-        values = np.zeros_like(combined.values)
-        sizes = [0] * classes.count
-        for a, c in enumerate(col_map):
-            values[:, c] = combined.values[:, a]
-            sizes[c] = combined.class_sizes[a]
-        if sizes != list(classes.sizes):
+        if [classes.sizes[c] for c in col_map] != combined.class_sizes:
             raise ConsistencyError("product class sizes disagree with the model")
+        values = np.zeros_like(combined.values)
+        values[:, col_map] = combined.values
         return CharacterTable(
             members=model.members,
             order=model.order,
@@ -630,16 +622,9 @@ class RepRingCache:
         t2 = canonical_subset(t2)
         if not set(t1) <= set(t2):
             raise ContractError(f"{t1} is not contained in {t2}")
-        sub_tab = self.table(w, t1)
-        big_model = self.model(w, t2)
-        big_classes = self.classes(w, t2)
         pos_in_big = {g: i for i, g in enumerate(t2)}
-        out = []
-        for word in sub_tab.class_words:
-            translated = tuple(pos_in_big[t1[p]] for p in word)
-            e = big_model.evaluate_word(translated)
-            out.append(int(big_classes.class_of[e]))
-        return out
+        words = [[pos_in_big[t1[p]] for p in word] for word in self.table(w, t1).class_words]
+        return _fuse(self.model(w, t2), self.classes(w, t2), words)
 
     def induction(self, w: CoxeterMatrix, t1, t2) -> IntMatrix:
         """Induction multiplicities R(W_T1) -> R(W_T2) for T1 inside T2."""

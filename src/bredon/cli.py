@@ -118,7 +118,7 @@ def _run_route(name: str, w: CoxeterMatrix, rings: RepRingCache, poset: Spherica
         for factor in diagram_factors(w):
             part = _factor_profile(w, factor, rings)
             combined = part if combined is None else kunneth_product(combined, part)
-        return HomologyProfile(combined.groups, method="kunneth"), None
+        return combined, None
     return closed_form_homology(w, name.split(":", 1)[1], rings), None
 
 
@@ -507,6 +507,9 @@ def _check_case(data: dict, origin: str, rings: RepRingCache) -> list[str]:
     w = system_from_json(data.get("system"), origin=origin)
     expected = data.get("expected", {})
     try:
+        unknown = sorted(set(expected) - set(_EXPECTED))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         wants = {
             key: kind.from_json(expected[key])
             for key, kind in _EXPECTED.items()
@@ -531,7 +534,9 @@ def _check_case(data: dict, origin: str, rings: RepRingCache) -> list[str]:
     if kt and kt["decided"]:
         got["k0"], got["k1"] = FgAbGroup.from_json(kt["K0"]), FgAbGroup.from_json(kt["K1"])
     for key, want in wants.items():
-        if key in got and want != got[key]:
+        if key not in got:
+            detail.append(f"{key}: expected {want}, got undecided")
+        elif want != got[key]:
             detail.append(f"{key}: expected {want}, got {got[key]}")
     return detail
 

@@ -289,17 +289,16 @@ def classify_subset(w: CoxeterMatrix, t) -> tuple[ComponentType, ...]:
     return tuple(classify_irreducible(w, c) for c in components(w, t))
 
 
+def _parabolic_order(types: tuple[ComponentType, ...]) -> int | None:
+    """Product of the component orders, or None if a component is infinite."""
+    if not all(c.finite for c in types):
+        return None
+    return math.prod(c.order for c in types)
+
+
 def spherical_order(w: CoxeterMatrix, t) -> int | None:
     """|W_T| when the parabolic on t is finite, else None.  |W_empty| = 1."""
-    t = canonical_subset(t)
-    _check_subset(w, t)
-    order = 1
-    for c in components(w, t):
-        label = classify_irreducible(w, c)
-        if not label.finite:
-            return None
-        order *= label.order
-    return order
+    return _parabolic_order(classify_subset(w, t))
 
 
 def cosine_matrix(w: CoxeterMatrix, t) -> np.ndarray:
@@ -339,7 +338,6 @@ class SphericalPoset:
     rank, subsets are in lexicographic order.
     """
 
-    matrix: CoxeterMatrix
     by_rank: tuple[tuple[tuple[int, ...], ...], ...]
     orders: dict[tuple[int, ...], int]
     labels: dict[tuple[int, ...], tuple[ComponentType, ...]]
@@ -393,19 +391,19 @@ def enumerate_spherical(w: CoxeterMatrix) -> SphericalPoset:
                 for k in range(n)
             ):
                 continue
-            order = spherical_order(w, cand)
+            types = classify_subset(w, cand)
+            order = _parabolic_order(types)
             if order is None:
                 continue
             level.append(cand)
             orders[cand] = order
-            labels[cand] = classify_subset(w, cand)
+            labels[cand] = types
         if not level:
             break
         by_rank.append(level)
         prev = level
         n += 1
     return SphericalPoset(
-        matrix=w,
         by_rank=tuple(tuple(level) for level in by_rank),
         orders=orders,
         labels=labels,

@@ -60,7 +60,7 @@ def finite_homology(w: CoxeterMatrix, rings: RepRingCache | None = None) -> Homo
     if rings is None:
         rings = RepRingCache()
     count = rings.classes(w, w.generators).count
-    return HomologyProfile({0: FgAbGroup.free(count)}, method="closed:finite")
+    return HomologyProfile({0: FgAbGroup.free(count)})
 
 
 def right_angled_homology(
@@ -71,9 +71,7 @@ def right_angled_homology(
         raise ContractError("right-angled formula needs all labels in {2, infinity}")
     if poset is None:
         poset = enumerate_spherical(w)
-    return HomologyProfile(
-        {0: FgAbGroup.free(poset.size)}, method="closed:right-angled"
-    )
+    return HomologyProfile({0: FgAbGroup.free(poset.size)})
 
 
 def _half_label_product(w: CoxeterMatrix, t) -> int:
@@ -97,7 +95,7 @@ def even_homology(
     if poset is None:
         poset = enumerate_spherical(w)
     rank = sum(_half_label_product(w, t) for t in poset.subsets)
-    return HomologyProfile({0: FgAbGroup.free(rank)}, method="closed:even")
+    return HomologyProfile({0: FgAbGroup.free(rank)})
 
 
 def relative_cell_formula(w: CoxeterMatrix, t) -> HomologyProfile:
@@ -112,19 +110,14 @@ def relative_cell_formula(w: CoxeterMatrix, t) -> HomologyProfile:
     for i, j in combinations(t, 2):
         if int(w.entry(i, j)) % 2:
             raise ContractError("even-cell formula needs all labels even")
-    return HomologyProfile(
-        {0: FgAbGroup.free(_half_label_product(w, t))}, method="closed:even-cell"
-    )
+    return HomologyProfile({0: FgAbGroup.free(_half_label_product(w, t))})
 
 
 def odd_dihedral_cell_formula(m: int) -> HomologyProfile:
     """The odd dihedral cell pair: H_0 = Z^((m-1)/2), H_1 = Z."""
     if m < 3 or m % 2 == 0:
         raise ContractError("odd dihedral cell needs an odd label >= 3")
-    return HomologyProfile(
-        {0: FgAbGroup.free((m - 1) // 2), 1: FgAbGroup.free(1)},
-        method="closed:odd-cell",
-    )
+    return HomologyProfile({0: FgAbGroup.free((m - 1) // 2), 1: FgAbGroup.free(1)})
 
 
 def lowrank_catalog(
@@ -141,37 +134,31 @@ def lowrank_catalog(
     n = w.rank
     if n > 3:
         raise ContractError("catalog covers rank <= 3 only")
-    method = "closed:low-rank"
     if spherical_order(w, w.generators) is not None:
-        profile = finite_homology(w, rings)
-        return HomologyProfile(profile.groups, method=method)
+        return finite_homology(w, rings)
     if n == 2:
         # infinite dihedral: R(C2) + R(C2) glued over R(1)
-        return HomologyProfile({0: FgAbGroup.free(3)}, method=method)
+        return HomologyProfile({0: FgAbGroup.free(3)})
     labels = sorted(
         (w.entry(0, 1), w.entry(0, 2), w.entry(1, 2)), key=lambda v: float(v)
     )
     n_inf = sum(1 for v in labels if v == INFINITE)
     finite = [int(v) for v in labels if v != INFINITE]
     if n_inf == 3:
-        return HomologyProfile({0: FgAbGroup.free(4)}, method=method)
+        return HomologyProfile({0: FgAbGroup.free(4)})
     if n_inf == 2:
         (p,) = finite
-        return HomologyProfile(
-            {0: FgAbGroup.free(dihedral_class_count(p) + 1)}, method=method
-        )
+        return HomologyProfile({0: FgAbGroup.free(dihedral_class_count(p) + 1)})
     if n_inf == 1:
         p, q = finite
         rank0 = dihedral_class_count(p) + dihedral_class_count(q) - 2
-        return HomologyProfile({0: FgAbGroup.free(rank0)}, method=method)
+        return HomologyProfile({0: FgAbGroup.free(rank0)})
     p, q, r = finite
     total = sum(dihedral_class_count(v) for v in (p, q, r))
     all_odd = all(v % 2 for v in (p, q, r))
     if all_odd:
-        return HomologyProfile(
-            {0: FgAbGroup.free(total - 4), 1: FgAbGroup.free(1)}, method=method
-        )
-    return HomologyProfile({0: FgAbGroup.free(total - 5)}, method=method)
+        return HomologyProfile({0: FgAbGroup.free(total - 4), 1: FgAbGroup.free(1)})
+    return HomologyProfile({0: FgAbGroup.free(total - 5)})
 
 
 def kunneth_product(a: HomologyProfile, b: HomologyProfile) -> HomologyProfile:
@@ -189,7 +176,7 @@ def kunneth_product(a: HomologyProfile, b: HomologyProfile) -> HomologyProfile:
         for j, gj in b.groups.items():
             add(i + j, gi.tensor(gj))
             add(i + j + 1, gi.tor(gj))
-    return HomologyProfile(groups, method="kunneth")
+    return HomologyProfile(groups)
 
 
 def diagram_factors(w: CoxeterMatrix) -> list[tuple[int, ...]]:

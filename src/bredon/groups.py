@@ -106,13 +106,6 @@ class GroupModel:
             cur = self.mult(cur, self.gen_elements[pos])
         return cur
 
-    def element_order(self, i: int) -> int:
-        n, cur = 1, i
-        while cur != 0:
-            cur = self.mult(cur, i)
-            n += 1
-        return n
-
 
 def _close_roots(reflections: list[np.ndarray]):
     """Close the simple roots under the reflections, one layer at a time.

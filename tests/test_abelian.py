@@ -113,17 +113,17 @@ def test_from_json_rejects_non_integer_entries(data):
         FgAbGroup.from_json(data)
 
 
+def test_from_json_rejects_unknown_keys():
+    # a misspelt key would otherwise be ignored and read as no torsion
+    with pytest.raises(ValueError, match="torsoin"):
+        FgAbGroup.from_json({"free_rank": 0, "torsoin": [2]})
+
+
 def test_profile_drops_trivial_degrees():
     p = HomologyProfile({0: FgAbGroup.free(3), 1: TRIVIAL, 2: TRIVIAL})
     assert 1 not in p.groups
     assert p.max_degree == 0
     assert p.group_at(7) == TRIVIAL
-
-
-def test_profile_equality_ignores_method():
-    a = HomologyProfile({0: FgAbGroup.free(2)}, method="chain")
-    b = HomologyProfile({0: FgAbGroup.free(2)}, method="closed")
-    assert a == b
 
 
 def test_profile_truncation_and_json():

@@ -170,6 +170,40 @@ def test_relative_complex_skeleton_decomposition(rings):
         assert got == HomologyProfile(combined)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
+        [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]],
+    ],
+)
+def test_relative_complex_layout(rings, rows):
+    # each relative complex lays its blocks out side by side, and its
+    # differentials are the full ones restricted to the kept coordinates
+    w, full = complex_for(rows, rings)
+    for n in range(w.rank + 1):
+        rel = relative_complex(full, n)
+        for d, ranks in enumerate(rel.block_ranks):
+            assert rel.offsets[d] == [sum(ranks[:i]) for i in range(len(ranks))]
+            assert rel.dims[d] == sum(ranks)
+        coords = []
+        for d, level in enumerate(rel.cells):
+            index = {chain: ci for ci, chain in enumerate(full.cells[d])}
+            kept = [index[chain] for chain in level]
+            assert all(len(full.cells[d][ci][-1]) == n for ci in kept)
+            coords.append(
+                [
+                    full.offsets[d][ci] + j
+                    for ci in kept
+                    for j in range(full.block_ranks[d][ci])
+                ]
+            )
+        for d in range(1, len(rel.cells)):
+            dense = full.differentials[d].dense()
+            expected = [[dense[r][c] for c in coords[d]] for r in coords[d - 1]]
+            assert rel.differentials[d].dense() == expected
+
+
 def test_cell_pair_even_dihedral(rings):
     # label m even: the pair contributes Z^(m/2) in degree 0 only
     w = parse_matrix([[1, 4], [4, 1]])

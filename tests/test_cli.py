@@ -321,6 +321,16 @@ GOOD_CASE = {
 }
 
 
+AFFINE_A2_SQUARED = [
+    [1, 3, 3, 2, 2, 2],
+    [3, 1, 3, 2, 2, 2],
+    [3, 3, 1, 2, 2, 2],
+    [2, 2, 2, 1, 3, 3],
+    [2, 2, 2, 3, 1, 3],
+    [2, 2, 2, 3, 3, 1],
+]
+
+
 def test_validate_accepts_shorthand_groups(tmp_path, capsys):
     (tmp_path / "good.json").write_text(json.dumps(GOOD_CASE))
     code, out, _ = run(capsys, "validate", str(tmp_path))
@@ -353,6 +363,35 @@ def test_validate_accepts_shorthand_groups(tmp_path, capsys):
                 }
             ).encode(),
             "malformed expected value",
+        ),
+        (
+            # an expected key validate does not know would go unchecked
+            json.dumps(
+                {**GOOD_CASE, "name": "bad", "expected": {"K0": {"free_rank": 7}}}
+            ).encode(),
+            "malformed expected value",
+        ),
+        (
+            # a misspelt group key would be read as no torsion
+            json.dumps(
+                {
+                    **GOOD_CASE,
+                    "name": "bad",
+                    "expected": {"homology": {"0": {"free_rank": 3, "torsoin": [2]}}},
+                }
+            ).encode(),
+            "malformed expected value",
+        ),
+        (
+            # A2~ x A2~ has H_2 = Z, so its K-theory is undecided
+            json.dumps(
+                {
+                    "name": "bad",
+                    "system": {"rank": 6, "m": AFFINE_A2_SQUARED},
+                    "expected": {"k0": {"free_rank": 999}},
+                }
+            ).encode(),
+            "k0: expected Z^999, got undecided",
         ),
     ],
 )

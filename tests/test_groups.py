@@ -73,12 +73,6 @@ def test_words_are_geodesic_consistent():
         assert g.evaluate_word(word) == idx
 
 
-def test_element_orders_divide_group_order():
-    g = realize([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
-    for idx in range(g.order):
-        assert g.order % g.element_order(idx) == 0
-
-
 def test_order_cap_enforced():
     w = parse_matrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
     with pytest.raises(ResourceCapError):
