@@ -124,17 +124,16 @@ def dihedral_table(
     reflections, for l = 1 .. ceil(m/2) - 1.
     """
     a_el, b_el = model.gen_elements
-    rot = model.mult(a_el, b_el)
     rot_k = {}
     cur = 0
     for k in range(m):
         rot_k[cur] = k
-        cur = model.mult(cur, rot)
+        cur = model.evaluate_word((0, 1), cur)
     if cur != 0:
         raise ConsistencyError("rotation order disagrees with the edge label")
 
     reps = classes.reps
-    is_reflection = [len(model.words[e]) % 2 == 1 for e in reps]
+    is_reflection = [len(word) % 2 == 1 for word in classes.rep_words]
     even = m % 2 == 0
     n_two_dim = m // 2 - 1 if even else (m - 1) // 2
     rows = 2 + (2 if even else 0) + n_two_dim
@@ -303,17 +302,18 @@ def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
 def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
     """Class-algebra structure constants a_{ijk} mod p, as matrices
     A[i][j, k]: with z fixed in class k, a_{ijk} counts x in class i with
-    x^{-1} z in class j."""
+    x^{-1} z in class j.  x^{-1} z comes from walking z's word along the
+    right Cayley table from every x^{-1} at once."""
     k = classes.count
-    perms = model.perms
-    inv_idx = model.lookup(np.argsort(perms, axis=1)[:, : model.rank])
-    p_inv = perms[inv_idx]
     class_of = classes.class_of.astype(np.int64)
+    right_cols = np.ascontiguousarray(model.right.T)
     a = np.zeros((k, k, k), dtype=np.int64)
-    for kk, z in enumerate(classes.reps):
-        j_arr = class_of[model.lookup(p_inv[:, perms[z, : model.rank]])]
-        a[:, :, kk] = np.bincount(class_of * k + j_arr, minlength=k * k).reshape(k, k)
-    return a % p, inv_idx
+    for kk, word in enumerate(classes.rep_words):
+        cur = model.inv
+        for s in word:
+            cur = right_cols[s][cur]
+        a[:, :, kk] = np.bincount(class_of * k + class_of[cur], minlength=k * k).reshape(k, k)
+    return a % p
 
 
 def _split_eigenvectors(mats: np.ndarray, p: int) -> list[np.ndarray]:
@@ -381,16 +381,14 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
     ]
     p = _find_prime(exponent, max(int(2 * sqrt(order)) + 1, k + 2, exponent + 1))
 
-    mats, inv_idx = _structure_matrices(model, classes, p)
+    mats = _structure_matrices(model, classes, p)
     omegas = _split_eigenvectors(mats, p)
     if len(omegas) != k:
         raise ConsistencyError(f"found {len(omegas)} central characters, expected {k}")
 
     sizes = np.array(classes.sizes, dtype=np.int64)
     inv_sizes = np.array([pow(int(s), -1, p) for s in classes.sizes], dtype=np.int64)
-    class_inv = np.array(
-        [int(classes.class_of[int(inv_idx[e])]) for e in classes.reps], dtype=np.int64
-    )
+    class_inv = classes.class_of[model.inv[classes.reps]].astype(np.int64)
 
     degrees = []
     chi_bar = np.zeros((k, k), dtype=np.int64)

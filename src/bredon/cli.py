@@ -119,14 +119,15 @@ def _run_route(name: str, w: CoxeterMatrix, rings: RepRingCache, poset: Spherica
             part = _factor_profile(w, factor, rings)
             combined = part if combined is None else kunneth_product(combined, part)
         return combined, None
-    return closed_form_homology(w, name.split(":", 1)[1], rings), None
+    return closed_form_homology(w, name.split(":", 1)[1], poset, rings), None
 
 
 def _factor_profile(w, factor, rings):
     """Homology of one connected factor by the first route that fits the cap."""
     sub = w.submatrix(factor)
     sub_poset = enumerate_spherical(sub)
-    for name in ["chain", *(f"closed:{n}" for n in applicable_closed_forms(sub))]:
+    closed = applicable_closed_forms(sub, sub_poset.full_order)
+    for name in ["chain", *(f"closed:{n}" for n in closed)]:
         try:
             return _run_route(name, sub, rings, sub_poset)[0]
         except ResourceCapError:
@@ -159,7 +160,8 @@ def run_analysis(
         poset = enumerate_spherical(w)
     if max_degree is None:
         max_degree = w.rank
-    routes = [f"closed:{name}" for name in applicable_closed_forms(w)]
+    full_order = poset.full_order
+    routes = [f"closed:{name}" for name in applicable_closed_forms(w, full_order)]
     if len(diagram_factors(w)) >= 2:
         routes.append("kunneth")
     routes.append("chain")
@@ -201,7 +203,6 @@ def run_analysis(
     agreed = profiles[names[0]] if profiles and not discrepancies else None
     verdict = k_homology(agreed) if agreed is not None else None
 
-    full_order = poset.orders.get(tuple(range(w.rank)))
     report = {
         "input": {"rank": w.rank, "m": w.to_raw()},
         "parameters": {
@@ -424,13 +425,13 @@ def _emit(args, report: dict, text_renderer) -> None:
 def cmd_classify(args) -> int:
     w = load_system(args.input)
     poset = enumerate_spherical(w)
-    from .coxeter import classify_irreducible, components, spherical_order
+    from .coxeter import classify_irreducible, components
 
     comps = [
         {"members": list(c), "type": classify_irreducible(w, c).name}
         for c in components(w, w.generators)
     ]
-    order = spherical_order(w, w.generators)
+    order = poset.full_order
     report = {
         "input": {"rank": w.rank, "m": w.to_raw()},
         "classification": {

@@ -354,6 +354,12 @@ class SphericalPoset:
     def size(self) -> int:
         return sum(self.counts)
 
+    @property
+    def full_order(self) -> int | None:
+        """|W| when the whole generating set is spherical, else None.
+        Every singleton is spherical, so by_rank[1] names all of S."""
+        return self.orders.get(tuple(range(len(self.by_rank[1]))))
+
     def label_name(self, t) -> str:
         t = canonical_subset(t)
         if not t:

@@ -49,13 +49,17 @@ def dihedral_class_count(m: int) -> int:
     return m // 2 + 3 if m % 2 == 0 else (m - 1) // 2 + 2
 
 
-def finite_homology(w: CoxeterMatrix, rings: RepRingCache | None = None) -> HomologyProfile:
+def finite_homology(
+    w: CoxeterMatrix, order: int | None, rings: RepRingCache | None = None
+) -> HomologyProfile:
     """H_0 = Z^(class count of W) for finite W; higher degrees vanish.
 
-    The class count comes from the realized permutation model, not from
-    character theory, so this route is independent of the chain assembly.
+    order is |W|, or None when W is infinite, as SphericalPoset.full_order
+    gives it.  The class count comes from the realized permutation model,
+    not from character theory, so this route is independent of the chain
+    assembly.
     """
-    if spherical_order(w, w.generators) is None:
+    if order is None:
         raise ContractError("finite-group formula needs a finite system")
     if rings is None:
         rings = RepRingCache()
@@ -121,9 +125,10 @@ def odd_dihedral_cell_formula(m: int) -> HomologyProfile:
 
 
 def lowrank_catalog(
-    w: CoxeterMatrix, rings: RepRingCache | None = None
+    w: CoxeterMatrix, order: int | None, rings: RepRingCache | None = None
 ) -> HomologyProfile:
-    """Catalog of all systems of rank at most 3.
+    """Catalog of all systems of rank at most 3; order is |W| or None, as
+    for finite_homology.
 
     Rank 1 and 2 are finite or the infinite dihedral group; rank 3
     triangle groups Delta(p, q, r) split by how many labels are infinite,
@@ -134,8 +139,8 @@ def lowrank_catalog(
     n = w.rank
     if n > 3:
         raise ContractError("catalog covers rank <= 3 only")
-    if spherical_order(w, w.generators) is not None:
-        return finite_homology(w, rings)
+    if order is not None:
+        return finite_homology(w, order, rings)
     if n == 2:
         # infinite dihedral: R(C2) + R(C2) glued over R(1)
         return HomologyProfile({0: FgAbGroup.free(3)})
@@ -233,10 +238,11 @@ def k_homology(profile: HomologyProfile) -> KTheoryVerdict:
     )
 
 
-def applicable_closed_forms(w: CoxeterMatrix) -> list[str]:
-    """Names of the closed-form routes that accept this system."""
+def applicable_closed_forms(w: CoxeterMatrix, order: int | None) -> list[str]:
+    """Names of the closed-form routes that accept this system; order is
+    |W| or None, as for finite_homology."""
     names = []
-    if spherical_order(w, w.generators) is not None:
+    if order is not None:
         names.append("finite")
     if w.is_right_angled():
         names.append("right-angled")
@@ -248,15 +254,18 @@ def applicable_closed_forms(w: CoxeterMatrix) -> list[str]:
 
 
 def closed_form_homology(
-    w: CoxeterMatrix, name: str, rings: RepRingCache | None = None
+    w: CoxeterMatrix,
+    name: str,
+    poset: SphericalPoset,
+    rings: RepRingCache | None = None,
 ) -> HomologyProfile:
-    """Dispatch one named closed form."""
+    """Dispatch one named closed form; poset is w's spherical poset."""
     if name == "finite":
-        return finite_homology(w, rings)
+        return finite_homology(w, poset.full_order, rings)
     if name == "right-angled":
-        return right_angled_homology(w)
+        return right_angled_homology(w, poset)
     if name == "even":
-        return even_homology(w)
+        return even_homology(w, poset)
     if name == "low-rank":
-        return lowrank_catalog(w, rings)
+        return lowrank_catalog(w, poset.full_order, rings)
     raise ContractError(f"unknown closed form {name!r}")

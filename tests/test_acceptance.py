@@ -102,7 +102,7 @@ def test_criterion_3_even_triangle_three_ways(rings):
         want = HomologyProfile({0: free(9)})
         assert chain_homology(w, rings) == want
         assert even_homology(w) == want
-        assert lowrank_catalog(w, rings) == want
+        assert lowrank_catalog(w, enumerate_spherical(w).full_order, rings) == want
         # both closed-form counts evaluate to 9
         assert dihedral_class_count(2) + 2 * dihedral_class_count(4) - 5 == 9
         poset = enumerate_spherical(w)

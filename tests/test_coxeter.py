@@ -230,6 +230,21 @@ def test_enumerate_spherical_matches_powerset_scan():
         assert sorted(poset.subsets) == brute_spherical(w)
 
 
+def test_poset_full_order_is_the_order_of_w():
+    rng = random.Random(4242)
+    systems = [mat(rows) for rows, _ in ORDER_CASES]
+    systems += [mat([[1, 3, 3], [3, 1, 3], [3, 3, 1]]), mat([[1, 0], [0, 1]])]
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice([2, 3, 4, 5, 0])
+        systems.append(mat(rows))
+    for w in systems:
+        assert enumerate_spherical(w).full_order == spherical_order(w, w.generators)
+
+
 def test_poset_is_downward_closed():
     w = mat([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
     poset = enumerate_spherical(w)

@@ -5,7 +5,7 @@ import pytest
 from bredon.abelian import FgAbGroup, HomologyProfile
 from bredon.chains import cell_pair_homology, chain_homology
 from bredon.characters import RepRingCache
-from bredon.coxeter import parse_matrix
+from bredon.coxeter import enumerate_spherical, parse_matrix
 from bredon.errors import ContractError
 from bredon.formulas import (
     applicable_closed_forms,
@@ -35,7 +35,7 @@ def test_dihedral_class_count_formula():
 
 def test_finite_homology_is_class_count(rings):
     w = parse_matrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
-    prof = finite_homology(w, rings)
+    prof = finite_homology(w, enumerate_spherical(w).full_order, rings)
     assert prof.group_at(0) == FgAbGroup.free(10)
     assert prof.max_degree == 0
 
@@ -91,7 +91,7 @@ def test_lowrank_triangle_catalog(rings):
     ]
     for rows, expected in cases:
         w = parse_matrix(rows)
-        prof = lowrank_catalog(w, rings)
+        prof = lowrank_catalog(w, enumerate_spherical(w).full_order, rings)
         want = HomologyProfile(
             {d: FgAbGroup.free(r) for d, r in expected.items()}
         )
@@ -141,21 +141,21 @@ def test_diagram_factors():
 
 def test_applicable_closed_forms():
     w = parse_matrix([[1, 0], [0, 1]])
-    names = applicable_closed_forms(w)
+    names = applicable_closed_forms(w, enumerate_spherical(w).full_order)
     assert "right-angled" in names and "even" in names and "low-rank" in names
     assert "finite" not in names
     h3 = parse_matrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
-    assert "finite" in applicable_closed_forms(h3)
+    assert "finite" in applicable_closed_forms(h3, enumerate_spherical(h3).full_order)
     generic = parse_matrix(
         [[1, 3, 5, 2], [3, 1, 0, 3], [5, 0, 1, 3], [2, 3, 3, 1]]
     )
-    assert applicable_closed_forms(generic) == []
+    assert applicable_closed_forms(generic, enumerate_spherical(generic).full_order) == []
 
 
 def test_closed_form_dispatch_rejects_unknown(rings):
     w = parse_matrix([[1, 0], [0, 1]])
     with pytest.raises(ContractError):
-        closed_form_homology(w, "mystery", rings)
+        closed_form_homology(w, "mystery", enumerate_spherical(w), rings)
 
 
 def test_k_theory_collapse():

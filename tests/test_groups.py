@@ -33,7 +33,7 @@ def test_trivial_group():
     w = parse_matrix([[1]])
     g = realize_group(w, (), order_cap=10)
     assert g.order == 1
-    assert g.words == [()]
+    assert [g.word(e) for e in range(g.order)] == [()]
 
 
 def test_orders_match_classification():
@@ -69,8 +69,8 @@ def test_generator_relations_hold():
 def test_words_are_geodesic_consistent():
     # BFS words evaluate back to their own element
     g = realize([[1, 5], [5, 1]])
-    for idx, word in enumerate(g.words):
-        assert g.evaluate_word(word) == idx
+    for idx in range(g.order):
+        assert g.evaluate_word(g.word(idx)) == idx
 
 
 def test_order_cap_enforced():
@@ -107,7 +107,7 @@ def test_class_sizes_partition_group():
         for _ in range(20):
             x = rng.randrange(g.order)
             h = rng.randrange(g.order)
-            hx = g.mult(g.mult(h, x), g.inverse(h))
+            hx = g.mult(g.mult(h, x), int(g.inv[h]))
             assert classes.class_of[x] == classes.class_of[hx]
 
 
@@ -143,14 +143,20 @@ def test_hyperoctahedral_class_count():
 
 
 def brute_force_classes(g):
-    """Classes {h x h^-1 : h in W} from scalar products, in canonical order."""
-    def rep_key(e):
-        return (len(g.words[e]), g.words[e])
+    """Classes {h x h^-1 : h in W} from composed root permutations, in
+    canonical order."""
+    words = [g.word(e) for e in range(g.order)]
 
+    def rep_key(e):
+        return (len(words[e]), words[e])
+
+    inverse_perms = np.argsort(g.perms, axis=1)
     orbits, seen = [], set()
     for x in range(g.order):
         if x not in seen:
-            orbit = {g.mult(g.mult(h, x), g.inverse(h)) for h in range(g.order)}
+            hx = g.perms[:, g.perms[x]]  # row h: h x
+            hxh = np.take_along_axis(hx, inverse_perms, axis=1)  # row h: h x h^-1
+            orbit = set(g.lookup(hxh).tolist())
             seen |= orbit
             orbits.append(orbit)
     orbits.sort(key=lambda orbit: rep_key(min(orbit, key=rep_key)))
@@ -159,7 +165,7 @@ def brute_force_classes(g):
         for e in orbit:
             class_of[e] = c
     reps = [min(orbit, key=rep_key) for orbit in orbits]
-    return reps, [g.words[e] for e in reps], [len(o) for o in orbits], class_of
+    return reps, [words[e] for e in reps], [len(o) for o in orbits], class_of
 
 
 ORACLE_SYSTEMS = {
@@ -188,8 +194,64 @@ def test_batched_lookup_inverts_the_element_list(name):
     g = realize(ORACLE_SYSTEMS[name])
     k = len(g.members)
     assert g.lookup(g.perms[:, :k]).tolist() == list(range(g.order))
-    assert all(type(key) is int for key in g.index)
+    assert g.sorted_keys.dtype == np.int64
+    assert (np.diff(g.sorted_keys) > 0).all()
     assert g.lookup(g.perms).tolist() == list(range(g.order))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_cayley_tables_match_composed_permutations(name):
+    g = realize(ORACLE_SYSTEMS[name])
+    k = len(g.members)
+    ident = np.arange(g.nroots)
+    # elements 1..k are the generators, in position order
+    gens = g.perms[1 : k + 1]
+    assert [g.word(s + 1) for s in range(k)] == [(s,) for s in range(k)]
+    for s in range(k):
+        assert (gens[s][gens[s]] == ident).all()
+        assert (g.perms[g.right[:, s]] == g.perms[:, gens[s]]).all()  # x s
+        assert (g.perms[g.left[:, s]] == gens[s][g.perms]).all()  # s x
+    inverse_rows = np.take_along_axis(g.perms[g.inv], g.perms, axis=1)
+    assert (inverse_rows == ident).all()
+
+
+def shortlex_words(g):
+    """Shortlex-least word of every element, by brute force over left
+    descents: lengths come from a breadth-first search on composed root
+    permutations, and each word starts with the least s that shortens
+    the element, followed by the word of s x."""
+    k = len(g.members)
+    gens = g.perms[1 : k + 1]
+    left = np.stack([g.lookup(gens[s][g.perms]) for s in range(k)], axis=1)
+    length = np.full(g.order, -1)
+    length[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in left[x].tolist():
+                if length[y] < 0:
+                    length[y] = length[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    words = []
+    for x in range(g.order):
+        word, cur = [], x
+        while cur:
+            s = min(s for s in range(k) if length[left[cur, s]] < length[cur])
+            word.append(s)
+            cur = int(left[cur, s])
+        words.append(tuple(word))
+    return words
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_tree_words_are_shortlex_least(name):
+    g = realize(ORACLE_SYSTEMS[name])
+    words = [g.word(e) for e in range(g.order)]
+    assert words == shortlex_words(g)
+    assert words == sorted(words, key=lambda word: (len(word), word))
+    assert [g.evaluate_word(word) for word in words] == list(range(g.order))
 
 
 def test_lookup_rejects_keys_outside_the_group():
@@ -204,7 +266,7 @@ def test_many_commuting_generators_get_small_keys():
     w = parse_matrix(diagram(14, []))
     g = realize_group(w, w.generators, order_cap=16384)
     assert g.order == 16384
-    assert max(g.index) < 2**14
+    assert g.sorted_keys[-1] < 2**14
     assert conjugacy_classes(g).count == 16384
 
 
@@ -243,3 +305,16 @@ def test_classical_class_counts(name):
     classes = conjugacy_classes(g)
     assert classes.count == count
     assert sum(classes.sizes) == order
+
+
+def test_e6_model_memory():
+    rows = CLASSICAL_COUNTS["E6"][0]
+    w = parse_matrix(rows)
+    tracemalloc.start()
+    try:
+        g = realize_group(w, w.generators, order_cap=60000)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 51840
+    assert retained < 22 * 2**20

@@ -135,8 +135,9 @@ def test_closed_forms_agree_with_chain(rings, complexes):
     compared = 0
     for i, w in enumerate(POOL):
         chain = complexes[i].homology()
-        for name in applicable_closed_forms(w):
-            assert closed_form_homology(w, name, rings) == chain, (w.m, name)
+        poset = enumerate_spherical(w)
+        for name in applicable_closed_forms(w, poset.full_order):
+            assert closed_form_homology(w, name, poset, rings) == chain, (w.m, name)
             compared += 1
     assert compared >= 10
 
