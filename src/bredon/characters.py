@@ -38,6 +38,7 @@ from .snf import IntMatrix
 
 VALUE_TOL = 1.0e-6
 PRIME_SEARCH_BOUND = 10_000_000
+_SCAN_CHUNK = 1 << 16  # values of F_p evaluated at once by _charpoly_roots
 
 
 @dataclass
@@ -276,7 +277,8 @@ def _mod_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
-    """Roots in F_p of det(x I - a) by a scan of F_p, with coefficients
+    """Roots in F_p of det(x I - a) by a scan of F_p in chunks of
+    _SCAN_CHUNK values, so memory does not grow with p, with coefficients
     from Faddeev-LeVerrier: M_j = a M_{j-1} + c_{k-j+1} I and
     c_{k-j} = -tr(a M_j) / j, so p must exceed k.  The products run in
     float64 (BLAS), which is exact while k (p - 1)^2 < 2^53."""
@@ -292,11 +294,14 @@ def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
     for j in range(1, k + 1):
         am = af @ ((am + coeffs[-1] * eye) % p) % p
         coeffs.append(-int(np.trace(am)) * pow(j, -1, p) % p)
-    lam = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in coeffs:
-        acc = (acc * lam + c) % p
-    return [int(x) for x in np.nonzero(acc == 0)[0]]
+    roots: list[int] = []
+    for lo in range(0, p, _SCAN_CHUNK):
+        lam = np.arange(lo, min(lo + _SCAN_CHUNK, p), dtype=np.int64)
+        acc = np.zeros_like(lam)
+        for c in coeffs:
+            acc = (acc * lam + c) % p
+        roots.extend(lam[acc == 0].tolist())
+    return roots
 
 
 def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
@@ -361,23 +366,42 @@ def _split_eigenvectors(mats: np.ndarray, p: int) -> list[np.ndarray]:
     return vectors
 
 
+def _power_maps(model: GroupModel, classes: ConjugacyClasses):
+    """Powers of every class representative, and their orders.
+
+    powers[l, i] is rep_i^l for l = 0..max order: each step walks every
+    representative's word along right at once, until each is back at the
+    identity.  Words shorter than the longest are padded with an extra
+    column of right that stays put, and the table is scaled by its width
+    so that each entry is already the flat offset of its row.
+    """
+    width = model.rank + 1
+    words = classes.rep_words
+    letters = np.full((max(map(len, words)), len(words)), model.rank)
+    for i, word in enumerate(words):
+        letters[: len(word), i] = word
+    steps = np.hstack([model.right, np.arange(model.order, dtype=np.int32)[:, None]])
+    steps = steps.ravel() * width
+    powers = [np.zeros(len(words), dtype=np.int64)]
+    rep_orders = np.zeros(len(words), dtype=np.int64)
+    while not rep_orders.all():
+        cur = powers[-1]
+        for row in letters:
+            cur = steps.take(cur + row)
+        rep_orders[(cur == 0) & (rep_orders == 0)] = len(powers)
+        powers.append(cur)
+    return np.array(powers) // width, rep_orders
+
+
 def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
     """Burnside-Dixon character table of an arbitrary finite model."""
     k = classes.count
     order = model.order
-    # power maps: step every representative's powers together, one lookup
-    # per step, until each is back at the identity; power_class[i, l] is
-    # the class of rep_i^l for l = 0..exponent-1
-    step = model.perms[classes.reps, : model.rank]
-    powers = [np.zeros(k, dtype=np.int64)]  # powers[l][i] = rep_i^l
-    rep_orders = np.zeros(k, dtype=np.int64)
-    while not rep_orders.all():
-        nxt = model.lookup(model.perms[powers[-1][:, None], step])
-        rep_orders[(nxt == 0) & (rep_orders == 0)] = len(powers)
-        powers.append(nxt)
+    # power_class[i, l] is the class of rep_i^l for l = 0..exponent-1
+    powers, rep_orders = _power_maps(model, classes)
     exponent = lcm(*rep_orders.tolist())
     power_class = classes.class_of[
-        np.array(powers)[np.arange(exponent) % rep_orders[:, None], np.arange(k)[:, None]]
+        powers[np.arange(exponent) % rep_orders[:, None], np.arange(k)[:, None]]
     ]
     p = _find_prime(exponent, max(int(2 * sqrt(order)) + 1, k + 2, exponent + 1))
 
@@ -424,16 +448,11 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
             raise ConsistencyError("lifted multiplicities do not sum to the degree")
         values[t] = mults @ zeta
 
-    row_order = sorted(
-        range(k),
-        key=lambda t: (
-            degrees[t],
-            tuple(
-                (round(values[t, c].real, 6), round(values[t, c].imag, 6))
-                for c in range(k)
-            ),
-        ),
-    )
+    # rows by degree, then by their values rounded once, read as
+    # (real, imag) pairs class by class
+    rounded = np.round(values, 6)
+    value_keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(k, 2 * k).tolist()
+    row_order = sorted(range(k), key=lambda t: (degrees[t], value_keys[t]))
     return CharacterTable(
         members=model.members,
         order=order,

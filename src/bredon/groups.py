@@ -1,21 +1,20 @@
-"""Concrete models of finite standard parabolics as root permutations.
+"""Concrete models of finite standard parabolics as Cayley graphs.
 
 W_T acts on its root system in the reflection representation; each
 generator s_i sends v to v - 2 B(a_i, v) a_i.  The full root set is the
 closure of the simple roots under the generators, computed layer by layer
-in simple-root coordinates with a matching tolerance.  Elements are then
-stored as exact permutations of the root list, so everything downstream
-(multiplication, conjugacy, character work) is integer-exact; floats only
-enter while the root set is being built.
+in simple-root coordinates with a matching tolerance, and the generators
+become exact permutations of the root list; floats only enter while the
+root set is being built.
 
-An element is fixed by its images of the simple roots, and w(a_i) lies in
-the W-orbit of a_i.  So each element gets one integer key: digit i is the
-place of w(a_i) inside that orbit, and the digits are packed mixed-radix
-(radix = orbit size) into an int64.  The closure numbers elements by key
-as it meets them and records the Cayley graph: the shortlex tree (parent
-and last letter of each element) and the tables of x s, s x and x^-1.
-Products, conjugation and words are then exact integer gathers; the
-sorted keys serve the few bulk lookups of arbitrary root images.
+The elements are then closed one length layer at a time as root
+permutations.  An element is fixed by its images of the simple roots, and
+w(a_i) lies in the W-orbit of a_i, so each element gets one integer key:
+digit i is the place of w(a_i) inside that orbit, and the digits are
+packed mixed-radix (radix = orbit size) into an int64.  Only the Cayley
+graph outlives the closure: the shortlex tree (parent and last letter of
+each element) and the int32 tables of x s, s x and x^-1.  Products,
+conjugation, words and powers are exact integer gathers on it.
 
 Generators inside a model are addressed by *position* in the sorted
 subset, which makes models reusable across systems that induce the same
@@ -38,46 +37,30 @@ _KEY_DECIMALS = 6  # root coordinates of the finite types are >> 1e-6 apart
 
 
 def _root_keys(vecs: np.ndarray) -> list[tuple]:
-    """Hashable rounded keys of root vectors, one per row."""
-    rounded = np.round(vecs, _KEY_DECIMALS) + 0.0  # + 0.0 normalizes -0.0
-    return [tuple(row) for row in rounded.tolist()]
+    """Hashable keys of root vectors, one per row: the coordinates scaled
+    by 10^_KEY_DECIMALS and rounded (-0.0 and 0.0 hash alike)."""
+    return list(map(tuple, np.rint(vecs * 10.0**_KEY_DECIMALS).tolist()))
 
 
 @dataclass
 class GroupModel:
-    """Finite parabolic W_T realized on its root system, with its Cayley graph.
+    """Finite parabolic W_T as its Cayley graph.
 
-    perms[k] is the permutation of the root list given by element k, as an
-    int32 row; roots 0..rank-1 are the simple roots.  Generators are
-    addressed by position (0..rank-1).  Elements are numbered in (length,
-    word) order of their shortlex-least words, so element 0 is the
-    identity, and those words form a tree: element x != 0 is
-    parent[x] . s_letter[x].  The int32 tables right[x, s] = x . s_s,
-    left[x, s] = s_s . x and inv[x] = x^-1 answer products by gathers.
-
-    An element's key packs its simple-root images: root_place[r] is the
-    place of root r inside its W-orbit and key_weights[i] the mixed-radix
-    weight of simple root i, so the key of row x is
-    root_place[x[:rank]] @ key_weights.  sorted_keys and key_elements map
-    keys to elements, for lookup.
+    Generators are addressed by position (0..rank-1).  Elements are
+    numbered in (length, word) order of their shortlex-least words, so
+    element 0 is the identity and elements 1..rank are the generators,
+    and those words form a tree: element x != 0 is parent[x] .
+    s_letter[x].  The int32 tables right[x, s] = x . s_s, left[x, s] =
+    s_s . x and inv[x] = x^-1 answer products by gathers.
     """
 
     members: tuple[int, ...]
     order: int
-    perms: np.ndarray
     parent: np.ndarray
     letter: np.ndarray
     right: np.ndarray
     left: np.ndarray
     inv: np.ndarray
-    root_place: np.ndarray
-    key_weights: np.ndarray
-    sorted_keys: np.ndarray
-    key_elements: np.ndarray
-
-    @property
-    def nroots(self) -> int:
-        return self.perms.shape[1]
 
     @property
     def rank(self) -> int:
@@ -106,31 +89,16 @@ class GroupModel:
         """Index of element i . j (i applied after j)."""
         return self.evaluate_word(self.word(j), i)
 
-    def lookup(self, images: np.ndarray) -> np.ndarray:
-        """Element indices of rows of root images, by binary search on
-        the keys, queried in ascending order.  Only the first rank columns
-        (the simple roots) are read, and image i must lie in the orbit of
-        simple root i, as it does for any product of elements.
-        ConsistencyError when a key belongs to no element."""
-        keys = self.root_place[np.asarray(images)[..., : self.rank]] @ self.key_weights
-        flat = keys.ravel()
-        ascending = np.argsort(flat)
-        pos = np.empty_like(ascending)
-        pos[ascending] = np.searchsorted(self.sorted_keys, flat[ascending])
-        np.minimum(pos, self.order - 1, out=pos)
-        if not np.array_equal(self.sorted_keys[pos], flat):
-            raise ConsistencyError("root images outside the group")
-        return self.key_elements[pos].reshape(keys.shape)
-
 
 def _close_roots(b: np.ndarray):
     """Close the simple roots under the reflections s_i(v) = v - 2 B(a_i, v)
     a_i, one layer at a time, in simple-root coordinates.
 
     Returns the generators as permutations of the roots, gen_perms[i, r]
-    being the index of s_i(root r), and each root's W-orbit label (the
-    least simple root in its orbit): a new root inherits its parent's
-    orbit, and an image that is already known joins the two.
+    being the index of s_i(root r), each root's W-orbit label (the least
+    simple root in its orbit) and a mask of the positive roots.  A new
+    root inherits its parent's orbit, and an image that is already known
+    joins the two.
     """
     k = len(b)
     eye = np.eye(k)
@@ -173,22 +141,22 @@ def _close_roots(b: np.ndarray):
         layers.append(frontier)
     # new roots are numbered consecutively, so the frontiers' images come
     # in (root, generator) order
-    roots = np.vstack(layers)
+    roots = np.concatenate(layers)
     targets = np.array(targets, dtype=np.int32)
-    if np.max(np.abs(np.vstack(all_images) - roots.take(targets, axis=0))) > _MATCH_TOL:
+    if np.abs(np.concatenate(all_images) - roots.take(targets, axis=0)).max() > _MATCH_TOL:
         raise ConsistencyError("root matching exceeded tolerance")
-    return targets.reshape(-1, k).T, [find(o) for o in orbit]
+    return targets.reshape(-1, k).T, [find(o) for o in orbit], roots.sum(axis=1) > 0
 
 
 def realize_group(
     w: CoxeterMatrix, t, order_cap: int = DEFAULT_ORDER_CAP
 ) -> GroupModel:
-    """Build the root-permutation model of a spherical W_T.
+    """Build the Cayley graph of a spherical W_T from its root permutations.
 
     Raises ResourceCapError when the classified order exceeds order_cap
     or the element keys would not fit an int64 (only E8 among the finite
     types), and ConsistencyError when the closure does not reproduce the
-    classified order.
+    classified order or leaves an entry of right unresolved.
     """
     t = canonical_subset(t)
     order = spherical_order(w, t)
@@ -200,23 +168,13 @@ def realize_group(
         )
     k = len(t)
     if k == 0:
+        zero = np.zeros(1, dtype=np.int32)
         empty = np.zeros((1, 0), dtype=np.int32)
         return GroupModel(
-            members=t,
-            order=1,
-            perms=empty,
-            parent=np.zeros(1, dtype=np.int32),
-            letter=np.zeros(1, dtype=np.int32),
-            right=empty,
-            left=empty,
-            inv=np.zeros(1, dtype=np.int32),
-            root_place=np.zeros(0, dtype=np.int64),
-            key_weights=np.zeros(0, dtype=np.int64),
-            sorted_keys=np.zeros(1, dtype=np.int64),
-            key_elements=np.zeros(1, dtype=np.int64),
+            members=t, order=1, parent=zero, letter=zero, right=empty, left=empty, inv=zero
         )
 
-    gen_perms, orbit = _close_roots(cosine_matrix(w, t))
+    gen_perms, orbit, positive = _close_roots(cosine_matrix(w, t))
     nroots = gen_perms.shape[1]
 
     # key digits: the place of each root inside its orbit
@@ -236,70 +194,79 @@ def realize_group(
         )
     key_weights = np.array(weights, dtype=np.int64)
 
-    # close the elements layer by layer.  Candidates x . s come in
+    # close the elements layer by layer, holding the root permutations of
+    # one length layer only.  x . s is longer than x exactly when x(a_s)
+    # is a positive root, and every such ascent is an element of the next
+    # layer, so keys are only told apart within a layer.  Ascents come in
     # (x, s) order and each new key is numbered where it is first seen,
     # so elements come in (length, word) order and an element's first
-    # candidate is its tree edge, recorded as the flat index x k + s into
-    # right.  Every candidate resolves to an element, which fills right.
+    # ascent is its tree edge.  The descents are filled after the closure
+    # from the ascents, one generator at a time: y . s = x gives x . s = y.
     # Gathers go through take, whose fixed cost is far below fancy
     # indexing on the many tiny parabolics.
-    perms = np.empty((order, nroots), dtype=np.int32)
-    perms[0] = np.arange(nroots)
-    right = np.empty((order, k), dtype=np.int32)
-    edge = np.zeros(order, dtype=np.int32)
-    # key -> element, in element order; the identity's key first
-    index = {sum(p * wt for p, wt in zip(places, weights)): 0}
+    right = np.full((order, k), -1, dtype=np.int32)
+    right_flat = right.reshape(-1)
+    parent = np.zeros(order, dtype=np.int32)
+    letter = np.zeros(order, dtype=np.int32)
     simple_images = gen_perms[:, :k].ravel()  # s_s(a_i) at s k + i
-    layers = [0]
+    perms = np.arange(nroots, dtype=np.int32)[None, :]  # root permutations of the layer
+    layers = [0, 1]
     start, stop = 0, 1
-    while start < stop:
-        frontier = perms[start:stop]
-        cand_images = root_place.take(frontier.take(simple_images, axis=1))
-        cand_keys = cand_images.reshape(-1, k).dot(key_weights)
-        found = np.array([index.setdefault(key, len(index)) for key in cand_keys.tolist()])
-        end = len(index)
+    while stop < order:
+        ascents = positive.take(perms[:, :k]).reshape(-1).nonzero()[0]
+        keys = root_place.take(perms.take(simple_images, axis=1)).reshape(-1, k).dot(key_weights)
+        index: dict = {}
+        found = [index.setdefault(key, len(index)) for key in keys.take(ascents).tolist()]
+        found = np.array(found, dtype=np.int64)
+        end = stop + len(index)
         if end > order:
             raise ConsistencyError(f"closure exceeded the classified order {order}")
-        right[start:stop] = found.reshape(-1, k)
-        # new element n is first seen where the running maximum reaches n
-        fresh = np.maximum.accumulate(found).searchsorted(np.arange(stop, end))
-        edge[stop:end] = fresh + start * k
-        src = fresh // k
-        perms[stop:end] = frontier.take(src[:, None] * nroots + gen_perms.take(fresh % k, axis=0))
-        layers.append(stop)
+        if end == stop:
+            break
+        first = ascents.take(np.maximum.accumulate(found).searchsorted(np.arange(len(index))))
+        found += stop
+        right_flat[start * k : stop * k][ascents] = found
+        src, gen = np.divmod(first, k)
+        parent[stop:end] = src + start
+        letter[stop:end] = gen
+        perms = perms.take((src * nroots)[:, None] + gen_perms.take(gen, axis=0))
+        layers.append(end)
         start, stop = stop, end
     if stop != order:
         raise ConsistencyError(
             f"closure produced {stop} elements, classification says {order}"
         )
+    for col in right.T:
+        ascents = (col >= 0).nonzero()[0]
+        col[col.take(ascents)] = ascents
+    if right_flat.min() < 0:
+        raise ConsistencyError("closure left a product unresolved")
 
     # left and inv layer by layer from s (p t) = (s p) t and
-    # (p t)^-1 = t p^-1, as flat gathers
-    parent, letter = np.divmod(edge, k)
+    # (p t)^-1 = t p^-1, as flat gathers.  The tables are scaled by k while
+    # they are built, so that each entry is already the flat offset of its
+    # row.
+    right_flat *= k
     left = np.empty_like(right)
     inv = np.zeros(order, dtype=np.int32)
     left[0] = right[0]
-    right_flat, left_flat = right.ravel(), left.ravel()
+    left_flat = left.reshape(-1)
+    letter_col = letter[:, None]
     for a, b in zip(layers[1:], layers[2:]):
-        par, let = parent[a:b], letter[a:b]
-        left[a:b] = right_flat.take(left.take(par, axis=0) * k + let[:, None])
-        inv[a:b] = left_flat.take(inv.take(par) * k + let)
+        par = parent[a:b]
+        left[a:b] = right_flat.take(left.take(par, axis=0) + letter_col[a:b])
+        inv[a:b] = left_flat.take(inv.take(par) + letter[a:b])
+    for table in (right, left, inv):
+        table //= k
 
-    key_array = np.fromiter(index, dtype=np.int64, count=order)
-    key_elements = np.argsort(key_array)
     return GroupModel(
         members=t,
         order=order,
-        perms=perms,
         parent=parent,
         letter=letter,
         right=right,
         left=left,
         inv=inv,
-        root_place=root_place,
-        key_weights=key_weights,
-        sorted_keys=key_array.take(key_elements),
-        key_elements=key_elements,
     )
 
 

@@ -1,10 +1,12 @@
 """Character tables, induction, restriction, and the representation-ring cache."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bredon import characters
 from bredon.characters import (
     RepRingCache,
     _charpoly_roots,
@@ -317,3 +319,54 @@ def test_charpoly_roots_refuses_inexact_float_products():
     # 2 * (p - 1)^2 >= 2^53: float64 sums of products would round
     with pytest.raises(ResourceCapError):
         _charpoly_roots(np.zeros((2, 2), dtype=np.int64), 2**27 + 1)
+
+
+def _charpoly_roots_leibniz(a, p):
+    """Roots of det(x I - a) mod p by evaluating the Leibniz sum at every
+    x in F_p at once."""
+    k = a.shape[0]
+    x = np.arange(p, dtype=np.int64)
+    entry = [[(x * (i == j) - int(a[i, j])) % p for j in range(k)] for i in range(k)]
+    det = np.zeros(p, dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = np.full(p, (-1) ** inversions % p, dtype=np.int64)
+        for i in range(k):
+            term = term * entry[i][perm[i]] % p
+        det = (det + term) % p
+    return np.flatnonzero(det == 0).tolist()
+
+
+def _scan_cases(p):
+    rng = np.random.default_rng(p)
+    # roots at both ends of F_p and around the first chunk boundary
+    roots = sorted({0, 1, p - 1, min(p - 2, 1 << 16), (1 << 16) % p})
+    similar = np.diag(np.array(roots, dtype=np.int64))
+    for _ in range(12):
+        i, j = rng.choice(len(roots), 2, replace=False)
+        c = int(rng.integers(1, p))
+        similar[i] = (similar[i] + c * similar[j]) % p
+        similar[:, j] = (similar[:, j] - c * similar[:, i]) % p
+    return [similar, rng.integers(0, p, (3, 3)), np.zeros((2, 2), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("p, chunk", [(61, 1 << 16), (61, 7), (131071, 1 << 16)])
+def test_charpoly_roots_scan_in_chunks(monkeypatch, p, chunk):
+    # p below one chunk, then above it: many chunks of 7, and two of the
+    # default size with the last one cut short
+    monkeypatch.setattr(characters, "_SCAN_CHUNK", chunk)
+    for a in _scan_cases(p):
+        assert _charpoly_roots(a, p) == _charpoly_roots_leibniz(a, p)
+
+
+def test_charpoly_roots_memory_does_not_grow_with_p():
+    # a scan of all of F_p at once would hold two int64 arrays of 8 MB
+    p = 1_000_003
+    tracemalloc.start()
+    try:
+        roots = _charpoly_roots(np.diag(np.array([5, p - 1], dtype=np.int64)), p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert roots == [5, p - 1]
+    assert peak < 4 * 2**20

@@ -1,4 +1,4 @@
-"""Permutation realizations of finite standard parabolics and conjugacy."""
+"""Cayley-graph models of finite standard parabolics and conjugacy."""
 
 import random
 import time
@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bredon.characters import _power_maps
 from bredon.coxeter import parse_matrix, spherical_order
-from bredon.errors import ConsistencyError, ResourceCapError
+from bredon.errors import ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
 
 
@@ -54,10 +55,8 @@ def test_orders_match_classification():
 
 def test_generator_relations_hold():
     g = realize(([[1, 4, 2], [4, 1, 3], [2, 3, 1]]))
-    n = g.nroots
-    ident = np.arange(n)
-    for i, p in enumerate(g.gen_elements):
-        assert (g.perms[g.mult(p, p)] == ident).all()
+    for p in g.gen_elements:
+        assert g.mult(p, p) == 0
     # braid relation (s1 s2)^4 = e in B3
     a, b = g.gen_elements[0], g.gen_elements[1]
     x = 0  # identity index
@@ -139,10 +138,51 @@ def test_hyperoctahedral_class_count():
     assert conjugacy_classes(g).count == 10
 
 
-# -- integer keys, batched lookups and the class oracle -----------------------
+# -- a root-permutation oracle, independent of the closure --------------------
 
 
-def brute_force_classes(g):
+class RootPermutations:
+    """Every element of a realized model as a permutation of its root
+    system, for checking the Cayley graph.
+
+    The roots are closed from the simple roots under the reflections
+    s_i(v) = v - 2 B(a_i, v) a_i of the cosine form; each element's
+    permutation is the product of the generators' along g.word(e), and a
+    dict from permutation to element is the lookup.
+    """
+
+    def __init__(self, rows, g):
+        b = -np.cos(np.pi / np.array(rows, dtype=float))
+        k = len(rows)
+        roots = list(np.eye(k))
+        index = {tuple(np.round(r, 6) + 0.0): n for n, r in enumerate(roots)}
+        images = []  # images[n][i] = index of s_i(root n)
+        for v in roots:  # grows while it is read
+            row = []
+            for i in range(k):
+                u = v.copy()
+                u[i] -= 2 * b[i] @ v
+                key = tuple(np.round(u, 6) + 0.0)
+                if key not in index:
+                    index[key] = len(roots)
+                    roots.append(u)
+                row.append(index[key])
+            images.append(row)
+        self.gens = np.array(images).T
+        self.perms = np.empty((g.order, len(roots)), dtype=np.int64)
+        for e in range(g.order):
+            perm = np.arange(len(roots))
+            for s in g.word(e):
+                perm = perm[self.gens[s]]
+            self.perms[e] = perm
+        self.element_of = {perm.tobytes(): e for e, perm in enumerate(self.perms)}
+
+    def lookup(self, perms):
+        """Elements of a batch of permutations, one per row."""
+        return np.array([self.element_of[row.tobytes()] for row in perms])
+
+
+def brute_force_classes(g, oracle):
     """Classes {h x h^-1 : h in W} from composed root permutations, in
     canonical order."""
     words = [g.word(e) for e in range(g.order)]
@@ -150,13 +190,14 @@ def brute_force_classes(g):
     def rep_key(e):
         return (len(words[e]), words[e])
 
-    inverse_perms = np.argsort(g.perms, axis=1)
+    perms = oracle.perms
+    inverse_perms = np.argsort(perms, axis=1)
     orbits, seen = [], set()
     for x in range(g.order):
         if x not in seen:
-            hx = g.perms[:, g.perms[x]]  # row h: h x
+            hx = perms[:, perms[x]]  # row h: h x
             hxh = np.take_along_axis(hx, inverse_perms, axis=1)  # row h: h x h^-1
-            orbit = set(g.lookup(hxh).tolist())
+            orbit = set(oracle.lookup(hxh).tolist())
             seen |= orbit
             orbits.append(orbit)
     orbits.sort(key=lambda orbit: rep_key(min(orbit, key=rep_key)))
@@ -182,7 +223,8 @@ ORACLE_SYSTEMS = {
 def test_classes_match_brute_force_oracle(name):
     g = realize(ORACLE_SYSTEMS[name])
     classes = conjugacy_classes(g)
-    reps, rep_words, sizes, class_of = brute_force_classes(g)
+    oracle = RootPermutations(ORACLE_SYSTEMS[name], g)
+    reps, rep_words, sizes, class_of = brute_force_classes(g, oracle)
     assert classes.reps == reps
     assert classes.rep_words == rep_words
     assert classes.sizes == sizes
@@ -191,38 +233,38 @@ def test_classes_match_brute_force_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
 def test_batched_lookup_inverts_the_element_list(name):
+    # the oracle's lookup of all composed permutations at once gives back
+    # the element list: the closure's elements are distinct group elements
     g = realize(ORACLE_SYSTEMS[name])
-    k = len(g.members)
-    assert g.lookup(g.perms[:, :k]).tolist() == list(range(g.order))
-    assert g.sorted_keys.dtype == np.int64
-    assert (np.diff(g.sorted_keys) > 0).all()
-    assert g.lookup(g.perms).tolist() == list(range(g.order))
+    oracle = RootPermutations(ORACLE_SYSTEMS[name], g)
+    assert oracle.lookup(oracle.perms).tolist() == list(range(g.order))
+    assert g.order == spherical_order(parse_matrix(ORACLE_SYSTEMS[name]), range(len(g.members)))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
 def test_cayley_tables_match_composed_permutations(name):
     g = realize(ORACLE_SYSTEMS[name])
+    oracle = RootPermutations(ORACLE_SYSTEMS[name], g)
+    perms, gens = oracle.perms, oracle.gens
     k = len(g.members)
-    ident = np.arange(g.nroots)
+    ident = np.arange(perms.shape[1])
     # elements 1..k are the generators, in position order
-    gens = g.perms[1 : k + 1]
     assert [g.word(s + 1) for s in range(k)] == [(s,) for s in range(k)]
+    assert (perms[1 : k + 1] == gens).all()
     for s in range(k):
         assert (gens[s][gens[s]] == ident).all()
-        assert (g.perms[g.right[:, s]] == g.perms[:, gens[s]]).all()  # x s
-        assert (g.perms[g.left[:, s]] == gens[s][g.perms]).all()  # s x
-    inverse_rows = np.take_along_axis(g.perms[g.inv], g.perms, axis=1)
-    assert (inverse_rows == ident).all()
+        assert g.right[:, s].tolist() == oracle.lookup(perms[:, gens[s]]).tolist()  # x s
+        assert g.left[:, s].tolist() == oracle.lookup(gens[s][perms]).tolist()  # s x
+    assert g.inv.tolist() == oracle.lookup(np.argsort(perms, axis=1)).tolist()
 
 
-def shortlex_words(g):
+def shortlex_words(g, oracle):
     """Shortlex-least word of every element, by brute force over left
     descents: lengths come from a breadth-first search on composed root
     permutations, and each word starts with the least s that shortens
     the element, followed by the word of s x."""
     k = len(g.members)
-    gens = g.perms[1 : k + 1]
-    left = np.stack([g.lookup(gens[s][g.perms]) for s in range(k)], axis=1)
+    left = np.stack([oracle.lookup(oracle.gens[s][oracle.perms]) for s in range(k)], axis=1)
     length = np.full(g.order, -1)
     length[0] = 0
     frontier = [0]
@@ -249,24 +291,17 @@ def shortlex_words(g):
 def test_tree_words_are_shortlex_least(name):
     g = realize(ORACLE_SYSTEMS[name])
     words = [g.word(e) for e in range(g.order)]
-    assert words == shortlex_words(g)
+    assert words == shortlex_words(g, RootPermutations(ORACLE_SYSTEMS[name], g))
     assert words == sorted(words, key=lambda word: (len(word), word))
     assert [g.evaluate_word(word) for word in words] == list(range(g.order))
 
 
-def test_lookup_rejects_keys_outside_the_group():
-    # A3 has one root orbit, and no element sends every simple root to a_0
-    g = realize(ORACLE_SYSTEMS["A3"])
-    with pytest.raises(ConsistencyError):
-        g.lookup(np.zeros((1, 3), dtype=np.int32))
-
-
 def test_many_commuting_generators_get_small_keys():
-    # A1^14: 28 roots, but each simple root's orbit has 2, so keys take 14 bits
+    # A1^14: 28 roots, but each simple root's orbit has 2, so keys take 14
+    # bits; with radix 28 they would need 68 and the realization would refuse
     w = parse_matrix(diagram(14, []))
     g = realize_group(w, w.generators, order_cap=16384)
     assert g.order == 16384
-    assert g.sorted_keys[-1] < 2**14
     assert conjugacy_classes(g).count == 16384
 
 
@@ -316,5 +351,25 @@ def test_e6_model_memory():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # int32 right and left of 51840 x 6, plus inv, parent and letter: 3.1 MB
     assert g.order == 51840
-    assert retained < 22 * 2**20
+    assert retained < 4 * 2**20
+
+
+@pytest.mark.parametrize("name", ["F4", "H4"])
+def test_power_maps_match_permutation_orders(name):
+    rows = CLASSICAL_COUNTS[name][0]
+    g = realize(rows)
+    classes = conjugacy_classes(g)
+    powers, rep_orders = _power_maps(g, classes)
+    oracle = RootPermutations(rows, g)
+    ident = np.arange(oracle.perms.shape[1])
+    orders = []
+    for i, rep in enumerate(classes.reps):
+        cur, n = oracle.perms[rep], 1
+        while not (cur == ident).all():
+            assert powers[n, i] == oracle.element_of[cur.tobytes()]
+            cur, n = cur[oracle.perms[rep]], n + 1
+        orders.append(n)
+    assert rep_orders.tolist() == orders
+    assert (powers[rep_orders, np.arange(classes.count)] == 0).all()
