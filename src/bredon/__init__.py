@@ -1,9 +1,10 @@
 """Bredon homology and equivariant K-theory of Coxeter groups.
 
 The package takes a Coxeter matrix, enumerates the spherical subsets,
-realizes their finite parabolics with character tables and induction
-maps, assembles the Bredon chain complex of the Davis complex with
-representation-ring coefficients, and computes its homology exactly.
+builds the character tables of their finite parabolics and the induction
+maps between them, assembles the Bredon chain complex of the Davis
+complex with representation-ring coefficients, and computes its
+homology exactly.
 Closed-form theorems (finite, right-angled, even, low-rank, Kunneth)
 provide independent cross-checks, and when homology is concentrated in
 degrees 0 and 1 the equivariant K-homology and the K-theory of the

@@ -109,14 +109,15 @@ def assemble_complex(
 ) -> BredonComplex:
     """Build cells and differentials for the system w.
 
-    Realizes every spherical stabilizer (order cap applies) and fills the
-    induction/identity blocks of the boundary maps.
+    Takes each block rank from the class count of the stabilizer's
+    character table (order cap applies) and fills the induction/identity
+    blocks of the boundary maps.
     """
     if poset is None:
         poset = enumerate_spherical(w)
     cells = build_cells(poset)
     # cells[0] holds one singleton chain per subset
-    rank_of = {t: rings.classes(w, t).count for (t,) in cells[0]}
+    rank_of = {t: rings.table(w, t).n_classes for (t,) in cells[0]}
     block_ranks = [[rank_of[chain[0]] for chain in level] for level in cells]
     offsets, dims = _layout(block_ranks)
 

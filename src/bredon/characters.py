@@ -3,19 +3,26 @@
 Tables are computed three ways, chosen by the classification of the
 subgroup:
 
-* rank 1 and dihedral parabolics get the textbook closed forms;
+* the trivial group, rank 1 and dihedral parabolics get the textbook
+  closed forms, classes included;
 * reducible parabolics are tensor products of their factor tables;
-* every other irreducible finite type goes through the Burnside-Dixon
-  modular algorithm: the common eigenvectors of the class-sum matrices
-  over F_p, p = 1 mod exponent(G), come from intersecting the eigenspaces
-  of one matrix after another (one mod-p nullspace per root), and are
-  lifted to C by discrete Fourier inversion along power maps.
+* every other irreducible finite type (rank >= 3) is realized as a
+  Cayley graph and goes through the Burnside-Dixon modular algorithm:
+  the common eigenvectors of the class-sum matrices over F_p,
+  p = 1 mod exponent(G), come from intersecting the eigenspaces of one
+  matrix after another (one mod-p nullspace per root), and are lifted to
+  C by discrete Fourier inversion along power maps.
 
-A table's columns are always the conjugacy classes of the group model in
-canonical order (identity first), so tables, models and induction
-matrices all share one basis.  The representation ring R_C(W_T) is the
-free Z-module on the rows, and induction along W_T <= W_T' is the integer
-matrix of Frobenius induced-character multiplicities.
+A table's columns are always the conjugacy classes in canonical order:
+sorted by (length, word) of their shortlex-least representative, so the
+identity comes first.  That is the order conjugacy_classes gives a
+realized model; the closed forms write it down, and a product's classes
+are the tuples of its factors' classes, represented by the merge of the
+factors' words.  Class fusion follows the same split by type, so only
+the irreducible parabolics of rank >= 3 are ever realized.  The
+representation ring R_C(W_T) is the free Z-module on the rows, and
+induction along W_T <= W_T' is the integer matrix of Frobenius
+induced-character multiplicities.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ from math import cos, isqrt, lcm, pi, sqrt
 
 import numpy as np
 
-from .coxeter import CoxeterMatrix, canonical_subset, classify_irreducible, components
+from .coxeter import (
+    CoxeterMatrix,
+    canonical_subset,
+    classify_irreducible,
+    components,
+    spherical_order,
+)
 from .errors import ConsistencyError, ContractError, ResourceCapError
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -97,25 +110,55 @@ def trivial_table() -> CharacterTable:
     )
 
 
-def rank1_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
-    """C2: trivial and sign characters."""
-    if model.order != 2:
-        raise ContractError("rank-1 table needs a group of order 2")
-    values = np.array([[1, 1], [1, -1]], dtype=complex)
+def rank1_table() -> CharacterTable:
+    """A1 = C2: trivial and sign characters on the classes (), (0,)."""
     return CharacterTable(
-        members=model.members,
+        members=(0,),
         order=2,
-        class_words=list(classes.rep_words),
-        class_sizes=list(classes.sizes),
-        values=values,
+        class_words=[(), (0,)],
+        class_sizes=[1, 1],
+        values=np.array([[1, 1], [1, -1]], dtype=complex),
         degrees=[1, 1],
     )
 
 
-def dihedral_table(
-    model: GroupModel, classes: ConjugacyClasses, m: int
-) -> CharacterTable:
-    """Closed form for I2(m) = D_m, evaluated on the model's classes.
+def _dihedral_classes(m: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Class words and sizes of I2(m) in canonical order.
+
+    With generators a, b and rotation r = ab: the identity, then the
+    reflections (one class of a for odd m; the classes of a and b, m/2
+    each, for even m), then r^j = (ab)^j for j = 1 .. floor(m/2), of
+    size 2 except the central r^(m/2).
+    """
+    reflections = [(0,), (1,)] if m % 2 == 0 else [(0,)]
+    rotations = range(1, m // 2 + 1)
+    words = [()] + reflections + [(0, 1) * j for j in rotations]
+    sizes = [1] + [m // len(reflections)] * len(reflections)
+    sizes += [1 if 2 * j == m else 2 for j in rotations]
+    return words, sizes
+
+
+def _dihedral_class(word, m: int) -> int:
+    """Canonical class index of a word in I2(m), tracked as r^k or r^k a.
+
+    a = s_0 toggles r^k and r^k a; b = s_1 = a r sends r^k to r^(k-1) a
+    and r^k a to r^(k+1).
+    """
+    k = 0
+    for i, s in enumerate(word):
+        if s:
+            k += 1 if i % 2 else -1  # i letters so far: r^k a when i is odd
+    k %= m
+    if len(word) % 2:
+        return 2 if m % 2 == 0 and k % 2 else 1
+    j = min(k, m - k)
+    if j == 0:
+        return 0
+    return j + (2 if m % 2 == 0 else 1)
+
+
+def dihedral_table(m: int) -> CharacterTable:
+    """Closed form for I2(m) = D_m on the classes of _dihedral_classes.
 
     With generators a, b and rotation r = ab of order m the irreducibles
     are: the trivial and sign characters; for even m the two further
@@ -124,37 +167,22 @@ def dihedral_table(
     two-dimensional phi_l with phi_l(r^k) = 2 cos(2 pi l k / m) and 0 on
     reflections, for l = 1 .. ceil(m/2) - 1.
     """
-    a_el, b_el = model.gen_elements
-    rot_k = {}
-    cur = 0
-    for k in range(m):
-        rot_k[cur] = k
-        cur = model.evaluate_word((0, 1), cur)
-    if cur != 0:
-        raise ConsistencyError("rotation order disagrees with the edge label")
-
-    reps = classes.reps
-    is_reflection = [len(word) % 2 == 1 for word in classes.rep_words]
+    words, sizes = _dihedral_classes(m)
     even = m % 2 == 0
-    n_two_dim = m // 2 - 1 if even else (m - 1) // 2
-    rows = 2 + (2 if even else 0) + n_two_dim
-    values = np.zeros((rows, len(reps)), dtype=complex)
-    a_class = int(classes.class_of[a_el])
-    b_class = int(classes.class_of[b_el])
+    n_two_dim = (m - 1) // 2
     base = 3 if even else 1
-    for c, e in enumerate(reps):
-        if is_reflection[c]:
+    values = np.zeros((2 + 2 * even + n_two_dim, len(words)), dtype=complex)
+    for c, word in enumerate(words):
+        if len(word) % 2:
             values[0, c] = 1
             values[1, c] = -1
             if even:
-                if c not in (a_class, b_class):
-                    raise ConsistencyError("reflection outside the two generator classes")
-                sign = 1 if c == a_class else -1
+                sign = 1 if word == (0,) else -1
                 values[2, c] = sign
                 values[3, c] = -sign
             # two-dimensional characters vanish on reflections
         else:
-            k = rot_k[e]
+            k = len(word) // 2
             values[0, c] = 1
             values[1, c] = 1
             if even:
@@ -164,10 +192,10 @@ def dihedral_table(
                 values[base + l, c] = 2 * cos(2 * pi * l * k / m)
     degrees = [1, 1] + ([1, 1] if even else []) + [2] * n_two_dim
     return CharacterTable(
-        members=model.members,
+        members=(0, 1),
         order=2 * m,
-        class_words=list(classes.rep_words),
-        class_sizes=list(classes.sizes),
+        class_words=words,
+        class_sizes=sizes,
         values=values,
         degrees=degrees,
     )
@@ -177,24 +205,21 @@ def tensor_table(p: CharacterTable, q: CharacterTable) -> CharacterTable:
     """Character table of a direct product from factor tables.
 
     Classes are the pairs (row-major, p outer and q inner) and characters
-    are products; member sets must be disjoint.  Class words concatenate
-    after translating both factors into the merged position space.
+    are products; member sets must be disjoint.  Both factors' class words
+    are translated into the merged position space and merged letter by
+    letter, least first; the alphabets are disjoint, so the merge of two
+    shortlex-least words is the shortlex-least word of the pair.
     """
     if set(p.members) & set(q.members):
         raise ContractError("tensor factors share generators")
+    from heapq import merge  # here, not at module load: every CLI request imports characters
+
     members = tuple(sorted(p.members + q.members))
     pos = {g: i for i, g in enumerate(members)}
-
-    def merge(wp, wq, src_p, src_q):
-        amb = [src_p[i] for i in wp] + [src_q[i] for i in wq]
-        return tuple(pos[g] for g in amb)
-
-    class_words = []
-    class_sizes = []
-    for a, wp in enumerate(p.class_words):
-        for b, wq in enumerate(q.class_words):
-            class_words.append(merge(wp, wq, p.members, q.members))
-            class_sizes.append(p.class_sizes[a] * q.class_sizes[b])
+    words_p = [[pos[p.members[i]] for i in word] for word in p.class_words]
+    words_q = [[pos[q.members[i]] for i in word] for word in q.class_words]
+    class_words = [tuple(merge(wp, wq)) for wp in words_p for wq in words_q]
+    class_sizes = [sp * sq for sp in p.class_sizes for sq in q.class_sizes]
     values = np.kron(p.values, q.values)
     degrees = [dp * dq for dp in p.degrees for dq in q.degrees]
     return CharacterTable(
@@ -446,7 +471,7 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
             raise ConsistencyError("lifted multiplicities exceed the degree")
         if np.any(np.sum(mults, axis=1) != degrees[t]):
             raise ConsistencyError("lifted multiplicities do not sum to the degree")
-        values[t] = mults @ zeta
+        values[t] = mults.astype(complex) @ zeta
 
     # rows by degree, then by their values rounded once, read as
     # (real, imag) pairs class by class
@@ -541,19 +566,15 @@ def restriction_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _fuse(model: GroupModel, classes: ConjugacyClasses, words) -> list[int]:
-    """Class fusion: the class of each word (in the model's generator
-    positions) evaluated in the model."""
-    return [int(classes.class_of[model.evaluate_word(word)]) for word in words]
-
-
 class RepRingCache:
-    """Shared store of realized parabolics and their character data.
+    """Shared store of the parabolics' class data and character tables.
 
     Everything is keyed by the induced Coxeter matrix, so isomorphic
-    parabolics of different systems are computed once.  Models and tables
-    are positional: their generators are 0..k-1 of the induced system,
-    and callers translate subset positions at the boundary.
+    parabolics of different systems are computed once.  Tables are
+    positional: their generators are 0..k-1 of the induced system, and
+    callers translate subset positions at the boundary.  Only the
+    irreducible parabolics of rank >= 3 are realized for their tables;
+    model and classes realize any finite parabolic on demand.
     """
 
     def __init__(self, order_cap: int = DEFAULT_ORDER_CAP):
@@ -561,6 +582,7 @@ class RepRingCache:
         self._models: dict = {}
         self._classes: dict = {}
         self._tables: dict = {}
+        self._products: dict = {}  # product key -> factor class counts, column map
         self._inductions: dict = {}
 
     def model(self, w: CoxeterMatrix, t) -> GroupModel:
@@ -588,60 +610,87 @@ class RepRingCache:
 
     def _build_table(self, sub: CoxeterMatrix) -> CharacterTable:
         t = sub.generators
+        order = spherical_order(sub, t)
+        if order is None:
+            raise ContractError(f"subset {t} is not spherical")
+        if order > self.order_cap:
+            raise ResourceCapError(
+                f"|W_T| = {order} exceeds the order cap {self.order_cap}"
+            )
+        parts = components(sub, t)
         if len(t) == 0:
             table = trivial_table()
-            table.validate()
-            return table
-        model = self.model(sub, t)
-        classes = self.classes(sub, t)
-        parts = components(sub, t)
-        if len(parts) > 1:
-            table = self._product_table(sub, model, classes, parts)
+        elif len(parts) > 1:
+            table = self._product_table(sub, parts)
         else:
             label = classify_irreducible(sub, t)
             if label.family == "A" and label.rank == 1:
-                table = rank1_table(model, classes)
+                table = rank1_table()
             elif label.family == "I":
-                table = dihedral_table(model, classes, label.edge)
+                table = dihedral_table(label.edge)
             else:
-                table = dixon_table(model, classes)
+                table = dixon_table(self.model(sub, t), self.classes(sub, t))
         table.validate()
         return table
 
-    def _product_table(self, sub, model, classes, parts) -> CharacterTable:
+    def _product_table(self, sub, parts) -> CharacterTable:
         # factor tables are positional in their part; re-address them into
         # the ambient positions of sub before tensoring
         factors = [replace(self.table(sub, part), members=part) for part in parts]
         combined = factors[0]
         for nxt in factors[1:]:
             combined = tensor_table(combined, nxt)
-        # align the abstract product classes with the model's classes
-        col_map = _fuse(model, classes, combined.class_words)
-        if sorted(col_map) != list(range(classes.count)):
-            raise ConsistencyError("product classes do not match the model's classes")
-        if [classes.sizes[c] for c in col_map] != combined.class_sizes:
-            raise ConsistencyError("product class sizes disagree with the model")
-        values = np.zeros_like(combined.values)
-        values[:, col_map] = combined.values
+        # the tensor's columns are in row-major order of the factor
+        # classes; sort them by (length, word) of their merged words
+        words = combined.class_words
+        order = sorted(range(len(words)), key=lambda c: (len(words[c]), words[c]))
+        columns = np.empty(len(order), dtype=np.int64)
+        columns[order] = np.arange(len(order))
+        self._products[sub.m] = ([f.n_classes for f in factors], columns)
         return CharacterTable(
-            members=model.members,
-            order=model.order,
-            class_words=list(classes.rep_words),
-            class_sizes=list(classes.sizes),
-            values=values,
+            members=combined.members,
+            order=combined.order,
+            class_words=[words[c] for c in order],
+            class_sizes=[combined.class_sizes[c] for c in order],
+            values=combined.values[:, order],
             degrees=combined.degrees,
         )
 
+    def _fuse(self, sub: CoxeterMatrix, words) -> list[int]:
+        """Class fusion: the class of each word (in sub's generator
+        positions) in W_sub, found by the type of sub.  A product splits
+        each word by component and combines the components' classes; A1
+        goes by the word's parity and I2(m) by _dihedral_class; the
+        irreducible types of rank >= 3 evaluate the word in their model."""
+        t = sub.generators
+        parts = components(sub, t)
+        if len(parts) > 1:
+            self.table(sub, t)  # records the factors' class counts and column map
+            dims, columns = self._products[sub.m]
+            kron = np.zeros(len(words), dtype=np.int64)
+            for part, dim in zip(parts, dims):
+                local = {g: i for i, g in enumerate(part)}
+                part_words = [[local[s] for s in word if s in local] for word in words]
+                kron = kron * dim + self._fuse(sub.submatrix(part), part_words)
+            return columns[kron].tolist()
+        if len(t) < 2:  # the trivial group's only class word is ()
+            return [len(word) % 2 for word in words]
+        if len(t) == 2:
+            return [_dihedral_class(word, int(sub.m[0][1])) for word in words]
+        model = self.model(sub, t)
+        class_of = self.classes(sub, t).class_of
+        return [int(class_of[model.evaluate_word(word)]) for word in words]
+
     def embedding(self, w: CoxeterMatrix, t1, t2) -> list[int]:
-        """Class fusion of W_T1 into W_T2: evaluate each T1 class word in
-        the T2 model and look up its class."""
+        """Class fusion of W_T1 into W_T2: the class in W_T2 of each T1
+        class word."""
         t1 = canonical_subset(t1)
         t2 = canonical_subset(t2)
         if not set(t1) <= set(t2):
             raise ContractError(f"{t1} is not contained in {t2}")
         pos_in_big = {g: i for i, g in enumerate(t2)}
         words = [[pos_in_big[t1[p]] for p in word] for word in self.table(w, t1).class_words]
-        return _fuse(self.model(w, t2), self.classes(w, t2), words)
+        return self._fuse(w.submatrix(t2), words)
 
     def induction(self, w: CoxeterMatrix, t1, t2) -> IntMatrix:
         """Induction multiplicities R(W_T1) -> R(W_T2) for T1 inside T2."""

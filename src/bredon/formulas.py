@@ -55,8 +55,10 @@ def finite_homology(
     """H_0 = Z^(class count of W) for finite W; higher degrees vanish.
 
     order is |W|, or None when W is infinite, as SphericalPoset.full_order
-    gives it.  The class count comes from the realized permutation model,
-    not from character theory, so this route is independent of the chain
+    gives it.  The class count comes from the conjugacy classes of W's
+    realized Cayley graph, for every finite type, products, A1 and I2(m)
+    included, not from the closed-form classes or the character tables
+    the chain route uses, so this route stays independent of the chain
     assembly.
     """
     if order is None:

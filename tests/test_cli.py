@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -410,3 +411,47 @@ def test_validate_reports_malformed_case_and_goes_on(tmp_path, capsys, text, rea
 def test_validate_empty_directory(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path))
     assert code == 4
+
+
+I2_6_X_A1 = [[1, 6, 2], [6, 1, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cells", "{path}", "--order-cap", "4"],
+        ["homology", "{path}", "--method", "closed", "--dump-tables", "--order-cap", "4"],
+    ],
+)
+def test_order_cap_holds_on_paths_without_an_upfront_check(write_system, capsys, argv):
+    # neither path checks the largest parabolic before it starts, so the
+    # cap must be enforced where the I2(6) parabolic's classes are built
+    path = write_system(I2_6_X_A1)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 3
+    assert out == ""
+    assert err == "resource cap: |W_T| = 12 exceeds the order cap 4\n"
+
+
+@pytest.mark.parametrize(
+    "rows, digest",
+    [
+        (I2_6_X_A1, "4ab3e51056c46a7b8fd675b27fca6ab5cdac6dce42d5ca4e1f5c0c9d856363d4"),
+        (
+            [[1, 4, 2, 0], [4, 1, 6, 2], [2, 6, 1, 4], [0, 2, 4, 1]],
+            "7dcd8f82b83d9913adb39a3a19c3b956fe0dc12f8a8dfaf5f73d650c78a4785b",
+        ),
+        (
+            [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # H3 x A1
+            "1196d187c1eeaa2f92443bfad8fc6d4c1cdb4600b0f12c36beb5194ef40a5531",
+        ),
+    ],
+)
+def test_report_bytes_are_pinned(write_system, capsys, rows, digest):
+    # the table dump spells out the class order, class words and row
+    # order of every parabolic, so any change of convention shows here
+    path = write_system(rows)
+    code, out, err = run(capsys, "homology", path, "--output", "json",
+                         "--dump-tables", "--cells")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
