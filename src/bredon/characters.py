@@ -7,11 +7,14 @@ subgroup:
   closed forms, classes included;
 * reducible parabolics are tensor products of their factor tables;
 * every other irreducible finite type (rank >= 3) is realized as a
-  Cayley graph and goes through the Burnside-Dixon modular algorithm:
-  the common eigenvectors of the class-sum matrices over F_p,
-  p = 1 mod exponent(G), come from intersecting the eigenspaces of one
-  matrix after another (one mod-p nullspace per root), and are lifted to
-  C by discrete Fourier inversion along power maps.
+  Cayley graph and goes through the Burnside-Dixon modular algorithm
+  with Schneider's refinements: the common eigenvectors of the
+  class-sum matrices over F_p, p = 1 mod exponent(G), come from
+  splitting each current eigenspace by the block the next matrix
+  induces on it (one small mod-p nullspace per root of that block),
+  the structure constants are counted only for the classes the split
+  reads, and the eigenvectors are lifted to C by discrete Fourier
+  inversion along power maps.
 
 A table's columns are always the conjugacy classes in canonical order:
 sorted by (length, word) of their shortlex-least representative, so the
@@ -276,29 +279,34 @@ def _primitive_root(p: int) -> int:
     raise ConsistencyError("no primitive root found")
 
 
-def _mod_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning the nullspace of any m x n matrix mod p: reduce
-    to reduced row echelon form, one basis vector per free column."""
+def _mod_nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Columns spanning the nullspace of any m x n matrix mod p, and the
+    free columns: reduce to reduced row echelon form, one basis vector
+    per free column, so the basis restricted to the free rows is I."""
     a = mat.astype(np.int64) % p
-    n = a.shape[1]
+    m, n = a.shape
     pivots: list[int] = []
     for col in range(n):
         r = len(pivots)
-        nonzero = np.nonzero(a[r:, col])[0]
+        if r == m:
+            break
+        nonzero = np.flatnonzero(a[r:, col])
         if nonzero.size == 0:
             continue
         sel = r + int(nonzero[0])
-        a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
-        factors = a[:, col].copy()
-        factors[r] = 0
-        a = (a - np.outer(factors, a[r])) % p
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+        row = a[r] * pow(int(a[r, col]), -1, p) % p
+        a -= np.multiply.outer(a[:, col], row)
+        a[r] = row
+        a %= p
         pivots.append(col)
-    free = [c for c in range(n) if c not in pivots]
+    pivoted = set(pivots)
+    free = [c for c in range(n) if c not in pivoted]
     basis = np.zeros((n, len(free)), dtype=np.int64)
     basis[free, range(len(free))] = 1
-    basis[np.ix_(pivots, range(len(free)))] = -a[: len(pivots)][:, free] % p
-    return basis
+    basis[pivots] = -a[: len(pivots), free] % p
+    return basis, free
 
 
 def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
@@ -330,58 +338,93 @@ def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
 
 
 def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
-    """Class-algebra structure constants a_{ijk} mod p, as matrices
-    A[i][j, k]: with z fixed in class k, a_{ijk} counts x in class i with
-    x^{-1} z in class j.  x^{-1} z comes from walking z's word along the
-    right Cayley table from every x^{-1} at once."""
+    """Class-algebra structure constants a_{ijk} mod p, as the matrices
+    A_i[j, k] for i = 1, 2, ... in class order, built only as they are
+    read: with z fixed in class k, a_{ijk} counts x in class i with
+    x^{-1} z in class j.
+
+    The classes come in blocks of 1, 2, 4, ... classes.  For a block,
+    x^{-1} z comes from walking the words of all class representatives
+    z along the right Cayley table from x^{-1}, for every x of the block
+    at once; the words are walked in lexicographic order, so each prefix
+    they share is walked once.  A split that reads few classes walks few
+    elements, and one that reads them all makes about log2 k passes over
+    the group.
+    """
     k = classes.count
     class_of = classes.class_of.astype(np.int64)
     right_cols = np.ascontiguousarray(model.right.T)
-    a = np.zeros((k, k, k), dtype=np.int64)
-    for kk, word in enumerate(classes.rep_words):
-        cur = model.inv
-        for s in word:
-            cur = right_cols[s][cur]
-        a[:, :, kk] = np.bincount(class_of * k + class_of[cur], minlength=k * k).reshape(k, k)
-    return a % p
+    words = classes.rep_words
+    lex = sorted(range(k), key=lambda c: words[c])
+    lo, width = 1, 1
+    while lo < k:
+        hi = min(lo + width, k)
+        xs = np.flatnonzero((class_of >= lo) & (class_of < hi))
+        rows = (class_of[xs] - lo) * k  # x in class i counts in row (i - lo, j)
+        a = np.empty((hi - lo, k, k), dtype=np.int64)
+        walked = [model.inv.take(xs)]  # walked[l]: after l letters of prev
+        prev: tuple[int, ...] = ()
+        for c in lex:
+            word = words[c]
+            common = 0
+            while common < min(len(prev), len(word)) and prev[common] == word[common]:
+                common += 1
+            del walked[common + 1 :]
+            for s in word[common:]:
+                walked.append(right_cols[s].take(walked[-1]))
+            hits = rows + class_of.take(walked[-1])
+            a[:, :, c] = np.bincount(hits, minlength=(hi - lo) * k).reshape(hi - lo, k)
+            prev = word
+        yield from a % p
+        lo, width = hi, 2 * width
 
 
-def _split_eigenvectors(mats: np.ndarray, p: int) -> list[np.ndarray]:
-    """Common eigenvectors (normalized so entry 0 is 1) of the commuting
-    family mats[1:], by deterministic eigenspace intersection.
+def _split_eigenvectors(mats, k: int, p: int) -> list[np.ndarray]:
+    """Common eigenvectors (normalized so entry 0 is 1) of a commuting
+    family of k x k matrices, read one at a time from the iterable mats
+    and only while some space still has dimension above 1.
 
-    Each matrix A cuts every current space, a column basis B, into the
-    pieces B null((A - lam I) B), one per root lam of A in ascending
-    order.  The family commutes and is diagonalisable over F_p (p does
-    not divide |G|), so the pieces of an A-invariant space fill it; the
-    dimension count catches a space that A does not leave invariant.
+    Each current space is a column basis B with a row set R such that
+    B[R] = I, starting from I_k with R all rows.  A matrix A acts on the
+    space through the d x d block C = (A B)[R], and A B = B C mod p
+    checks that the space is A-invariant.  A scalar C leaves the space
+    whole; otherwise each root lam of C's own characteristic
+    polynomial, in ascending order, cuts off the piece
+    B N with N = null(C - lam I), whose free rows are I, so the piece's
+    row set is R at those rows.  The family is diagonalisable over F_p
+    (p does not divide |G|), so the pieces of an invariant space fill
+    it; the dimension count checks that they do.
     """
-    k = mats.shape[1]
-    spaces = [np.eye(k, dtype=np.int64)]
-    for a in mats[1:]:
-        if all(b.shape[1] == 1 for b in spaces):
+    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
+    mats = iter(mats)
+    while any(b.shape[1] > 1 for b, _ in spaces):
+        a = next(mats, None)
+        if a is None:
             break
-        roots = _charpoly_roots(a, p)
         refined = []
-        for b in spaces:
+        for b, rows in spaces:
             d = b.shape[1]
             if d == 1:
-                refined.append(b)
+                refined.append((b, rows))
                 continue
             ab = a @ b % p
+            c = ab[rows]
+            if np.any((ab - b @ c) % p):
+                raise ConsistencyError("class-sum matrix does not preserve an eigenspace")
+            eye = np.eye(d, dtype=np.int64)
+            if not np.any(c - c[0, 0] * eye):
+                refined.append((b, rows))
+                continue
             total = 0
-            for lam in roots:
-                ns = _mod_nullspace(ab - lam * b, p)
-                if ns.shape[1]:
-                    total += ns.shape[1]
-                    refined.append(b @ ns % p)
-                    if total == d:
-                        break
+            for lam in _charpoly_roots(c, p):
+                ns, free = _mod_nullspace(c - lam * eye, p)
+                total += len(free)
+                refined.append((b @ ns % p, rows[free]))
             if total != d:
                 raise ConsistencyError("eigenspace refinement lost dimensions")
         spaces = refined
     vectors = []
-    for b in spaces:
+    for b, _ in spaces:
         if b.shape[1] != 1:
             raise ConsistencyError("class-sum matrices failed to split completely")
         v = b[:, 0]
@@ -430,8 +473,7 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
     ]
     p = _find_prime(exponent, max(int(2 * sqrt(order)) + 1, k + 2, exponent + 1))
 
-    mats = _structure_matrices(model, classes, p)
-    omegas = _split_eigenvectors(mats, p)
+    omegas = _split_eigenvectors(_structure_matrices(model, classes, p), k, p)
     if len(omegas) != k:
         raise ConsistencyError(f"found {len(omegas)} central characters, expected {k}")
 

@@ -599,7 +599,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="spherical subsets and finite types")
     p.add_argument("input", help="JSON file with rank and Coxeter matrix")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("homology", help="Bredon homology and K-theory")
     p.add_argument("input")
@@ -618,36 +617,40 @@ def build_parser() -> _Parser:
     p.add_argument("--cells", action="store_true",
                    help="include the cell structure in the report")
     common(p)
-    p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("cells", help="quotient cell structure and blocks")
     p.add_argument("input")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     common(p)
-    p.set_defaults(func=cmd_cells)
 
     p = sub.add_parser("validate", help="run a corpus of known answers")
     p.add_argument("corpus", nargs="?", default=None,
                    help="directory of case files (default: bundled corpus)")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     common(p)
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
+# built once per process: parse_args fills a fresh namespace on every
+# call and leaves the parser as it was
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         for option, low in (("order_cap", 1), ("max_degree", 0)):
             value = getattr(args, option, None)
             if value is not None and value < low:
-                parser.error(f"--{option.replace('_', '-')} must be at least {low}, got {value}")
+                _PARSER.error(f"--{option.replace('_', '-')} must be at least {low}, got {value}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # the command is looked up when it runs, so the parser holds no
+    # function and a wrapper put on cmd_<command> later is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (MatrixError, ContractError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,7 +15,7 @@ finite irreducible Coxeter groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
@@ -37,6 +37,10 @@ class CoxeterMatrix:
     """Immutable Coxeter matrix; entries are ints or ``math.inf``."""
 
     m: tuple[tuple[float, ...], ...]
+    # induced matrices already built, by subset; lives as long as the system
+    _submatrices: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     @property
     def rank(self) -> int:
@@ -50,9 +54,14 @@ class CoxeterMatrix:
         return self.m[i][j]
 
     def submatrix(self, t: tuple[int, ...]) -> "CoxeterMatrix":
-        """Induced matrix on the generators in t (sorted order)."""
+        """Induced matrix on the generators in t (sorted order), built
+        once per subset."""
         t = canonical_subset(t)
-        return CoxeterMatrix(tuple(tuple(self.m[i][j] for j in t) for i in t))
+        sub = self._submatrices.get(t)
+        if sub is None:
+            sub = CoxeterMatrix(tuple(tuple(self.m[i][j] for j in t) for i in t))
+            self._submatrices[t] = sub
+        return sub
 
     def is_right_angled(self) -> bool:
         return all(

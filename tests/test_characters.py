@@ -11,12 +11,13 @@ from bredon.characters import (
     RepRingCache,
     _charpoly_roots,
     _mod_nullspace,
+    _split_eigenvectors,
     dixon_table,
     induction_matrix,
     restriction_matrix,
 )
 from bredon.coxeter import parse_matrix
-from bredon.errors import ResourceCapError
+from bredon.errors import ConsistencyError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
 
 
@@ -131,12 +132,22 @@ def _mod_p_cases():
 
 @pytest.mark.parametrize("p, mat", _mod_p_cases())
 def test_mod_nullspace_oracle(p, mat):
-    basis = _mod_nullspace(mat, p)
+    basis, _ = _mod_nullspace(mat, p)
     n = mat.shape[1]
     assert basis.shape == (n, _brute_nullity(mat, p))
     assert not np.any(mat @ basis % p)
     # independent: only the zero combination of the columns vanishes
     assert _kernel_size(basis, p) == 1
+
+
+@pytest.mark.parametrize("p, mat", _mod_p_cases())
+def test_mod_nullspace_free_rows_are_the_identity(p, mat):
+    # the split reads a piece's row set off the free columns, so the
+    # basis must be I on exactly those rows, in order
+    basis, free = _mod_nullspace(mat, p)
+    assert list(free) == sorted(set(free))
+    assert len(free) == basis.shape[1]
+    assert np.array_equal(basis[free], np.eye(len(free), dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -147,6 +158,81 @@ def test_charpoly_roots_oracle(p, mat):
     eye = np.eye(k, dtype=np.int64)
     expected = [x for x in range(p) if _brute_nullity((mat - x * eye) % p, p) > 0]
     assert _charpoly_roots(mat % p, p) == expected
+
+
+def _structure_constants_by_full_walk(model, classes, p):
+    # reference: walk every class word from x^{-1} for every x of the group
+    k = classes.count
+    a = np.zeros((k, k, k), dtype=np.int64)
+    for c, word in enumerate(classes.rep_words):
+        cur = model.inv
+        for s in word:
+            cur = model.right[cur, s]
+        np.add.at(a[:, :, c], (classes.class_of, classes.class_of[cur]), 1)
+    return a % p
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 3, 2], [3, 1, 3], [2, 3, 1]],  # A3: blocks of 1, 2, 1 classes
+        [[1, 4, 2], [4, 1, 3], [2, 3, 1]],  # B3
+        [[1, 5, 2], [5, 1, 3], [2, 3, 1]],  # H3
+        [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],  # D4
+        [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]],  # F4: 25 classes
+    ],
+    ids=["A3", "B3", "H3", "D4", "F4"],
+)
+def test_structure_matrices_match_a_walk_over_the_whole_group(rows):
+    w = parse_matrix(rows)
+    model = realize_group(w, w.generators)
+    classes = conjugacy_classes(model)
+    p = 10007
+    blocks = np.array(list(characters._structure_matrices(model, classes, p)))
+    assert np.array_equal(blocks, _structure_constants_by_full_walk(model, classes, p)[1:])
+
+
+@pytest.mark.parametrize(
+    "rows, p",
+    [
+        ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], 61),  # H3, exponent 30
+        ([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]], 73),  # F4, exponent 24
+    ],
+    ids=["H3", "F4"],
+)
+def test_split_vectors_are_eigenvectors_of_every_class_matrix(rows, p):
+    # the split stops reading class matrices once every space is a line;
+    # the lines it returns must still be eigenvectors of all of them
+    w = parse_matrix(rows)
+    model = realize_group(w, w.generators)
+    classes = conjugacy_classes(model)
+    k = classes.count
+    mats = list(characters._structure_matrices(model, classes, p))
+    assert len(mats) == k - 1
+    vectors = _split_eigenvectors(mats, k, p)
+    assert len(vectors) == k
+    assert len({tuple(v.tolist()) for v in vectors}) == k
+    for v in vectors:
+        assert v[0] == 1
+        for a in mats:
+            av = a @ v % p
+            assert np.array_equal(av, av[0] * v % p)
+
+
+def test_split_rejects_non_commuting_matrices():
+    # b swaps e0 and e2, so it does not preserve a's eigenplane span(e0, e1)
+    p = 7
+    a = np.diag([1, 1, 2])
+    b = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert np.any((a @ b - b @ a) % p)
+    with pytest.raises(ConsistencyError, match="does not preserve"):
+        _split_eigenvectors([a, b], 3, p)
+
+
+def test_split_rejects_a_matrix_that_is_not_diagonalisable():
+    # a Jordan block has one eigenvalue and a one-dimensional eigenspace
+    with pytest.raises(ConsistencyError, match="lost dimensions"):
+        _split_eigenvectors([np.array([[1, 1], [0, 1]])], 2, 7)
 
 
 def test_dixon_degrees_for_rank3_types(rings):

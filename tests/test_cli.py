@@ -10,6 +10,7 @@ from bredon.characters import RepRingCache
 from bredon.cli import main
 from bredon.coxeter import parse_matrix
 from bredon.errors import ContractError
+from bredon.groups import DEFAULT_ORDER_CAP
 
 
 @pytest.fixture()
@@ -295,6 +296,29 @@ def test_max_degree_flag(write_system, capsys):
     assert report["k_theory"]["K1"] == {"free_rank": 1, "torsion": []}
 
 
+def test_consecutive_calls_share_no_state(write_system, capsys):
+    # main parses with one parser for the whole process, so an option or
+    # a usage error of one call must not reach the next
+    path = write_system([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    code, out, _ = run(capsys, "homology", path, "--max-degree", "1", "--method", "closed",
+                       "--order-cap", "100", "--dump-tables", "--output", "json")
+    assert code == 0
+    first = json.loads(out)
+    assert first["parameters"] == {"max_degree": 1, "method": "closed", "order_cap": 100}
+    assert "tables" in first
+    code, out, err = run(capsys, "homology", path, "--max-degree", "-1")
+    assert (code, out) == (4, "")
+    assert err.startswith("usage error:")
+    code, out, _ = run(capsys, "homology", path, "--output", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["parameters"] == {
+        "max_degree": 3, "method": "auto", "order_cap": DEFAULT_ORDER_CAP
+    }
+    assert set(report["methods"]) == {"chain", "closed:low-rank"}
+    assert "cells" not in report and "tables" not in report
+
+
 def test_validate_bundled_corpus(capsys):
     code, out, _ = run(capsys, "validate")
     assert code == 0
@@ -453,5 +477,39 @@ def test_report_bytes_are_pinned(write_system, capsys, rows, digest):
     path = write_system(rows)
     code, out, err = run(capsys, "homology", path, "--output", "json",
                          "--dump-tables", "--cells")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _line(labels):
+    """Coxeter matrix of a linear diagram with the given edge labels."""
+    n = len(labels) + 1
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, m in enumerate(labels):
+        rows[i][i + 1] = rows[i + 1][i] = m
+    return rows
+
+
+E6_ROWS = [[1, 2, 3, 2, 2, 2], [2, 1, 2, 3, 2, 2], [3, 2, 1, 3, 2, 2],
+           [2, 3, 3, 1, 3, 2], [2, 2, 2, 3, 1, 3], [2, 2, 2, 2, 3, 1]]
+
+
+@pytest.mark.parametrize(
+    "rows, digest",
+    [
+        (_line([3, 4, 3]), "5bfb22a9c814737f8be265395fc99dec3820227ddb3e39042bc956c25ef3b6a5"),
+        (_line([5, 3, 3]), "4b71b8f7ed2f9ded9b1cbea57b2c820789c0e293f954ce729fcb138139f8666b"),
+        (_line([4, 3, 3, 3]), "94d547f01fc2c987cf5683bf4afe450fef931c9336dfde5378be604a0ac86452"),
+        (E6_ROWS, "eba9981d997372080045d7e123989a64717a8ef661bf1cb149fd585fa4d5914e"),
+        (_line([4, 3, 3, 3, 3]), "6c386b279383a3aa0cd1d2c07f55474281b9c485fc916bcff4db546447f9a71f"),
+    ],
+    ids=["F4", "H4", "B5", "E6", "B6"],
+)
+def test_dixon_table_dumps_are_pinned(write_system, capsys, rows, digest):
+    # every parabolic of these types of rank >= 3 goes through Dixon's
+    # split, so its eigenvectors, degrees and row order all show here
+    path = write_system(rows)
+    code, out, err = run(capsys, "homology", path, "--method", "closed",
+                         "--output", "json", "--dump-tables", "--order-cap", "60000")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
