@@ -309,6 +309,15 @@ def _mod_nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return basis, free
 
 
+def _require_exact_float(length: int, p: int, what: str) -> None:
+    """Raise ResourceCapError unless float64 sums of `length` products of
+    residues mod p are exact: length (p - 1)^2 < 2^53."""
+    if length * (p - 1) ** 2 >= 2**53:
+        raise ResourceCapError(
+            f"float64 products mod {p} are not exact at {what} {length}"
+        )
+
+
 def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
     """Roots in F_p of det(x I - a) by a scan of F_p in chunks of
     _SCAN_CHUNK values, so memory does not grow with p, with coefficients
@@ -316,10 +325,7 @@ def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
     c_{k-j} = -tr(a M_j) / j, so p must exceed k.  The products run in
     float64 (BLAS), which is exact while k (p - 1)^2 < 2^53."""
     k = a.shape[0]
-    if k * (p - 1) ** 2 >= 2**53:
-        raise ResourceCapError(
-            f"float64 products mod {p} are not exact at dimension {k}"
-        )
+    _require_exact_float(k, p, "dimension")
     af = (a % p).astype(np.float64)
     eye = np.eye(k)
     coeffs = [1]  # c_k, c_{k-1}, ..., c_0
@@ -472,6 +478,7 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
         powers[np.arange(exponent) % rep_orders[:, None], np.arange(k)[:, None]]
     ]
     p = _find_prime(exponent, max(int(2 * sqrt(order)) + 1, k + 2, exponent + 1))
+    _require_exact_float(exponent, p, "exponent")  # the Fourier lift below
 
     omegas = _split_eigenvectors(_structure_matrices(model, classes, p), k, p)
     if len(omegas) != k:
@@ -498,22 +505,29 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
 
     theta = pow(_primitive_root(p), (p - 1) // exponent, p)
     theta_pow = np.array(
-        [pow(theta, j, p) for j in range(exponent)], dtype=np.int64
+        [pow(theta, j, p) for j in range(exponent)], dtype=np.float64
     )
     # fourier[j, l] = theta^(-j l)
     fourier = theta_pow[(-np.outer(np.arange(exponent), np.arange(exponent))) % exponent]
     inv_e = pow(exponent, -1, p)
     zeta = np.exp(2j * pi * np.arange(exponent) / exponent)
 
+    # mults[t, i, l]: multiplicity of theta^l among the eigenvalues of
+    # rep_i in character t, for every t from one float64 product (BLAS) of
+    # chi_bar at the powers with the Fourier matrix; all entries stay
+    # integers below 2^53, so every step is exact
+    mults = chi_bar.astype(np.float64)[:, power_class].reshape(k * k, exponent) @ fourier.T
+    mults %= p
+    mults *= inv_e
+    mults %= p
+    mults = mults.reshape(k, k, exponent)
     values = np.zeros((k, k), dtype=complex)
     for t in range(k):
-        evals = chi_bar[t][power_class]  # (k, exponent): chi_bar at powers
-        mults = (evals @ fourier.T) % p * inv_e % p  # (k, exponent)
-        if np.any(mults > degrees[t]):
+        if np.any(mults[t] > degrees[t]):
             raise ConsistencyError("lifted multiplicities exceed the degree")
-        if np.any(np.sum(mults, axis=1) != degrees[t]):
+        if np.any(np.sum(mults[t], axis=1) != degrees[t]):
             raise ConsistencyError("lifted multiplicities do not sum to the degree")
-        values[t] = mults.astype(complex) @ zeta
+        values[t] = mults[t].astype(complex) @ zeta
 
     # rows by degree, then by their values rounded once, read as
     # (real, imag) pairs class by class
@@ -553,27 +567,19 @@ def induction_matrix(
 
     embedding[j] is the big-group class that the j-th sub-group class
     fuses into.  Rows are big irreducibles, columns sub irreducibles, so
-    composing matrices composes inductions.  Uses the class-wise Frobenius
-    formula for the induced character, then inner products.
+    composing matrices composes inductions.  With the fusion matrix
+    F[j, embedding[j]] = |class j|, chi . F sums a sub character over each
+    big class, and the Frobenius formula for the induced character turns
+    the inner products into big.values @ conj(sub.values @ F)^T / |W_T|.
     """
     if big.order % sub.order:
         raise ContractError("subgroup order does not divide the group order")
-    ind_vals = np.zeros((sub.n_irreducibles, big.n_classes), dtype=complex)
-    for j, c in enumerate(embedding):
-        ind_vals[:, c] += sub.class_sizes[j] * sub.values[:, j]
-    scale = np.array(
-        [
-            big.order / (sub.order * size)
-            for size in big.class_sizes
-        ]
-    )
-    ind_vals *= scale
-    sizes = np.array(big.class_sizes, dtype=float)
-    raw = (big.values * sizes) @ ind_vals.conj().T / big.order
+    fusion = np.zeros((sub.n_classes, big.n_classes), dtype=complex)
+    fusion[np.arange(sub.n_classes), embedding] = sub.class_sizes
+    raw = big.values @ (sub.values @ fusion).conj().T / sub.order
     rows = _round_int_rows(raw, "induction matrix")
     index = big.order // sub.order
-    for j in range(sub.n_irreducibles):
-        total = sum(rows[i][j] * big.degrees[i] for i in range(big.n_irreducibles))
+    for j, total in enumerate(np.dot(big.degrees, rows).tolist()):
         if total != index * sub.degrees[j]:
             raise ConsistencyError(
                 "induced degree mismatch: column "

@@ -11,9 +11,14 @@ The elements are then closed one length layer at a time as root
 permutations.  An element is fixed by its images of the simple roots, and
 w(a_i) lies in the W-orbit of a_i, so each element gets one integer key:
 digit i is the place of w(a_i) inside that orbit, and the digits are
-packed mixed-radix (radix = orbit size) into an int64.  Only the Cayley
-graph outlives the closure: the shortlex tree (parent and last letter of
-each element) and the int32 tables of x s, s x and x^-1.  Products,
+packed mixed-radix (radix = orbit size) into an int64.  The ascents x s
+of a layer are numbered with array operations only: one stable sort of
+their keys groups equal keys, and each new element takes the place of
+its first ascent, which keeps the elements in (length, word) order.  The
+next layer's permutations and keys are gathered in blocks of rows, so
+memory stays near one layer's permutations.  Only the Cayley graph
+outlives the closure: the shortlex tree (parent and last letter of each
+element) and the int32 tables of x s, s x and x^-1.  Products,
 conjugation, words and powers are exact integer gathers on it.
 
 Generators inside a model are addressed by *position* in the sorted
@@ -34,6 +39,7 @@ DEFAULT_ORDER_CAP = 14400
 
 _MATCH_TOL = 1.0e-9
 _KEY_DECIMALS = 6  # root coordinates of the finite types are >> 1e-6 apart
+_GATHER_ROWS = 512  # rows of a layer's permutations gathered at once
 
 
 def _root_keys(vecs: np.ndarray) -> list[tuple]:
@@ -132,7 +138,7 @@ def _close_roots(b: np.ndarray):
                 orbit.append(src)
                 fresh.append(c)
                 fresh_ids.append(r)
-            else:
+            elif orbit[r] != src:  # equal labels are joined already
                 a, b = find(src), find(orbit[r])
                 joined[max(a, b)] = min(a, b)
             targets.append(r)
@@ -198,38 +204,60 @@ def realize_group(
     # one length layer only.  x . s is longer than x exactly when x(a_s)
     # is a positive root, and every such ascent is an element of the next
     # layer, so keys are only told apart within a layer.  Ascents come in
-    # (x, s) order and each new key is numbered where it is first seen,
-    # so elements come in (length, word) order and an element's first
-    # ascent is its tree edge.  The descents are filled after the closure
-    # from the ascents, one generator at a time: y . s = x gives x . s = y.
-    # Gathers go through take, whose fixed cost is far below fancy
-    # indexing on the many tiny parabolics.
+    # (x, s) order.  One stable sort of their keys puts each key's first
+    # ascent at the head of its run, and each new element is numbered by
+    # the place of that first ascent, so elements come in (length, word)
+    # order and an element's first ascent is its tree edge.  The next
+    # layer's permutations and keys are built _GATHER_ROWS rows at a time,
+    # so no gather index spans a whole layer.  The descents are filled
+    # after the closure from the ascents, one generator at a time:
+    # y . s = x gives x . s = y.  Gathers go through take, whose fixed cost
+    # is far below fancy indexing on the many tiny parabolics; every index
+    # is in range, and mode="clip" lets take write straight into out,
+    # which the default mode would buffer.
     right = np.full((order, k), -1, dtype=np.int32)
     right_flat = right.reshape(-1)
-    parent = np.zeros(order, dtype=np.int32)
-    letter = np.zeros(order, dtype=np.int32)
     simple_images = gen_perms[:, :k].ravel()  # s_s(a_i) at s k + i
+
+    def keys_of(rows):
+        """Keys of x . s for the root permutations x in rows, at x k + s."""
+        return root_place.take(rows.take(simple_images, axis=1)).reshape(-1, k).dot(key_weights)
+
     perms = np.arange(nroots, dtype=np.int32)[None, :]  # root permutations of the layer
+    keys = keys_of(perms)
     layers = [0, 1]
+    letters = [np.zeros(1, dtype=np.int32)]  # last letter of each word, by layer
     start, stop = 0, 1
     while stop < order:
         ascents = positive.take(perms[:, :k]).reshape(-1).nonzero()[0]
-        keys = root_place.take(perms.take(simple_images, axis=1)).reshape(-1, k).dot(key_weights)
-        index: dict = {}
-        found = [index.setdefault(key, len(index)) for key in keys.take(ascents).tolist()]
-        found = np.array(found, dtype=np.int64)
-        end = stop + len(index)
+        keys = keys.take(ascents)
+        by_key = keys.argsort(kind="stable")
+        sorted_keys = keys.take(by_key)
+        head = by_key.take(sorted_keys.searchsorted(sorted_keys))  # each run's first ascent
+        number = np.zeros(len(keys), dtype=np.int32)
+        number[head] = 1
+        heads = number.nonzero()[0]
+        end = stop + len(heads)
         if end > order:
             raise ConsistencyError(f"closure exceeded the classified order {order}")
         if end == stop:
             break
-        first = ascents.take(np.maximum.accumulate(found).searchsorted(np.arange(len(index))))
-        found += stop
-        right_flat[start * k : stop * k][ascents] = found
-        src, gen = np.divmod(first, k)
-        parent[stop:end] = src + start
-        letter[stop:end] = gen
-        perms = perms.take((src * nroots)[:, None] + gen_perms.take(gen, axis=0))
+        number[0] = stop  # ascent 0 heads element stop
+        np.add.accumulate(number, out=number)  # at each head: its element
+        right_flat[start * k : stop * k][ascents.take(by_key)] = number.take(head)
+        src, gen = np.divmod(ascents.take(heads), k)
+        letters.append(gen)
+        nxt = np.empty((end - stop, nroots), dtype=np.int32)
+        keys = np.empty((end - stop) * k, dtype=np.int64)
+        for lo in range(0, end - stop, _GATHER_ROWS):
+            hi = lo + _GATHER_ROWS
+            block = perms.take(
+                src[lo:hi, None] * nroots + gen_perms.take(gen[lo:hi], axis=0),
+                out=nxt[lo:hi],
+                mode="clip",
+            )
+            keys[lo * k : hi * k] = keys_of(block)
+        perms = nxt
         layers.append(end)
         start, stop = stop, end
     if stop != order:
@@ -241,11 +269,14 @@ def realize_group(
         col[col.take(ascents)] = ascents
     if right_flat.min() < 0:
         raise ConsistencyError("closure left a product unresolved")
+    letter = np.concatenate(letters, dtype=np.int32)
+    parent = right_flat.take(np.arange(0, order * k, k) + letter)  # x . s_letter[x]
+    parent[0] = 0
 
     # left and inv layer by layer from s (p t) = (s p) t and
-    # (p t)^-1 = t p^-1, as flat gathers.  The tables are scaled by k while
-    # they are built, so that each entry is already the flat offset of its
-    # row.
+    # (p t)^-1 = t p^-1, as flat gathers into the tables.  The tables are
+    # scaled by k while they are built, so that each entry is already the
+    # flat offset of its row.
     right_flat *= k
     left = np.empty_like(right)
     inv = np.zeros(order, dtype=np.int32)
@@ -254,8 +285,8 @@ def realize_group(
     letter_col = letter[:, None]
     for a, b in zip(layers[1:], layers[2:]):
         par = parent[a:b]
-        left[a:b] = right_flat.take(left.take(par, axis=0) + letter_col[a:b])
-        inv[a:b] = left_flat.take(inv.take(par) + letter[a:b])
+        right_flat.take(left.take(par, axis=0) + letter_col[a:b], out=left[a:b], mode="clip")
+        left_flat.take(inv.take(par) + letter[a:b], out=inv[a:b], mode="clip")
     for table in (right, left, inv):
         table //= k
 

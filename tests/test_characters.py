@@ -1,5 +1,6 @@
 """Character tables, induction, restriction, and the representation-ring cache."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -347,6 +348,27 @@ def test_frobenius_reciprocity(rings):
         assert ind == res
 
 
+def test_induction_matrix_keeps_its_checks(rings):
+    # A2 < A3 with one table corrupted at a time
+    w = parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    sub, big = rings.table(w, (0, 1)), rings.table(w, w.generators)
+    embed = rings.embedding(w, (0, 1), w.generators)
+    assert induction_matrix(sub, big, embed) == restriction_matrix(sub, big, embed)
+    cases = [
+        (dataclasses.replace(sub, values=sub.values * 1j), big, "complex entry"),
+        (dataclasses.replace(sub, values=sub.values / 2), big, "non-integer entry"),
+        (dataclasses.replace(sub, values=-sub.values), big, "negative entry"),
+        (
+            sub,
+            dataclasses.replace(big, degrees=[d + 1 for d in big.degrees]),
+            "induced degree mismatch: column 0 gives",
+        ),
+    ]
+    for bad_sub, bad_big, message in cases:
+        with pytest.raises(ConsistencyError, match=message):
+            induction_matrix(bad_sub, bad_big, embed)
+
+
 def test_induction_transitivity(rings):
     # Ind_K^M = Ind_L^M . Ind_K^L for K < L < M
     w = parse_matrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
@@ -405,6 +427,29 @@ def test_charpoly_roots_refuses_inexact_float_products():
     # 2 * (p - 1)^2 >= 2^53: float64 sums of products would round
     with pytest.raises(ResourceCapError):
         _charpoly_roots(np.zeros((2, 2), dtype=np.int64), 2**27 + 1)
+
+
+def test_exact_float_guard_boundary():
+    characters._require_exact_float(1, 2**26 + 1, "length")  # 2^52 < 2^53
+    with pytest.raises(ResourceCapError):
+        characters._require_exact_float(2, 2**26 + 1, "length")  # 2^53
+
+
+def test_dixon_refuses_an_inexact_fourier_lift(monkeypatch):
+    # A3 has exponent 12, and 33554473 is a prime = 1 mod 12 with
+    # 12 (p - 1)^2 >= 2^53: the float64 lift of the characters would
+    # round, so the table is refused before any class constant is counted
+    w = parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    model = realize_group(w, w.generators)
+    classes = conjugacy_classes(model)
+    monkeypatch.setattr(characters, "_find_prime", lambda exponent, minimum: 33554473)
+
+    def counted(*args):
+        raise AssertionError("class constants counted")
+
+    monkeypatch.setattr(characters, "_structure_matrices", counted)
+    with pytest.raises(ResourceCapError, match="not exact at exponent 12"):
+        dixon_table(model, classes)
 
 
 def _charpoly_roots_leibniz(a, p):

@@ -1,5 +1,6 @@
 """Cayley-graph models of finite standard parabolics and conjugacy."""
 
+import hashlib
 import random
 import time
 import tracemalloc
@@ -9,7 +10,8 @@ import pytest
 
 from bredon.characters import _power_maps
 from bredon.coxeter import parse_matrix, spherical_order
-from bredon.errors import ResourceCapError
+from bredon import groups
+from bredon.errors import ConsistencyError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
 
 
@@ -354,6 +356,71 @@ def test_e6_model_memory():
     # int32 right and left of 51840 x 6, plus inv, parent and letter: 3.1 MB
     assert g.order == 51840
     assert retained < 4 * 2**20
+
+
+def test_e6_closure_peak_memory():
+    # the closure gathers the next layer's permutations and keys a block of
+    # rows at a time, so no int64 gather index spans a whole layer (3,662
+    # elements x 72 roots); the model itself keeps 3.1 MB
+    w = parse_matrix(CLASSICAL_COUNTS["E6"][0])
+    tracemalloc.start()
+    try:
+        realize_group(w, w.generators, order_cap=60000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+# sha256 of parent, letter, right, left and inv (int32, little-endian, in
+# that order), generated before the closure numbered layers by sorting
+MODEL_DIGESTS = {
+    "H4": "fbaafd16f2abd70454b3dad033bf0edcf2097c7cff2083ba5b06856d5edef115",
+    "F4": "910677427c209dfaaea114f871aa04d642a9da76fe48236466ebeba0c49bb23c",
+    "B5": "0adac910e4cae4aca54219db9d92ef8610ebd53487e48bbbb0097370bffb7cf0",
+    "A6": "e7b662ad346da9aa8a48b9b94b085fbd6fbbe7fbd71579fabb47df7550efa93c",
+    "D6": "de3607e0788d7c99fdc471990424a52eb25112e364c7b8b4c5e950042b03b71a",
+    "B6": "80e50f746b5110e38546edc9f4c1e9b3533046057433c20ac827cf3a1c7cd355",
+    "E6": "aee3f5b720e6fc416383fa985812876923a2d622ddf7aac3d979047e49dd5974",
+}
+PINNED_MODELS = {
+    "B5": path([4, 3, 3, 3]),
+    "A6": path([3] * 5),
+    **{name: CLASSICAL_COUNTS[name][0] for name in ("H4", "F4", "D6", "B6", "E6")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_large_models_are_pinned(name):
+    # the brute-force oracles above stop at rank 4
+    g = realize(PINNED_MODELS[name], cap=60000)
+    digest = hashlib.sha256()
+    for table in (g.parent, g.letter, g.right, g.left, g.inv):
+        assert table.dtype == np.int32 and len(table) == g.order
+        digest.update(table.astype("<i4").tobytes())
+    assert digest.hexdigest() == MODEL_DIGESTS[name]
+
+
+def test_closure_checks_the_classified_order(monkeypatch):
+    # B3's length layers hold 1, 3, 5, 7, 8, 8, 7, 5, 3, 1 elements.  Told
+    # 46, the closure overflows inside the layer of 3; told 47, it stops
+    # before w0 and leaves the ascents of that layer unresolved.  H3 told
+    # 121 closes all 120 elements and then finds no new one.
+    b3, h3 = parse_matrix(path([4, 3])), parse_matrix(path([5, 3]))
+    true_order = groups.spherical_order
+    shift = {}
+    monkeypatch.setattr(groups, "spherical_order", lambda w, t: true_order(w, t) + shift[w.m])
+    shift[b3.m] = -2
+    with pytest.raises(ConsistencyError, match="closure exceeded the classified order 46"):
+        realize_group(b3, b3.generators)
+    shift[b3.m] = -1
+    with pytest.raises(ConsistencyError, match="closure left a product unresolved"):
+        realize_group(b3, b3.generators)
+    shift[h3.m] = 1
+    with pytest.raises(
+        ConsistencyError, match="closure produced 120 elements, classification says 121"
+    ):
+        realize_group(h3, h3.generators)
 
 
 @pytest.mark.parametrize("name", ["F4", "H4"])
