@@ -3,12 +3,12 @@
 The package takes a Coxeter matrix, enumerates the spherical subsets,
 builds the character tables of their finite parabolics and the induction
 maps between them, assembles the Bredon chain complex of the Davis
-complex with representation-ring coefficients, and computes its
-homology exactly.
+complex's cubical cells with representation-ring coefficients, and
+computes its homology exactly.
 Closed-form theorems (finite, right-angled, even, low-rank, Kunneth)
-provide independent cross-checks, and when homology is concentrated in
-degrees 0 and 1 the equivariant K-homology and the K-theory of the
-reduced group C*-algebra are read off via Baum-Connes.
+provide independent cross-checks, and when the Atiyah-Hirzebruch
+spectral sequence must collapse the equivariant K-homology and the
+K-theory of the reduced group C*-algebra are read off via Baum-Connes.
 """
 
 from .abelian import FgAbGroup, HomologyProfile
@@ -18,6 +18,7 @@ from .chains import (
     build_cells,
     cell_pair_homology,
     chain_homology,
+    cubical_complex,
     relative_complex,
 )
 from .characters import (

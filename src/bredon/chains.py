@@ -1,23 +1,38 @@
 """The Bredon chain complex of the Davis complex, modulo the group action.
 
-The quotient of the Davis complex by W has one cell per strictly
-increasing chain T_1 < T_2 < ... < T_n of nonempty-or-empty spherical
-subsets (the empty set is allowed and sits at the bottom); that cell has
-dimension n - 1 and stabilizer conjugate to W_{T_1}.  The Bredon chain
-group in degree d is the direct sum of R_C(W_{T_1}) over the degree-d
-cells, and the boundary deletes one chain entry at a time:
+Two cell structures on the chamber K = |S^f| give the same homology.
+
+The cubical one (Davis 2008) has one cell per interval [T, U] of
+spherical subsets T <= U; it is the cube spanned by the barycentres of
+the cells sigma_V with T <= V <= U, of dimension |U - T|, and W_T fixes
+it pointwise.  With U - T = {s_0 < ... < s_{d-1}},
+
+    d[T, U] = sum_i (-1)^i ( ind [T + s_i, U]  -  [T, U - s_i] )
+
+where the first face changes the stabilizer and contributes the
+induction R(W_T) -> R(W_{T + s_i}), and the second keeps it and
+contributes the identity of R(W_T).  The chain route reduces this
+complex (`cubical_complex`).
+
+Its barycentric subdivision has one cell per strictly increasing chain
+T_1 < T_2 < ... < T_n of spherical subsets (the empty set is allowed and
+sits at the bottom); that cell has dimension n - 1 and stabilizer
+conjugate to W_{T_1}, and the boundary deletes one chain entry at a time:
 
     d(T_1 < ... < T_n) = sum_{k=1}^{n} (-1)^k (T_1 < ... T_k^ ... < T_n)
 
-where deleting k = 1 changes the stabilizer and contributes minus the
-induction R(W_{T_1}) -> R(W_{T_2}), and every other deletion contributes
-(+-1) times the identity of R(W_{T_1}).
+where deleting k = 1 contributes minus the induction
+R(W_{T_1}) -> R(W_{T_2}), and every other deletion contributes (+-1)
+times the identity of R(W_{T_1}).  This flag complex (`assemble_complex`)
+is what the cell dumps print, and relative complexes and cell pairs are
+sliced from it.  In both, the Bredon chain group in degree d is the
+direct sum of R_C(stabilizer) over the degree-d cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .abelian import HomologyProfile
 from .characters import RepRingCache
@@ -25,7 +40,7 @@ from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical
 from .errors import ContractError
 from .snf import IntMatrix, homology_at
 
-Chain = tuple[tuple[int, ...], ...]
+Chain = tuple[tuple[int, ...], ...]  # a flag T_1 < ... < T_n, or an interval (T, U)
 
 
 def build_cells(poset: SphericalPoset) -> list[list[Chain]]:
@@ -148,6 +163,61 @@ def assemble_complex(
     return BredonComplex(cells, block_ranks, offsets, dims, differentials)
 
 
+def build_intervals(poset: SphericalPoset) -> list[list[Chain]]:
+    """All intervals (T, U) of spherical subsets T <= U, by dimension
+    |U - T|; each dimension is sorted by (T, U)."""
+    by_dim: list[list[Chain]] = [[] for _ in poset.by_rank]
+    for u in poset.subsets:
+        for k in range(len(u) + 1):
+            by_dim[len(u) - k].extend((t, u) for t in combinations(u, k))
+    for level in by_dim:
+        level.sort()
+    return by_dim
+
+
+def cubical_complex(
+    w: CoxeterMatrix,
+    rings: RepRingCache,
+    poset: SphericalPoset | None = None,
+) -> BredonComplex:
+    """Build the cubical cells [T, U] and their differentials for w.
+
+    Each block rank is the class count of W_T (order cap applies); the
+    boundary uses only the codimension-one inductions W_T < W_{T + s}.
+    """
+    if poset is None:
+        poset = enumerate_spherical(w)
+    cells = build_intervals(poset)
+    rank_of = {t: rings.table(w, t).n_classes for t in poset.subsets}
+    block_ranks = [[rank_of[t] for t, _ in level] for level in cells]
+    offsets, dims = _layout(block_ranks)
+
+    offset_of = [dict(zip(level, starts)) for level, starts in zip(cells, offsets)]
+    inductions: dict[Chain, IntMatrix] = {}  # keyed by (T, T + s)
+    differentials = [IntMatrix.zero(0, dims[0])]
+    for d in range(1, len(cells)):
+        # As in assemble_complex: cells in column order, faces distinct,
+        # so every row receives its entries sorted.
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(dims[d - 1])]
+        for ci, (t, u) in enumerate(cells[d]):
+            col0 = offsets[d][ci]
+            rank = block_ranks[d][ci]
+            for i, s in enumerate(x for x in u if x not in t):
+                sign = -1 if i % 2 else 1
+                up = tuple(sorted((*t, s)))
+                pair = (t, up)
+                if pair not in inductions:
+                    inductions[pair] = rings.induction(w, t, up)
+                row0 = offset_of[d - 1][(up, u)]
+                for r, brow in enumerate(inductions[pair].rows):
+                    rows[row0 + r].extend((col0 + j, sign * v) for j, v in brow)
+                row0 = offset_of[d - 1][(t, tuple(x for x in u if x != s))]
+                for j in range(rank):
+                    rows[row0 + j].append((col0 + j, -sign))
+        differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
+    return BredonComplex(cells, block_ranks, offsets, dims, differentials)
+
+
 def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
     """Subquotient complex of the cells whose top subset has rank n.
 
@@ -183,10 +253,11 @@ def chain_homology(
     rings: RepRingCache | None = None,
     max_degree: int | None = None,
 ) -> HomologyProfile:
-    """Bredon homology of the system w along the chain-complex route."""
+    """Bredon homology of the system w along the chain-complex route,
+    from the cubical complex."""
     if rings is None:
         rings = RepRingCache()
-    return assemble_complex(w, rings).homology(max_degree)
+    return cubical_complex(w, rings).homology(max_degree)
 
 
 def cell_pair_homology(

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: classify (spherical structure), homology (Bredon homology
-and K-theory by one or several routes), cells (the quotient cell
+and K-theory by one or several routes), cells (the flag cell
 structure and differential blocks), validate (run a corpus of systems
 with known answers).  JSON output is schema-stable and byte-deterministic
 for a fixed input, which is why wall-clock timings appear only in text
@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .abelian import FgAbGroup, HomologyProfile
-from .chains import BredonComplex, assemble_complex, faces
+from .chains import BredonComplex, assemble_complex, cubical_complex, faces
 from .characters import RepRingCache
 from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical, parse_matrix
 from .errors import (
@@ -101,9 +101,11 @@ _NO_ROUTE = {
 }
 
 
-def _run_route(name: str, w: CoxeterMatrix, rings: RepRingCache, poset: SphericalPoset):
-    """Homology of w along one route, as (profile, the chain route's
-    complex or None); raises ResourceCapError above rings.order_cap."""
+def _run_route(
+    name: str, w: CoxeterMatrix, rings: RepRingCache, poset: SphericalPoset
+) -> HomologyProfile:
+    """Homology of w along one route; raises ResourceCapError above
+    rings.order_cap.  The chain route reduces the cubical complex."""
     if name == "chain":
         max_parabolic = max(poset.orders.values())
         if max_parabolic > rings.order_cap:
@@ -111,15 +113,14 @@ def _run_route(name: str, w: CoxeterMatrix, rings: RepRingCache, poset: Spherica
                 f"largest spherical parabolic has order {max_parabolic}, "
                 f"above the cap {rings.order_cap}"
             )
-        cx = assemble_complex(w, rings, poset)
-        return cx.homology(), cx
+        return cubical_complex(w, rings, poset).homology()
     if name == "kunneth":
         combined = None
         for factor in diagram_factors(w):
             part = _factor_profile(w, factor, rings)
             combined = part if combined is None else kunneth_product(combined, part)
-        return combined, None
-    return closed_form_homology(w, name.split(":", 1)[1], poset, rings), None
+        return combined
+    return closed_form_homology(w, name.split(":", 1)[1], poset, rings)
 
 
 def _factor_profile(w, factor, rings):
@@ -129,7 +130,7 @@ def _factor_profile(w, factor, rings):
     closed = applicable_closed_forms(sub, sub_poset.full_order)
     for name in ["chain", *(f"closed:{n}" for n in closed)]:
         try:
-            return _run_route(name, sub, rings, sub_poset)[0]
+            return _run_route(name, sub, rings, sub_poset)
         except ResourceCapError:
             continue
     raise ResourceCapError(
@@ -148,11 +149,13 @@ def run_analysis(
 
     The routes are the applicable closed forms, then kunneth when the
     diagram splits, then chain; method "auto" runs them all and any other
-    method the ones it names.  rings.order_cap bounds the parabolics the
-    routes may realize.  Returns (report dict, timings dict, exit code,
-    complex), where complex is the BredonComplex the chain route
-    assembled, or None when that route did not run.  The report is fully
-    JSON-serializable and deterministic; timings are text-mode garnish.
+    method the ones it names.  The chain route reduces the cubical
+    complex of the chamber, one cell per interval [T, U] of spherical
+    subsets; the flag complex of the cell dumps is built apart, by
+    cmd_homology and cmd_cells.  rings.order_cap bounds the parabolics
+    the routes may realize.  Returns (report dict, timings dict, exit
+    code).  The report is fully JSON-serializable and deterministic;
+    timings are text-mode garnish.
     """
     if method not in METHODS:
         raise ContractError(f"unknown method {method!r}")
@@ -172,19 +175,16 @@ def run_analysis(
     profiles: dict[str, HomologyProfile] = {}
     skipped: dict[str, str] = {}
     timings: dict[str, float] = {}
-    chain_complex = None
     for name in plan:
         start = time.perf_counter()
         try:
-            profiles[name], cx = _run_route(name, w, rings, poset)
+            profiles[name] = _run_route(name, w, rings, poset)
         except ResourceCapError as exc:
             if method != "auto":
                 raise
             skipped[name] = str(exc)
             continue
         timings[name] = time.perf_counter() - start
-        if cx is not None:
-            chain_complex = cx
 
     discrepancies: list[dict] = []
     names = list(profiles)
@@ -233,7 +233,7 @@ def run_analysis(
         code = EXIT_RESOURCE
     else:
         code = EXIT_OK
-    return report, timings, code, chain_complex
+    return report, timings, code
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +462,7 @@ def cmd_homology(args) -> int:
     w = load_system(args.input)
     rings = RepRingCache(args.order_cap)
     poset = enumerate_spherical(w)
-    report, timings, code, cx = run_analysis(
+    report, timings, code = run_analysis(
         w, rings, poset, method=args.method, max_degree=args.max_degree
     )
     extra_renderers = []
@@ -471,9 +471,8 @@ def cmd_homology(args) -> int:
         report["tables"] = tables
         extra_renderers.append(lambda out: _tables_text(tables, out))
     if args.cells:
-        if cx is None:
-            cx = assemble_complex(w, rings, poset)
-        cells = cells_payload(cx, poset)
+        # the dump shows the flag complex, which no route reduces
+        cells = cells_payload(assemble_complex(w, rings, poset), poset)
         report["cells"] = cells
         extra_renderers.append(lambda out: _cells_text(cells, out))
 
@@ -518,7 +517,7 @@ def _check_case(data: dict, origin: str, rings: RepRingCache) -> list[str]:
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MatrixError(f"{origin}: malformed expected value: {exc}") from exc
-    report, _, code, _ = run_analysis(w, rings)
+    report, _, code = run_analysis(w, rings)
     detail = []
     if code != EXIT_OK:
         detail.append(f"analysis exit code {code}")
@@ -615,10 +614,10 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-tables", action="store_true",
                    help="include all character tables in the report")
     p.add_argument("--cells", action="store_true",
-                   help="include the cell structure in the report")
+                   help="include the flag cell structure in the report")
     common(p)
 
-    p = sub.add_parser("cells", help="quotient cell structure and blocks")
+    p = sub.add_parser("cells", help="flag cell structure and boundary blocks")
     p.add_argument("input")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     common(p)

@@ -11,11 +11,13 @@ These are the theorem-backed shortcuts that bypass the chain complex:
 * rank <= 3: an explicit catalog in terms of dihedral class counts;
 * products: the Kunneth formula glues profiles of commuting factors.
 
-When homology is concentrated in degrees 0 and 1 the equivariant
-K-homology of the classifying space for proper actions is read off
-directly, and the Baum-Connes assembly map (an isomorphism for Coxeter
-groups, which have the Haagerup property) identifies it with the
-K-theory of the reduced group C*-algebra.
+When the Atiyah-Hirzebruch spectral sequence from Bredon homology must
+collapse (homology in degrees 0 and 1 only, every group torsion-free, or
+nothing above degree 2 with H_2 free) the equivariant K-homology of the
+classifying space for proper actions is read off directly, and the
+Baum-Connes assembly map (an isomorphism for Coxeter groups, which have
+the Haagerup property) identifies it with the K-theory of the reduced
+group C*-algebra.
 """
 
 from __future__ import annotations
@@ -196,16 +198,18 @@ def diagram_factors(w: CoxeterMatrix) -> list[tuple[int, ...]]:
 class KTheoryVerdict:
     """Outcome of the passage from Bredon homology to K-theory.
 
-    When homology is concentrated in degrees <= 1 the equivariant
-    K-homology is K_0 = H_0 and K_1 = H_1 and Baum-Connes transports it
-    to K_*(C*_r W).  Otherwise the verdict is undecided and carries the
-    surviving spectral-sequence input.
+    When k_homology decides it, k0 and k1 are the equivariant K-homology
+    groups, which Baum-Connes transports to K_*(C*_r W), and the note
+    names the rule used.  Otherwise the verdict carries the homology
+    above degree 1 and the rational ranks (sum of rank H_even, sum of
+    rank H_odd), which hold whatever the differentials are.
     """
 
     decided: bool
     k0: FgAbGroup | None = None
     k1: FgAbGroup | None = None
     obstructions: dict[int, FgAbGroup] = field(default_factory=dict)
+    rational_ranks: tuple[int, int] | None = None
     note: str = ""
 
     def to_json(self) -> dict:
@@ -217,26 +221,65 @@ class KTheoryVerdict:
             out["higher_homology"] = {
                 str(d): g.to_json() for d, g in self.obstructions.items()
             }
+            out["rational_ranks"] = dict(zip(("K0", "K1"), self.rational_ranks))
         return out
 
 
 def k_homology(profile: HomologyProfile) -> KTheoryVerdict:
-    """Read K-theory off a homology profile when it collapses."""
-    higher = {d: g for d, g in profile.groups.items() if d >= 2}
-    if higher:
+    """Read K-theory off a homology profile when the spectral sequence
+    must collapse.
+
+    The Atiyah-Hirzebruch spectral sequence has E^2_{p,q} = H_p for even
+    q and 0 for odd q, so only d^3, d^5, ... can be nonzero, and Lueck's
+    equivariant Chern character makes all of them vanish rationally.
+    Three cases are decided:
+
+    * H_p = 0 for p >= 2: K_0 = H_0, K_1 = H_1;
+    * every H_p torsion-free: the differentials are rationally zero maps
+      between free groups, hence zero, and the extensions have free
+      quotients, so K_0 = sum H_{2i} and K_1 = sum H_{2i+1};
+    * H_p = 0 for p >= 3 and H_2 free: d^3 has nowhere to go, K_1 = H_1,
+      and K_0 is an extension of H_2 by H_0, which splits.
+    """
+    groups = profile.groups
+    if profile.max_degree <= 1:
+        return KTheoryVerdict(
+            decided=True,
+            k0=profile.group_at(0),
+            k1=profile.group_at(1),
+            note=BAUM_CONNES_NOTE,
+        )
+    even = [g for d, g in groups.items() if d % 2 == 0]
+    odd = [g for d, g in groups.items() if d % 2]
+    if all(not g.torsion for g in groups.values()):
+        rule = (
+            "every H_p is torsion-free, so the Atiyah-Hirzebruch spectral "
+            "sequence collapses and splits: K_0 = sum H_2i, K_1 = sum H_2i+1"
+        )
+    elif profile.max_degree == 2 and not profile.group_at(2).torsion:
+        rule = (
+            "H_p = 0 for p >= 3, so the Atiyah-Hirzebruch spectral sequence "
+            "collapses: K_1 = H_1 and K_0 = H_0 + H_2, split because H_2 is free"
+        )
+    else:
         return KTheoryVerdict(
             decided=False,
-            obstructions=higher,
+            obstructions={d: g for d, g in groups.items() if d >= 2},
+            rational_ranks=(
+                sum(g.free_rank for g in even),
+                sum(g.free_rank for g in odd),
+            ),
             note=(
-                "homology survives above degree 1; the spectral sequence "
-                "input is reported instead of a K-theory answer"
+                "homology survives above degree 1 and has torsion, so the "
+                "spectral sequence may not collapse or split; its input and "
+                "the rational ranks are reported instead of a K-theory answer"
             ),
         )
     return KTheoryVerdict(
         decided=True,
-        k0=profile.group_at(0),
-        k1=profile.group_at(1),
-        note=BAUM_CONNES_NOTE,
+        k0=TRIVIAL.direct_sum(*even),
+        k1=TRIVIAL.direct_sum(*odd),
+        note=f"{rule}; {BAUM_CONNES_NOTE}",
     )
 
 

@@ -1,4 +1,9 @@
-"""Cell structure of the quotient complex and its boundary maps."""
+"""Cell structure of the quotient complexes and their boundary maps."""
+
+import itertools
+import json
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,7 @@ from bredon.chains import (
     assemble_complex,
     cell_pair_homology,
     chain_homology,
+    cubical_complex,
     faces,
     relative_complex,
 )
@@ -218,3 +224,123 @@ def test_cell_pair_odd_dihedral(rings):
     prof = cell_pair_homology(w, (0, 1), rings)
     assert prof.group_at(0) == FgAbGroup.free(1)
     assert prof.group_at(1) == FgAbGroup.free(1)
+
+
+# ---------------------------------------------------------------------------
+# the cubical complex: one cell per interval [T, U] of spherical subsets
+# ---------------------------------------------------------------------------
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pinned.json"
+
+
+def _from_key(key: str) -> list[list[int]]:
+    """Coxeter matrix of a pinned class key "rank:upper triangle", one
+    digit per label read row by row, 0 meaning infinity."""
+    rank, digits = key.split(":")
+    n = int(rank)
+    m = [[1] * n for _ in range(n)]
+    for (i, j), c in zip(itertools.combinations(range(n), 2), digits):
+        m[i][j] = m[j][i] = int(c)
+    return m
+
+
+def _diagram(n, edges):
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, label in edges:
+        m[i][j] = m[j][i] = label
+    return m
+
+
+def _line(labels):
+    return _diagram(len(labels) + 1, [(i, i + 1, m) for i, m in enumerate(labels)])
+
+
+def _cycle(n):
+    return _diagram(n, [(i, (i + 1) % n, 3) for i in range(n)])
+
+
+AFFINE_D4 = _diagram(5, [(0, 2, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)])
+
+# the chain-rank5 benchmark systems, affine D4 and F4, and 5-3-3-3
+FLAG_CHECKED = {
+    "rank5-334inf": _line([3, 3, 4, 0]),
+    "affine-A3": _cycle(4),
+    "affine-C3": _line([4, 3, 4]),
+    "hyperbolic-535": _line([5, 3, 5]),
+    "hyperbolic-435": _line([4, 3, 5]),
+    "hyperbolic-353": _line([3, 5, 3]),
+    "affine-D4": AFFINE_D4,
+    "affine-F4": _line([3, 3, 4, 3]),
+    "hyperbolic-5333": _line([5, 3, 3, 3]),
+}
+
+
+def _pinned_sample() -> list[str]:
+    """Every rank-3 pinned class and every 5th rank-4 one."""
+    keys = sorted(json.loads(PINNED.read_text())["answers"])
+    rank3 = [k for k in keys if k.startswith("3:")]
+    rank4 = [k for k in keys if k.startswith("4:")]
+    return rank3 + rank4[::5]
+
+
+def test_cubical_matches_flag_on_pinned_classes():
+    rings = RepRingCache()
+    sample = _pinned_sample()
+    assert sum(k.startswith("3:") for k in sample) == 56
+    for key in sample:
+        w = parse_matrix(_from_key(key))
+        assert cubical_complex(w, rings).homology() == assemble_complex(w, rings).homology(), key
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_CHECKED))
+def test_cubical_matches_flag_on_larger_systems(rings, name):
+    w = parse_matrix(FLAG_CHECKED[name])
+    assert cubical_complex(w, rings).homology() == assemble_complex(w, rings).homology()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0], [0, 1]],
+        [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
+        [[1, 3, 0], [3, 1, 4], [0, 4, 1]],
+        AFFINE_D4,
+    ],
+)
+def test_cubical_cell_counts(rings, rows):
+    # degree d holds one cell per d-subset of U - T: sum over U of C(|U|, d)
+    w = parse_matrix(rows)
+    poset = enumerate_spherical(w)
+    cx = cubical_complex(w, rings, poset)
+    top = max(len(u) for u in poset.subsets)
+    assert cx.top_dimension == top
+    for d, level in enumerate(cx.cells):
+        assert len(level) == sum(comb(len(u), d) for u in poset.subsets)
+        assert level == sorted(level)
+        assert all(set(t) <= set(u) and len(u) - len(t) == d for t, u in level)
+        assert cx.block_ranks[d] == [rings.table(w, t).n_classes for t, _ in level]
+
+
+def test_cubical_infinite_dihedral_worked_boundary(rings):
+    # d[{}, {i}] = ind [{i}, {i}] - [{}, {}]; coordinates [{}], [{1}] x2, [{2}] x2
+    cx = cubical_complex(parse_matrix([[1, 0], [0, 1]]), rings)
+    assert cx.cells == [[((), ()), ((0,), (0,)), ((1,), (1,))], [((), (0,)), ((), (1,))]]
+    d1 = cx.differentials[1].dense()
+    assert [row[0] for row in d1] == [-1, 1, 1, 0, 0]
+    assert [row[1] for row in d1] == [-1, 0, 0, 1, 1]
+
+
+def test_cubical_square_signs():
+    # U - T = {s_0 < s_1}: the faces that add or drop s_1 carry the sign -1
+    w = parse_matrix([[1, 2], [2, 1]])
+    rings = RepRingCache()
+    cx = cubical_complex(w, rings)
+    (square,) = cx.cells[2]
+    assert square == ((), (0, 1))
+    d2 = cx.differentials[2].dense()
+    rows = dict(zip(cx.cells[1], cx.offsets[1]))
+    assert d2[rows[((0,), (0, 1))]][0] == 1  # ind to W_{s_0}, sign +
+    assert d2[rows[((), (1,))]][0] == -1  # drop s_0, sign -
+    assert d2[rows[((1,), (0, 1))]][0] == -1  # ind to W_{s_1}, sign -
+    assert d2[rows[((), (0,))]][0] == 1  # drop s_1, sign +
+

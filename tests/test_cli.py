@@ -6,6 +6,7 @@ import json
 import pytest
 
 import bredon.cli
+import bredon.formulas
 from bredon.characters import RepRingCache
 from bredon.cli import main
 from bredon.coxeter import parse_matrix
@@ -178,7 +179,8 @@ def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows)
     monkeypatch.setattr(bredon.cli, "assemble_complex", counted)
     code, dumped, _ = run(capsys, "homology", path, "--dump-tables", "--cells",
                           "--output", "json")
-    # the cells dump reuses the complex the chain route assembled
+    # the chain route reduces the cubical complex, so the flag complex is
+    # assembled once, for the cells dump, from the analysis's tables
     assert len(calls) == 1
     _, cells, _ = run(capsys, "cells", path, "--output", "json")
     assert code == 0
@@ -408,7 +410,7 @@ def test_validate_accepts_shorthand_groups(tmp_path, capsys):
             "malformed expected value",
         ),
         (
-            # A2~ x A2~ has H_2 = Z, so its K-theory is undecided
+            # A2~ x A2~ has H_2 = Z; every H_p is free, so K_0 = Z^(25 + 1)
             json.dumps(
                 {
                     "name": "bad",
@@ -416,7 +418,7 @@ def test_validate_accepts_shorthand_groups(tmp_path, capsys):
                     "expected": {"k0": {"free_rank": 999}},
                 }
             ).encode(),
-            "k0: expected Z^999, got undecided",
+            "k0: expected Z^999, got Z^26",
         ),
     ],
 )
@@ -430,6 +432,15 @@ def test_validate_reports_malformed_case_and_goes_on(tmp_path, capsys, text, rea
     assert reason in lines[1]
     assert "ok   good" in lines
     assert lines[-1] == "1/2 cases passed"
+
+
+def test_validate_reports_an_undecided_k_theory(tmp_path, capsys, monkeypatch):
+    undecided = bredon.formulas.KTheoryVerdict(decided=False, rational_ranks=(3, 0))
+    monkeypatch.setattr(bredon.cli, "k_homology", lambda profile: undecided)
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_CASE))
+    code, out, _ = run(capsys, "validate", str(tmp_path))
+    assert code == 2
+    assert "      k0: expected Z^3, got undecided" in out.splitlines()
 
 
 def test_validate_empty_directory(tmp_path, capsys):
@@ -513,3 +524,42 @@ def test_dixon_table_dumps_are_pinned(write_system, capsys, rows, digest):
                          "--output", "json", "--dump-tables", "--order-cap", "60000")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _diagram(n, edges):
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, label in edges:
+        m[i][j] = m[j][i] = label
+    return m
+
+
+def _groups(*ranks):
+    return {str(d): {"free_rank": r, "torsion": []} for d, r in enumerate(ranks) if r}
+
+
+@pytest.mark.parametrize(
+    "rows, homology, k0, k1",
+    [
+        # affine A5: H_2 = Z is free, so K_0 = H_0 + H_2
+        (_diagram(6, [(i, (i + 1) % 6, 3) for i in range(6)]), (20, 9, 1), 21, 9),
+        # affine D5
+        (_diagram(6, [(0, 2, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)]), (40, 4), 40, 4),
+        # a 7-cycle of label-3 edges with a label-4 chord between nodes 0 and 3
+        (_diagram(7, [(i, (i + 1) % 7, 3) for i in range(7)] + [(0, 3, 4)]), (78, 4), 78, 4),
+    ],
+    ids=["affine-A5", "affine-D5", "hept-chord"],
+)
+def test_rank6_and_rank7_chain_answers(write_system, capsys, rows, homology, k0, k1):
+    # regression values of the chain route, the only route that reaches
+    # these systems; affine A5's and D5's ranks match their torus ranks
+    path = write_system(rows)
+    code, out, err = run(capsys, "homology", path, "--method", "chain", "--output", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["homology"] == _groups(*homology)
+    kt = report["k_theory"]
+    assert kt["decided"] is True
+    assert (kt["K0"], kt["K1"]) == (
+        {"free_rank": k0, "torsion": []},
+        {"free_rank": k1, "torsion": []},
+    )

@@ -172,14 +172,44 @@ def test_k_theory_collapse():
     assert verdict2.k1 == FgAbGroup.free(1)
 
 
-def test_k_theory_undecided_above_degree_one():
+def test_k_theory_undecided_with_torsion_above_degree_one():
+    for groups in (
+        {0: FgAbGroup.free(1), 1: FgAbGroup(0, (2,)), 3: FgAbGroup.free(1)},
+        {0: FgAbGroup.free(1), 2: FgAbGroup(1, (3,))},
+    ):
+        verdict = k_homology(HomologyProfile(groups))
+        assert not verdict.decided
+        assert verdict.k0 is None
+        assert verdict.obstructions == {d: g for d, g in groups.items() if d >= 2}
+    assert verdict.rational_ranks == (2, 0)
+
+
+def test_k_theory_torsion_free_collapse(rings):
+    # affine D4: H_0 = Z^32, H_2 = Z, so K_0 = Z^33 and K_1 = 0
+    rows = [[1 if i == j else 2 for j in range(5)] for i in range(5)]
+    for i, j in ((0, 2), (1, 2), (2, 3), (2, 4)):
+        rows[i][j] = rows[j][i] = 3
+    verdict = k_homology(chain_homology(parse_matrix(rows), rings))
+    assert verdict.decided
+    assert (verdict.k0, verdict.k1) == (FgAbGroup.free(33), FgAbGroup.free(0))
+    assert "torsion-free" in verdict.note and "Baum-Connes" in verdict.note
+
+    verdict = k_homology(
+        HomologyProfile({d: FgAbGroup.free(d + 1) for d in range(5)})
+    )
+    assert (verdict.k0, verdict.k1) == (FgAbGroup.free(9), FgAbGroup.free(6))
+
+
+def test_k_theory_collapse_below_degree_three():
+    # torsion in H_1 is allowed once nothing survives above degree 2
     prof = HomologyProfile(
-        {0: FgAbGroup.free(1), 2: FgAbGroup.free(1)}
+        {0: FgAbGroup.free(3), 1: FgAbGroup(1, (2,)), 2: FgAbGroup.free(2)}
     )
     verdict = k_homology(prof)
-    assert not verdict.decided
-    assert verdict.k0 is None
-    assert 2 in verdict.obstructions
+    assert verdict.decided
+    assert verdict.k0 == FgAbGroup.free(5)
+    assert verdict.k1 == FgAbGroup(1, (2,))
+    assert "H_p = 0 for p >= 3" in verdict.note
 
 
 def test_k_theory_json_shape():
@@ -188,7 +218,8 @@ def test_k_theory_json_shape():
     assert data["decided"] is True
     assert data["K0"] == {"free_rank": 2, "torsion": []}
     undecided = k_homology(
-        HomologyProfile({3: FgAbGroup.free(1)})
+        HomologyProfile({1: FgAbGroup(0, (2,)), 3: FgAbGroup.free(1)})
     ).to_json()
     assert undecided["decided"] is False
-    assert "higher_homology" in undecided
+    assert undecided["higher_homology"] == {"3": {"free_rank": 1, "torsion": []}}
+    assert undecided["rational_ranks"] == {"K0": 0, "K1": 1}
