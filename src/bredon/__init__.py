@@ -17,8 +17,6 @@ from .chains import (
     assemble_complex,
     build_cells,
     cell_pair_homology,
-    chain_homology,
-    cubical_complex,
     relative_complex,
 )
 from .characters import (

@@ -1,32 +1,20 @@
 """The Bredon chain complex of the Davis complex, modulo the group action.
 
-Two cell structures on the chamber K = |S^f| give the same homology.
-
-The cubical one (Davis 2008) has one cell per interval [T, U] of
-spherical subsets T <= U; it is the cube spanned by the barycentres of
-the cells sigma_V with T <= V <= U, of dimension |U - T|, and W_T fixes
-it pointwise.  With U - T = {s_0 < ... < s_{d-1}},
+The chamber K = |S^f| has a cubical cell structure (Davis 2008) with one
+cell per interval [T, U] of spherical subsets T <= U: the cube spanned by
+the barycentres of the cells sigma_V with T <= V <= U, of dimension
+|U - T|, which W_T fixes pointwise.  With U - T = {s_0 < ... < s_{d-1}},
 
     d[T, U] = sum_i (-1)^i ( ind [T + s_i, U]  -  [T, U - s_i] )
 
 where the first face changes the stabilizer and contributes the
 induction R(W_T) -> R(W_{T + s_i}), and the second keeps it and
-contributes the identity of R(W_T).  The chain route reduces this
-complex (`cubical_complex`).
-
-Its barycentric subdivision has one cell per strictly increasing chain
-T_1 < T_2 < ... < T_n of spherical subsets (the empty set is allowed and
-sits at the bottom); that cell has dimension n - 1 and stabilizer
-conjugate to W_{T_1}, and the boundary deletes one chain entry at a time:
-
-    d(T_1 < ... < T_n) = sum_{k=1}^{n} (-1)^k (T_1 < ... T_k^ ... < T_n)
-
-where deleting k = 1 contributes minus the induction
-R(W_{T_1}) -> R(W_{T_2}), and every other deletion contributes (+-1)
-times the identity of R(W_{T_1}).  This flag complex (`assemble_complex`)
-is what the cell dumps print, and relative complexes and cell pairs are
-sliced from it.  In both, the Bredon chain group in degree d is the
-direct sum of R_C(stabilizer) over the degree-d cells.
+contributes the identity of R(W_T) (`boundary`).  The Bredon chain
+group in degree d is the direct sum of R_C(W_T) over the degree-d cells.
+The chain route reduces this complex (`assemble_complex`) and the cell
+dumps print it.  The cells [T', U] with U fixed are the cell pair of W_U
+(its Coxeter cell modulo the boundary), so relative complexes and cell
+pairs are sliced from it by the rank of U.
 """
 
 from __future__ import annotations
@@ -36,46 +24,42 @@ from itertools import accumulate, combinations
 
 from .abelian import HomologyProfile
 from .characters import RepRingCache
-from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical
+from .coxeter import (
+    CoxeterMatrix,
+    SphericalPoset,
+    canonical_subset,
+    enumerate_spherical,
+    spherical_order,
+)
 from .errors import ContractError
 from .snf import IntMatrix, homology_at
 
-Chain = tuple[tuple[int, ...], ...]  # a flag T_1 < ... < T_n, or an interval (T, U)
+Cell = tuple[tuple[int, ...], tuple[int, ...]]  # an interval (T, U), T <= U
 
 
-def build_cells(poset: SphericalPoset) -> list[list[Chain]]:
-    """All strictly increasing chains of spherical subsets, by dimension.
-
-    Each dimension is sorted lexicographically.
-    """
-    subs = poset.subsets
-    sups: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-        t: [u for u in subs if len(u) > len(t) and set(t) < set(u)] for t in subs
-    }
-    by_dim: list[list[Chain]] = []
-
-    def extend(chain: Chain) -> None:
-        dim = len(chain) - 1
-        while len(by_dim) <= dim:
-            by_dim.append([])
-        by_dim[dim].append(chain)
-        for u in sups[chain[-1]]:
-            extend(chain + (u,))
-
-    for t in subs:
-        extend((t,))
+def build_cells(poset: SphericalPoset) -> list[list[Cell]]:
+    """All intervals (T, U) of spherical subsets T <= U, by dimension
+    |U - T|; each dimension is sorted by (T, U)."""
+    by_dim: list[list[Cell]] = [[] for _ in poset.by_rank]
+    for u in poset.subsets:
+        for k in range(len(u) + 1):
+            by_dim[len(u) - k].extend((t, u) for t in combinations(u, k))
     for level in by_dim:
         level.sort()
     return by_dim
 
 
-def faces(chain: Chain) -> list[tuple[Chain, int]]:
-    """(face, sign) for deleting entry k = 1..n, sign (-1)^k; the first
-    face is the induction block and every later one an identity block."""
-    return [
-        (chain[: k - 1] + chain[k:], -1 if k % 2 else 1)
-        for k in range(1, len(chain) + 1)
-    ]
+def boundary(cell: Cell) -> list[tuple[Cell, int, str]]:
+    """(face, sign, kind) of each face of [T, U]: for the i-th generator
+    s of U - T, the induction face [T + s, U] with sign (-1)^i, then the
+    identity face [T, U - s] with the opposite sign."""
+    t, u = cell
+    out = []
+    for i, s in enumerate(x for x in u if x not in t):
+        sign = -1 if i % 2 else 1
+        out.append(((tuple(sorted((*t, s))), u), sign, "induction"))
+        out.append(((t, tuple(x for x in u if x != s)), -sign, "identity"))
+    return out
 
 
 def _layout(block_ranks: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -101,7 +85,7 @@ class BredonComplex:
     offsets[d][ci].
     """
 
-    cells: list[list[Chain]]
+    cells: list[list[Cell]]
     block_ranks: list[list[int]]
     offsets: list[list[int]]
     dims: list[int]
@@ -122,113 +106,54 @@ def assemble_complex(
     rings: RepRingCache,
     poset: SphericalPoset | None = None,
 ) -> BredonComplex:
-    """Build cells and differentials for the system w.
-
-    Takes each block rank from the class count of the stabilizer's
-    character table (order cap applies) and fills the induction/identity
-    blocks of the boundary maps.
-    """
-    if poset is None:
-        poset = enumerate_spherical(w)
-    cells = build_cells(poset)
-    # cells[0] holds one singleton chain per subset
-    rank_of = {t: rings.table(w, t).n_classes for (t,) in cells[0]}
-    block_ranks = [[rank_of[chain[0]] for chain in level] for level in cells]
-    offsets, dims = _layout(block_ranks)
-
-    index_of = [
-        {chain: ci for ci, chain in enumerate(level)} for level in cells
-    ]
-    inductions: dict[Chain, IntMatrix] = {}  # keyed by (T_1, T_2)
-    differentials = [IntMatrix.zero(0, dims[0])]
-    for d in range(1, len(cells)):
-        # Cells are visited in column order and the faces of one cell are
-        # distinct cells, so every row receives its entries sorted and no
-        # entry is written twice.
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(dims[d - 1])]
-        for ci, chain in enumerate(cells[d]):
-            col0 = offsets[d][ci]
-            for k, (face, sign) in enumerate(faces(chain)):
-                row0 = offsets[d - 1][index_of[d - 1][face]]
-                if k == 0:
-                    pair = chain[:2]
-                    if pair not in inductions:
-                        inductions[pair] = rings.induction(w, *pair)
-                    for i, brow in enumerate(inductions[pair].rows):
-                        rows[row0 + i].extend((col0 + j, sign * v) for j, v in brow)
-                else:
-                    for j in range(block_ranks[d][ci]):
-                        rows[row0 + j].append((col0 + j, sign))
-        differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
-    return BredonComplex(cells, block_ranks, offsets, dims, differentials)
-
-
-def build_intervals(poset: SphericalPoset) -> list[list[Chain]]:
-    """All intervals (T, U) of spherical subsets T <= U, by dimension
-    |U - T|; each dimension is sorted by (T, U)."""
-    by_dim: list[list[Chain]] = [[] for _ in poset.by_rank]
-    for u in poset.subsets:
-        for k in range(len(u) + 1):
-            by_dim[len(u) - k].extend((t, u) for t in combinations(u, k))
-    for level in by_dim:
-        level.sort()
-    return by_dim
-
-
-def cubical_complex(
-    w: CoxeterMatrix,
-    rings: RepRingCache,
-    poset: SphericalPoset | None = None,
-) -> BredonComplex:
-    """Build the cubical cells [T, U] and their differentials for w.
+    """Build the cells [T, U] and their differentials for w.
 
     Each block rank is the class count of W_T (order cap applies); the
     boundary uses only the codimension-one inductions W_T < W_{T + s}.
     """
     if poset is None:
         poset = enumerate_spherical(w)
-    cells = build_intervals(poset)
+    cells = build_cells(poset)
     rank_of = {t: rings.table(w, t).n_classes for t in poset.subsets}
     block_ranks = [[rank_of[t] for t, _ in level] for level in cells]
     offsets, dims = _layout(block_ranks)
 
     offset_of = [dict(zip(level, starts)) for level, starts in zip(cells, offsets)]
-    inductions: dict[Chain, IntMatrix] = {}  # keyed by (T, T + s)
+    inductions: dict[Cell, IntMatrix] = {}  # keyed by (T, T + s)
     differentials = [IntMatrix.zero(0, dims[0])]
     for d in range(1, len(cells)):
-        # As in assemble_complex: cells in column order, faces distinct,
-        # so every row receives its entries sorted.
+        # Cells are visited in column order and the faces of one cell are
+        # distinct cells, so every row receives its entries sorted and no
+        # entry is written twice.
         rows: list[list[tuple[int, int]]] = [[] for _ in range(dims[d - 1])]
-        for ci, (t, u) in enumerate(cells[d]):
+        for ci, cell in enumerate(cells[d]):
             col0 = offsets[d][ci]
-            rank = block_ranks[d][ci]
-            for i, s in enumerate(x for x in u if x not in t):
-                sign = -1 if i % 2 else 1
-                up = tuple(sorted((*t, s)))
-                pair = (t, up)
+            for face, sign, kind in boundary(cell):
+                row0 = offset_of[d - 1][face]
+                if kind == "identity":
+                    for j in range(block_ranks[d][ci]):
+                        rows[row0 + j].append((col0 + j, sign))
+                    continue
+                pair = (cell[0], face[0])
                 if pair not in inductions:
-                    inductions[pair] = rings.induction(w, t, up)
-                row0 = offset_of[d - 1][(up, u)]
+                    inductions[pair] = rings.induction(w, *pair)
                 for r, brow in enumerate(inductions[pair].rows):
                     rows[row0 + r].extend((col0 + j, sign * v) for j, v in brow)
-                row0 = offset_of[d - 1][(t, tuple(x for x in u if x != s))]
-                for j in range(rank):
-                    rows[row0 + j].append((col0 + j, -sign))
         differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
     return BredonComplex(cells, block_ranks, offsets, dims, differentials)
 
 
 def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
-    """Subquotient complex of the cells whose top subset has rank n.
+    """Subquotient complex of the cells [T, U] with |U| = n.
 
     Models the pair (rank-n skeleton, rank-(n-1) skeleton): faces whose
-    top drops below rank n are projected away.
+    top subset U drops below rank n are projected away.
     """
     if n < 0:
         raise ContractError("rank must be non-negative")
     keep: list[list[int]] = []
     for level in full.cells:
-        keep.append([ci for ci, chain in enumerate(level) if len(chain[-1]) == n])
+        keep.append([ci for ci, cell in enumerate(level) if len(cell[-1]) == n])
     while keep and not keep[-1]:
         keep.pop()
     cells = [[full.cells[d][ci] for ci in keep[d]] for d in range(len(keep))]
@@ -248,33 +173,18 @@ def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
     return BredonComplex(cells, block_ranks, offsets, dims, differentials)
 
 
-def chain_homology(
-    w: CoxeterMatrix,
-    rings: RepRingCache | None = None,
-    max_degree: int | None = None,
-) -> HomologyProfile:
-    """Bredon homology of the system w along the chain-complex route,
-    from the cubical complex."""
-    if rings is None:
-        rings = RepRingCache()
-    return cubical_complex(w, rings).homology(max_degree)
-
-
 def cell_pair_homology(
     w: CoxeterMatrix, t, rings: RepRingCache | None = None
 ) -> HomologyProfile:
     """Relative homology of one closed cell modulo its boundary.
 
     t must be spherical; the computation runs inside the subsystem on t,
-    keeping only chains that reach the top rank |t|.
+    keeping only the cells [T', t].
     """
     if rings is None:
         rings = RepRingCache()
-    from .coxeter import canonical_subset, spherical_order
-
     t = canonical_subset(t)
     if spherical_order(w, t) is None:
         raise ContractError(f"subset {t} is not spherical")
     sub = w.submatrix(t)
-    full = assemble_complex(sub, rings)
-    return relative_complex(full, len(t)).homology()
+    return relative_complex(assemble_complex(sub, rings), len(t)).homology()

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: classify (spherical structure), homology (Bredon homology
-and K-theory by one or several routes), cells (the flag cell
-structure and differential blocks), validate (run a corpus of systems
+and K-theory by one or several routes), cells (the cubical cell
+structure and boundary blocks), validate (run a corpus of systems
 with known answers).  JSON output is schema-stable and byte-deterministic
 for a fixed input, which is why wall-clock timings appear only in text
 output.
@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .abelian import FgAbGroup, HomologyProfile
-from .chains import BredonComplex, assemble_complex, cubical_complex, faces
+from .chains import BredonComplex, assemble_complex, boundary
 from .characters import RepRingCache
 from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical, parse_matrix
 from .errors import (
@@ -113,7 +113,7 @@ def _run_route(
                 f"largest spherical parabolic has order {max_parabolic}, "
                 f"above the cap {rings.order_cap}"
             )
-        return cubical_complex(w, rings, poset).homology()
+        return assemble_complex(w, rings, poset).homology()
     if name == "kunneth":
         combined = None
         for factor in diagram_factors(w):
@@ -151,11 +151,10 @@ def run_analysis(
     diagram splits, then chain; method "auto" runs them all and any other
     method the ones it names.  The chain route reduces the cubical
     complex of the chamber, one cell per interval [T, U] of spherical
-    subsets; the flag complex of the cell dumps is built apart, by
-    cmd_homology and cmd_cells.  rings.order_cap bounds the parabolics
-    the routes may realize.  Returns (report dict, timings dict, exit
-    code).  The report is fully JSON-serializable and deterministic;
-    timings are text-mode garnish.
+    subsets, which the cell dumps print.  rings.order_cap bounds the
+    parabolics the routes may realize.  Returns (report dict, timings
+    dict, exit code).  The report is fully JSON-serializable and
+    deterministic; timings are text-mode garnish.
     """
     if method not in METHODS:
         raise ContractError(f"unknown method {method!r}")
@@ -272,11 +271,11 @@ def cells_payload(cx: BredonComplex, poset) -> dict:
     dimensions = []
     for d, level in enumerate(cx.cells):
         cells = []
-        for ci, chain in enumerate(level):
+        for ci, (t, u) in enumerate(level):
             cells.append(
                 {
-                    "chain": [list(t) for t in chain],
-                    "stabilizer": poset.label_name(chain[0]),
+                    "interval": [list(t), list(u)],
+                    "stabilizer": poset.label_name(t),
                     "block_rank": cx.block_ranks[d][ci],
                     "offset": cx.offsets[d][ci],
                 }
@@ -285,16 +284,11 @@ def cells_payload(cx: BredonComplex, poset) -> dict:
     blocks = []
     for d in range(1, len(cx.cells)):
         level_blocks = []
-        index_of = {chain: fi for fi, chain in enumerate(cx.cells[d - 1])}
-        for ci, chain in enumerate(cx.cells[d]):
-            for k, (face, sign) in enumerate(faces(chain)):
+        index_of = {cell: fi for fi, cell in enumerate(cx.cells[d - 1])}
+        for ci, cell in enumerate(cx.cells[d]):
+            for face, sign, kind in boundary(cell):
                 level_blocks.append(
-                    {
-                        "cell": ci,
-                        "face": index_of[face],
-                        "sign": sign,
-                        "kind": "induction" if k == 0 else "identity",
-                    }
+                    {"cell": ci, "face": index_of[face], "sign": sign, "kind": kind}
                 )
         blocks.append({"degree": d, "blocks": level_blocks})
     return {
@@ -392,11 +386,11 @@ def _cells_text(payload: dict, out) -> None:
     for level in payload["dimensions"]:
         print(f"dimension {level['dim']}:", file=out)
         for ci, cell in enumerate(level["cells"]):
-            chain = " < ".join(
-                "{" + ",".join(str(g + 1) for g in t) + "}" for t in cell["chain"]
+            interval = ", ".join(
+                "{" + ",".join(str(g + 1) for g in t) + "}" for t in cell["interval"]
             )
             print(
-                f"  [{ci}] {chain or 'empty set'}  stabilizer {cell['stabilizer']}"
+                f"  [{ci}] [{interval}]  stabilizer {cell['stabilizer']}"
                 f"  rank {cell['block_rank']}  offset {cell['offset']}",
                 file=out,
             )
@@ -471,7 +465,6 @@ def cmd_homology(args) -> int:
         report["tables"] = tables
         extra_renderers.append(lambda out: _tables_text(tables, out))
     if args.cells:
-        # the dump shows the flag complex, which no route reduces
         cells = cells_payload(assemble_complex(w, rings, poset), poset)
         report["cells"] = cells
         extra_renderers.append(lambda out: _cells_text(cells, out))
@@ -614,10 +607,10 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-tables", action="store_true",
                    help="include all character tables in the report")
     p.add_argument("--cells", action="store_true",
-                   help="include the flag cell structure in the report")
+                   help="include the cubical cell structure in the report")
     common(p)
 
-    p = sub.add_parser("cells", help="flag cell structure and boundary blocks")
+    p = sub.add_parser("cells", help="cubical cell structure and boundary blocks")
     p.add_argument("input")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     common(p)

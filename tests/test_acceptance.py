@@ -18,7 +18,6 @@ from bredon.abelian import FgAbGroup, HomologyProfile
 from bredon.chains import (
     assemble_complex,
     cell_pair_homology,
-    chain_homology,
     relative_complex,
 )
 from bredon.characters import RepRingCache, induction_matrix, restriction_matrix
@@ -76,7 +75,7 @@ def free(n):
 def test_criterion_1_infinite_dihedral(rings):
     with criterion(1, "infinite dihedral collapses to three copies of Z", 1.0):
         w = parse_matrix([[1, 0], [0, 1]])
-        prof = chain_homology(w, rings)
+        prof = assemble_complex(w, rings).homology()
         assert prof.group_at(0) == free(3)
         assert prof.max_degree == 0
         verdict = k_homology(prof)
@@ -87,7 +86,7 @@ def test_criterion_1_infinite_dihedral(rings):
 def test_criterion_2_all_odd_triangle(rings):
     with criterion(2, "triangle group (3,3,3) has H_0 = Z^5 and H_1 = Z", 5.0):
         w = parse_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
-        prof = chain_homology(w, rings)
+        prof = assemble_complex(w, rings).homology()
         assert prof.group_at(0) == free(5)
         assert prof.group_at(1) == free(1)
         assert prof.max_degree == 1
@@ -100,7 +99,7 @@ def test_criterion_3_even_triangle_three_ways(rings):
     with criterion(3, "triangle group (2,4,4) gives Z^9 by three routes", 5.0):
         w = parse_matrix([[1, 2, 4], [2, 1, 4], [4, 4, 1]])
         want = HomologyProfile({0: free(9)})
-        assert chain_homology(w, rings) == want
+        assert assemble_complex(w, rings).homology() == want
         assert even_homology(w) == want
         assert lowrank_catalog(w, enumerate_spherical(w).full_order, rings) == want
         # both closed-form counts evaluate to 9
@@ -118,7 +117,7 @@ def test_criterion_3_even_triangle_three_ways(rings):
 def test_criterion_4_mixed_triangle_with_infinity(rings):
     with criterion(4, "triangle group (3,4,inf) gives Z^6 in degree 0", 5.0):
         w = parse_matrix([[1, 3, 0], [3, 1, 4], [0, 4, 1]])
-        prof = chain_homology(w, rings)
+        prof = assemble_complex(w, rings).homology()
         assert prof.group_at(0) == free(6)
         assert prof.max_degree == 0
         assert dihedral_class_count(3) + dihedral_class_count(4) - 2 == 6
@@ -127,7 +126,7 @@ def test_criterion_4_mixed_triangle_with_infinity(rings):
 def test_criterion_5_all_infinite_triangle(rings):
     with criterion(5, "triangle group (inf,inf,inf) gives Z^4", 1.0):
         w = parse_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        prof = chain_homology(w, rings)
+        prof = assemble_complex(w, rings).homology()
         assert prof == HomologyProfile({0: free(4)})
 
 
@@ -156,7 +155,7 @@ def test_criterion_7_right_angled_path(rings):
     with criterion(7, "right-angled path on three generators gives Z^6", 1.0):
         w = parse_matrix([[1, 2, 0], [2, 1, 2], [0, 2, 1]])
         want = HomologyProfile({0: free(6)})
-        assert chain_homology(w, rings) == want
+        assert assemble_complex(w, rings).homology() == want
         assert right_angled_homology(w) == want
 
 
@@ -165,7 +164,7 @@ def test_criterion_8_product_three_ways(rings):
         rows = [[1, 0, 2, 2], [0, 1, 2, 2], [2, 2, 1, 0], [2, 2, 0, 1]]
         w = parse_matrix(rows)
         want = HomologyProfile({0: free(9)})
-        assert chain_homology(w, rings) == want
+        assert assemble_complex(w, rings).homology() == want
         assert even_homology(w) == want
         factor = HomologyProfile({0: free(3)})
         assert kunneth_product(factor, factor) == want
@@ -179,7 +178,7 @@ def test_criterion_9_finite_group_class_count(rings):
         assert model.order == 120
         oracle = conjugacy_classes(model).count
         assert table.n_irreducibles == oracle == 10
-        prof = chain_homology(w, rings)
+        prof = assemble_complex(w, rings).homology()
         assert prof == HomologyProfile({0: free(oracle)})
 
 

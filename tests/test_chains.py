@@ -1,4 +1,5 @@
-"""Cell structure of the quotient complexes and their boundary maps."""
+"""Cubical cells of the quotient complex and their boundary maps, checked
+against the flag complex of the test oracle."""
 
 import itertools
 import json
@@ -7,13 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import flag_oracle
 from bredon.abelian import FgAbGroup, HomologyProfile
 from bredon.chains import (
     assemble_complex,
+    boundary,
     cell_pair_homology,
-    chain_homology,
-    cubical_complex,
-    faces,
     relative_complex,
 )
 from bredon.characters import RepRingCache
@@ -32,18 +32,10 @@ def complex_for(rows, rings):
 
 def test_cell_counts_infinite_dihedral(rings):
     w, cx = complex_for([[1, 0], [0, 1]], rings)
-    # chains in the poset {emptyset, {1}, {2}}: three length-1, two length-2
+    # intervals in the poset {emptyset, {1}, {2}}: three points [T, T]
+    # and two edges [{}, {i}]
     assert [len(level) for level in cx.cells] == [3, 2]
     assert cx.dims == [5, 2]
-
-
-def test_cell_counts_grow_with_chain_length(rings):
-    w, cx = complex_for([[1, 3, 2], [3, 1, 3], [2, 3, 1]], rings)
-    # Sym(4): poset has 1 + 3 + 3 + 1 = 8 subsets; chains of length k+1
-    # strictly increasing; top dimension is 3
-    assert cx.top_dimension == 3
-    poset = enumerate_spherical(w)
-    assert poset.size == 8
 
 
 def test_boundary_squares_to_zero(rings):
@@ -73,22 +65,32 @@ def test_each_induction_block_is_requested_once_per_pair():
 
     rings.induction = counted
     cx = assemble_complex(w, rings)
-    pairs = {chain[:2] for level in cx.cells[1:] for chain in level}
-    assert sorted(calls) == sorted(pairs)
+    # the edges [T, T + s] are exactly the codimension-one pairs
+    assert sorted(calls) == cx.cells[1]
 
 
-def test_faces_signs_and_order():
+def test_boundary_signs_kinds_and_order():
+    assert boundary(((), (0, 1))) == [
+        (((0,), (0, 1)), 1, "induction"),
+        (((), (1,)), -1, "identity"),
+        (((1,), (0, 1)), -1, "induction"),
+        (((), (0,)), 1, "identity"),
+    ]
+    assert boundary(((1,), (1,))) == []
+
+
+def test_flag_faces_signs_and_order():
     chain = ((), (0,), (0, 1))
-    assert faces(chain) == [
+    assert flag_oracle.faces(chain) == [
         (((0,), (0, 1)), -1),
         (((), (0, 1)), 1),
         (((), (0,)), -1),
     ]
 
 
-def test_infinite_dihedral_worked_boundary(rings):
+def test_flag_infinite_dihedral_worked_boundary(rings):
     # columns of d_1: cell ({} < {i}) maps to -[induced] + [regular at {}]
-    w, cx = complex_for([[1, 0], [0, 1]], rings)
+    cx = flag_oracle.assemble_complex(parse_matrix([[1, 0], [0, 1]]), rings)
     d1 = cx.differentials[1]
     assert d1.nrows == 5 and d1.ncols == 2
     # coordinate order: [{}], [{1}] x2, [{2}] x2
@@ -110,10 +112,12 @@ def test_rank5_chain_regression_values(rings):
     ]
     for perm in [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3)]:
         relabelled = parse_matrix([[path[p][q] for q in perm] for p in perm])
-        assert chain_homology(relabelled, rings) == HomologyProfile({0: FgAbGroup.free(25)})
+        assert assemble_complex(relabelled, rings).homology() == HomologyProfile(
+            {0: FgAbGroup.free(25)}
+        )
     affine_f4 = [row[:] for row in path]
     affine_f4[3][4] = affine_f4[4][3] = 3
-    assert chain_homology(parse_matrix(affine_f4), rings) == HomologyProfile(
+    assert assemble_complex(parse_matrix(affine_f4), rings).homology() == HomologyProfile(
         {0: FgAbGroup.free(40)}
     )
 
@@ -154,14 +158,14 @@ def test_finite_group_concentrated_in_degree_zero(rings):
 
 def test_max_degree_truncation(rings):
     w = parse_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
-    prof = chain_homology(w, rings, max_degree=0)
+    prof = assemble_complex(w, rings).homology(max_degree=0)
     assert prof.group_at(0) == FgAbGroup.free(5)
     assert prof.max_degree == 0
 
 
 def test_relative_complex_skeleton_decomposition(rings):
     # the n-th relative skeleton complex splits over rank-n spherical
-    # subsets into the per-subset relative complexes
+    # subsets U into the cell pairs, the cells [T, U] with U fixed
     w = parse_matrix([[1, 2, 4], [2, 1, 4], [4, 4, 1]])
     full = assemble_complex(w, rings)
     poset = enumerate_spherical(w)
@@ -194,8 +198,8 @@ def test_relative_complex_layout(rings, rows):
             assert rel.dims[d] == sum(ranks)
         coords = []
         for d, level in enumerate(rel.cells):
-            index = {chain: ci for ci, chain in enumerate(full.cells[d])}
-            kept = [index[chain] for chain in level]
+            index = {cell: ci for ci, cell in enumerate(full.cells[d])}
+            kept = [index[cell] for cell in level]
             assert all(len(full.cells[d][ci][-1]) == n for ci in kept)
             coords.append(
                 [
@@ -210,24 +214,8 @@ def test_relative_complex_layout(rings, rows):
             assert rel.differentials[d].dense() == expected
 
 
-def test_cell_pair_even_dihedral(rings):
-    # label m even: the pair contributes Z^(m/2) in degree 0 only
-    w = parse_matrix([[1, 4], [4, 1]])
-    prof = cell_pair_homology(w, (0, 1), rings)
-    assert prof.group_at(0) == FgAbGroup.free(2)
-    assert prof.max_degree == 0
-
-
-def test_cell_pair_odd_dihedral(rings):
-    # label m odd: Z^((m-1)/2) in degree 0 and Z in degree 1
-    w = parse_matrix([[1, 3], [3, 1]])
-    prof = cell_pair_homology(w, (0, 1), rings)
-    assert prof.group_at(0) == FgAbGroup.free(1)
-    assert prof.group_at(1) == FgAbGroup.free(1)
-
-
 # ---------------------------------------------------------------------------
-# the cubical complex: one cell per interval [T, U] of spherical subsets
+# the cubical complex against the flag complex, its barycentric subdivision
 # ---------------------------------------------------------------------------
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pinned.json"
@@ -289,13 +277,15 @@ def test_cubical_matches_flag_on_pinned_classes():
     assert sum(k.startswith("3:") for k in sample) == 56
     for key in sample:
         w = parse_matrix(_from_key(key))
-        assert cubical_complex(w, rings).homology() == assemble_complex(w, rings).homology(), key
+        flag = flag_oracle.assemble_complex(w, rings)
+        assert assemble_complex(w, rings).homology() == flag.homology(), key
 
 
 @pytest.mark.parametrize("name", sorted(FLAG_CHECKED))
 def test_cubical_matches_flag_on_larger_systems(rings, name):
     w = parse_matrix(FLAG_CHECKED[name])
-    assert cubical_complex(w, rings).homology() == assemble_complex(w, rings).homology()
+    flag = flag_oracle.assemble_complex(w, rings)
+    assert assemble_complex(w, rings).homology() == flag.homology()
 
 
 @pytest.mark.parametrize(
@@ -311,7 +301,7 @@ def test_cubical_cell_counts(rings, rows):
     # degree d holds one cell per d-subset of U - T: sum over U of C(|U|, d)
     w = parse_matrix(rows)
     poset = enumerate_spherical(w)
-    cx = cubical_complex(w, rings, poset)
+    cx = assemble_complex(w, rings, poset)
     top = max(len(u) for u in poset.subsets)
     assert cx.top_dimension == top
     for d, level in enumerate(cx.cells):
@@ -323,7 +313,7 @@ def test_cubical_cell_counts(rings, rows):
 
 def test_cubical_infinite_dihedral_worked_boundary(rings):
     # d[{}, {i}] = ind [{i}, {i}] - [{}, {}]; coordinates [{}], [{1}] x2, [{2}] x2
-    cx = cubical_complex(parse_matrix([[1, 0], [0, 1]]), rings)
+    cx = assemble_complex(parse_matrix([[1, 0], [0, 1]]), rings)
     assert cx.cells == [[((), ()), ((0,), (0,)), ((1,), (1,))], [((), (0,)), ((), (1,))]]
     d1 = cx.differentials[1].dense()
     assert [row[0] for row in d1] == [-1, 1, 1, 0, 0]
@@ -334,7 +324,7 @@ def test_cubical_square_signs():
     # U - T = {s_0 < s_1}: the faces that add or drop s_1 carry the sign -1
     w = parse_matrix([[1, 2], [2, 1]])
     rings = RepRingCache()
-    cx = cubical_complex(w, rings)
+    cx = assemble_complex(w, rings)
     (square,) = cx.cells[2]
     assert square == ((), (0, 1))
     d2 = cx.differentials[2].dense()
@@ -344,3 +334,30 @@ def test_cubical_square_signs():
     assert d2[rows[((1,), (0, 1))]][0] == -1  # ind to W_{s_1}, sign -
     assert d2[rows[((), (0,))]][0] == 1  # drop s_1, sign +
 
+
+
+def _free_ranks(*ranks):
+    return HomologyProfile({d: FgAbGroup.free(r) for d, r in enumerate(ranks) if r})
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        (_line([4]), _free_ranks(2)),  # even m: Z^(m/2) in degree 0
+        (_line([3]), _free_ranks(1, 1)),  # odd m: Z^((m-1)/2), then Z
+        (_line([3, 3]), _free_ranks(1, 1)),
+        (_line([3, 3, 3]), _free_ranks(1, 2)),
+        (_line([4, 3]), _free_ranks(3)),
+        (_line([5, 3]), _free_ranks(4)),
+        (_line([3, 4, 3]), _free_ranks(9)),
+        (_diagram(4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)]), _free_ranks(3, 0, 1)),
+    ],
+    ids=["I2(4)", "I2(3)", "A3", "A4", "B3", "H3", "F4", "D4"],
+)
+def test_cell_pairs_by_type(rings, rows, want):
+    # the cells [T, S] of W_S, against the cell-pair table by type and
+    # against the cells of the flag complex whose top entry is S
+    w = parse_matrix(rows)
+    assert cell_pair_homology(w, w.generators, rings) == want
+    flag = flag_oracle.assemble_complex(w, rings)
+    assert relative_complex(flag, w.rank).homology() == want

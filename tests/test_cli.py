@@ -143,9 +143,36 @@ def test_cells_output(write_system, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["dims"] == [5, 2]
+    assert [c["interval"] for c in report["dimensions"][1]["cells"]] == [[[], [0]], [[], [1]]]
     blocks = report["differentials"][0]["blocks"]
     kinds = sorted(b["kind"] for b in blocks)
     assert kinds == ["identity", "identity", "induction", "induction"]
+    code, out, _ = run(capsys, "cells", path)
+    assert "  [1] [{}, {2}]  stabilizer 1  rank 1  offset 1" in out.splitlines()
+
+
+def test_cells_dump_is_the_complex_the_chain_route_reduces(write_system, capsys, monkeypatch):
+    # rank5-334inf: 425 coordinates, where the flag complex has 1,041
+    path = write_system(_line([3, 3, 4, 0]))
+    code, out, _ = run(capsys, "cells", path, "--output", "json")
+    assert code == 0
+    dump = json.loads(out)
+    assert dump["dims"] == [127, 177, 96, 23, 2]
+    del dump["input"]
+    built = []
+    assemble = bredon.cli.assemble_complex
+
+    def recorded(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bredon.cli, "assemble_complex", recorded)
+    code, out, _ = run(capsys, "homology", path, "--cells", "--output", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["methods"]["chain"]["homology"] == {"0": {"free_rank": 25, "torsion": []}}
+    assert report["cells"] == dump
+    assert [cx.dims for cx in built] == [dump["dims"]] * 2
 
 
 def test_dump_tables(write_system, capsys):
@@ -179,9 +206,9 @@ def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows)
     monkeypatch.setattr(bredon.cli, "assemble_complex", counted)
     code, dumped, _ = run(capsys, "homology", path, "--dump-tables", "--cells",
                           "--output", "json")
-    # the chain route reduces the cubical complex, so the flag complex is
-    # assembled once, for the cells dump, from the analysis's tables
-    assert len(calls) == 1
+    # assembled twice from the analysis's tables: once for the chain
+    # route and once for the cells dump
+    assert len(calls) == 2
     _, cells, _ = run(capsys, "cells", path, "--output", "json")
     assert code == 0
     report = json.loads(dumped)
@@ -471,14 +498,14 @@ def test_order_cap_holds_on_paths_without_an_upfront_check(write_system, capsys,
 @pytest.mark.parametrize(
     "rows, digest",
     [
-        (I2_6_X_A1, "4ab3e51056c46a7b8fd675b27fca6ab5cdac6dce42d5ca4e1f5c0c9d856363d4"),
+        (I2_6_X_A1, "16e2bbf4a48ede8d52085d3ee1d003f7c79493e386fa7edef23b67fd00b86158"),
         (
             [[1, 4, 2, 0], [4, 1, 6, 2], [2, 6, 1, 4], [0, 2, 4, 1]],
-            "7dcd8f82b83d9913adb39a3a19c3b956fe0dc12f8a8dfaf5f73d650c78a4785b",
+            "c3397b4fc78c1132a09f2c20c9f8600233858f9af4e8ba91351e3f4e848defc0",
         ),
         (
             [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # H3 x A1
-            "1196d187c1eeaa2f92443bfad8fc6d4c1cdb4600b0f12c36beb5194ef40a5531",
+            "5c5d2581020c7f1993b4a0f0195f4a57c3752b273fe6c1c746499442c91d7a98",
         ),
     ],
 )

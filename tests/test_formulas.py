@@ -3,7 +3,7 @@
 import pytest
 
 from bredon.abelian import FgAbGroup, HomologyProfile
-from bredon.chains import cell_pair_homology, chain_homology
+from bredon.chains import assemble_complex, cell_pair_homology
 from bredon.characters import RepRingCache
 from bredon.coxeter import enumerate_spherical, parse_matrix
 from bredon.errors import ContractError
@@ -47,14 +47,14 @@ def test_right_angled_counts_spherical_subsets(rings):
     prof = right_angled_homology(w)
     assert prof.group_at(0) == FgAbGroup.free(8)
     # cross-check with the chain route
-    assert chain_homology(w, rings) == prof
+    assert assemble_complex(w, rings).homology() == prof
 
 
 def test_even_formula_on_mixed_labels(rings):
     w = parse_matrix([[1, 2, 4], [2, 1, 4], [4, 4, 1]])
     prof = even_homology(w)
     assert prof.group_at(0) == FgAbGroup.free(9)
-    assert chain_homology(w, rings) == prof
+    assert assemble_complex(w, rings).homology() == prof
 
 
 def test_even_requires_even_labels():
@@ -96,7 +96,7 @@ def test_lowrank_triangle_catalog(rings):
             {d: FgAbGroup.free(r) for d, r in expected.items()}
         )
         assert prof == want
-        assert chain_homology(w, rings) == want
+        assert assemble_complex(w, rings).homology() == want
 
 
 def test_kunneth_free_parts():
@@ -128,8 +128,8 @@ def test_kunneth_matches_chain_on_product_system(rings):
     factors = diagram_factors(w)
     assert len(factors) == 2
     dinf = parse_matrix([[1, 0], [0, 1]])
-    part = chain_homology(dinf, rings)
-    assert kunneth_product(part, part) == chain_homology(w, rings)
+    part = assemble_complex(dinf, rings).homology()
+    assert kunneth_product(part, part) == assemble_complex(w, rings).homology()
 
 
 def test_diagram_factors():
@@ -189,7 +189,7 @@ def test_k_theory_torsion_free_collapse(rings):
     rows = [[1 if i == j else 2 for j in range(5)] for i in range(5)]
     for i, j in ((0, 2), (1, 2), (2, 3), (2, 4)):
         rows[i][j] = rows[j][i] = 3
-    verdict = k_homology(chain_homology(parse_matrix(rows), rings))
+    verdict = k_homology(assemble_complex(parse_matrix(rows), rings).homology())
     assert verdict.decided
     assert (verdict.k0, verdict.k1) == (FgAbGroup.free(33), FgAbGroup.free(0))
     assert "torsion-free" in verdict.note and "Baum-Connes" in verdict.note
