@@ -38,6 +38,15 @@ def test_cell_counts_infinite_dihedral(rings):
     assert cx.dims == [5, 2]
 
 
+def test_cell_counts_a3(rings):
+    w, cx = complex_for([[1, 3, 2], [3, 1, 3], [2, 3, 1]], rings)
+    # Sym(4): all 1 + 3 + 3 + 1 = 8 subsets are spherical; the intervals
+    # [T, U] with |U - T| = d number C(3, d) * 2^(3 - d); top dimension 3
+    assert cx.top_dimension == 3
+    assert enumerate_spherical(w).size == 8
+    assert [len(level) for level in cx.cells] == [8, 12, 6, 1]
+
+
 def test_boundary_squares_to_zero(rings):
     cases = [
         [[1, 0], [0, 1]],

@@ -30,6 +30,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _line(labels):
+    """Coxeter matrix of a linear diagram with the given edge labels."""
+    n = len(labels) + 1
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, m in enumerate(labels):
+        rows[i][i + 1] = rows[i + 1][i] = m
+    return rows
+
+
 def test_homology_text_output(write_system, capsys):
     path = write_system([[1, 0], [0, 1]])
     code, out, _ = run(capsys, "homology", path)
@@ -151,30 +160,6 @@ def test_cells_output(write_system, capsys):
     assert "  [1] [{}, {2}]  stabilizer 1  rank 1  offset 1" in out.splitlines()
 
 
-def test_cells_dump_is_the_complex_the_chain_route_reduces(write_system, capsys, monkeypatch):
-    # rank5-334inf: 425 coordinates, where the flag complex has 1,041
-    path = write_system(_line([3, 3, 4, 0]))
-    code, out, _ = run(capsys, "cells", path, "--output", "json")
-    assert code == 0
-    dump = json.loads(out)
-    assert dump["dims"] == [127, 177, 96, 23, 2]
-    del dump["input"]
-    built = []
-    assemble = bredon.cli.assemble_complex
-
-    def recorded(*args, **kwargs):
-        built.append(assemble(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(bredon.cli, "assemble_complex", recorded)
-    code, out, _ = run(capsys, "homology", path, "--cells", "--output", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["methods"]["chain"]["homology"] == {"0": {"free_rank": 25, "torsion": []}}
-    assert report["cells"] == dump
-    assert [cx.dims for cx in built] == [dump["dims"]] * 2
-
-
 def test_dump_tables(write_system, capsys):
     path = write_system([[1, 4], [4, 1]])
     code, out, _ = run(capsys, "homology", path, "--dump-tables",
@@ -187,34 +172,39 @@ def test_dump_tables(write_system, capsys):
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows, dims",
     [
-        [[1, 3, 2], [3, 1, 3], [2, 3, 1]],  # A3: Dixon table, finite route
-        [[1, 4, 6], [4, 1, 0], [6, 0, 1]],  # infinite, dihedral tables
+        # A3: Dixon table, finite route
+        ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], [22, 25, 9, 1]),
+        # infinite, dihedral tables
+        ([[1, 4, 6], [4, 1, 0], [6, 0, 1]], [18, 11, 2]),
+        # rank5-334inf: 425 coordinates, where the flag complex has 1,041
+        (_line([3, 3, 4, 0]), [127, 177, 96, 23, 2]),
     ],
 )
-def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows):
+def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows, dims):
     path = write_system(rows)
     _, plain, _ = run(capsys, "homology", path, "--output", "json")
-    calls = []
+    built = []
     assemble = bredon.cli.assemble_complex
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return assemble(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(bredon.cli, "assemble_complex", counted)
+    monkeypatch.setattr(bredon.cli, "assemble_complex", recorded)
     code, dumped, _ = run(capsys, "homology", path, "--dump-tables", "--cells",
                           "--output", "json")
     # assembled twice from the analysis's tables: once for the chain
-    # route and once for the cells dump
-    assert len(calls) == 2
+    # route and once for the cells dump, and both are the same complex
+    assert [cx.dims for cx in built] == [dims] * 2
     _, cells, _ = run(capsys, "cells", path, "--output", "json")
     assert code == 0
     report = json.loads(dumped)
     assert report.pop("tables")
     cells_report = json.loads(cells)
     del cells_report["input"]
+    assert cells_report["dims"] == dims
     assert report.pop("cells") == cells_report
     assert report == json.loads(plain)
 
@@ -517,15 +507,6 @@ def test_report_bytes_are_pinned(write_system, capsys, rows, digest):
                          "--dump-tables", "--cells")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def _line(labels):
-    """Coxeter matrix of a linear diagram with the given edge labels."""
-    n = len(labels) + 1
-    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    for i, m in enumerate(labels):
-        rows[i][i + 1] = rows[i + 1][i] = m
-    return rows
 
 
 E6_ROWS = [[1, 2, 3, 2, 2, 2], [2, 1, 2, 3, 2, 2], [3, 2, 1, 3, 2, 2],
