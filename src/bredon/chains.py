@@ -15,11 +15,19 @@ The chain route reduces this complex (`assemble_complex`) and the cell
 dumps print it.  The cells [T', U] with U fixed are the cell pair of W_U
 (its Coxeter cell modulo the boundary), so relative complexes and cell
 pairs are sliced from it by the rank of U.
+
+The cells [T, U] with a fixed bottom T form the dual cell of W_T, and
+their identity faces are blocks +-I.  An acyclic matching of them
+(`morse_matching`; Skoldberg 2006, algebraic Morse theory) pairs the
+cells off, leaving for each T a copy of R(W_T) per critical face of the
+link of T, whose chains carry the link's reduced homology;
+`homology_at` cancels the pairs before its Smith forms.  For a simplex
+group one cell per proper T is left: the faces of the chamber.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
 from .abelian import HomologyProfile
@@ -62,6 +70,38 @@ def boundary(cell: Cell) -> list[tuple[Cell, int, str]]:
     return out
 
 
+def morse_matching(cells: list[list[Cell]]) -> list[tuple[Cell, Cell]]:
+    """Pairs (face, cell) of cells [T, U] and [T, U + s] of one bottom T,
+    which the identity face joins, forming an acyclic matching.
+
+    For each bottom T the tops U form the link {V : T + V spherical}
+    shifted by T; it is matched by element matchings, one generator s at
+    a time in increasing order, each pairing U with U + s while both are
+    still free.  Such a union is acyclic (Jonsson 2008), and the faces
+    between different bottoms are inductions, which enlarge T, so the
+    whole matching is.  Bottoms come in order of size, so a pair comes
+    before those its cell's induction faces reach.
+    """
+    rank = sum(len(t) == 1 for t, _ in cells[0])  # every singleton is spherical
+    mask = {u: sum(1 << x for x in u) for u, _ in cells[0]}
+    tops: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}  # by bitmask
+    for level in cells:
+        for t, u in level:
+            tops.setdefault(t, {})[mask[u]] = u
+    pairs = []
+    for t in sorted(tops, key=len):
+        top_of = tops[t]
+        free = set(top_of)
+        for s in range(rank):
+            if len(free) < 2:
+                break
+            bit = 1 << s
+            step = sorted(m for m in free if not m & bit and m | bit in free)
+            free.difference_update(step, [m | bit for m in step])
+            pairs.extend(((t, top_of[m]), (t, top_of[m | bit])) for m in step)
+    return pairs
+
+
 def _layout(block_ranks: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """(offsets, dims): each level's blocks sit side by side, so a block's
     offset is the running sum of the ranks before it and the level's
@@ -82,7 +122,9 @@ class BredonComplex:
     holds the zero map out of degree 0 so lengths line up.  block_ranks
     mirror the cell lists: cell ci of dimension d occupies
     block_ranks[d][ci] consecutive coordinates starting at
-    offsets[d][ci].
+    offsets[d][ci].  matching[k] lists the (row, column) pairs of
+    differentials[k] that homology cancels first; it is empty where no
+    identity face is kept, as in relative complexes.
     """
 
     cells: list[list[Cell]]
@@ -90,6 +132,7 @@ class BredonComplex:
     offsets: list[list[int]]
     dims: list[int]
     differentials: list[IntMatrix]
+    matching: list[list[tuple[int, int]]] = field(default_factory=list)
 
     @property
     def top_dimension(self) -> int:
@@ -98,7 +141,7 @@ class BredonComplex:
     def homology(self, max_degree: int | None = None) -> HomologyProfile:
         top = self.top_dimension
         limit = top if max_degree is None else min(max_degree, top)
-        return HomologyProfile(homology_at(self.differentials, limit))
+        return HomologyProfile(homology_at(self.differentials, limit, self.matching))
 
 
 def assemble_complex(
@@ -140,7 +183,13 @@ def assemble_complex(
                 for r, brow in enumerate(inductions[pair].rows):
                     rows[row0 + r].extend((col0 + j, sign * v) for j, v in brow)
         differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
-    return BredonComplex(cells, block_ranks, offsets, dims, differentials)
+    matching: list[list[tuple[int, int]]] = [[] for _ in cells]
+    for face, cell in morse_matching(cells):
+        d = len(cell[1]) - len(cell[0])
+        row0, col0 = offset_of[d - 1][face], offset_of[d][cell]
+        n = rank_of[cell[0]]
+        matching[d].extend(zip(range(row0, row0 + n), range(col0, col0 + n)))
+    return BredonComplex(cells, block_ranks, offsets, dims, differentials, matching)
 
 
 def relative_complex(full: BredonComplex, n: int) -> BredonComplex:

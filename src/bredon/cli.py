@@ -102,10 +102,15 @@ _NO_ROUTE = {
 
 
 def _run_route(
-    name: str, w: CoxeterMatrix, rings: RepRingCache, poset: SphericalPoset
+    name: str,
+    w: CoxeterMatrix,
+    rings: RepRingCache,
+    poset: SphericalPoset,
+    complexes: dict | None = None,
 ) -> HomologyProfile:
     """Homology of w along one route; raises ResourceCapError above
-    rings.order_cap.  The chain route reduces the cubical complex."""
+    rings.order_cap.  The chain route reduces the cubical complex, which
+    it leaves in complexes["chain"] when complexes is given."""
     if name == "chain":
         max_parabolic = max(poset.orders.values())
         if max_parabolic > rings.order_cap:
@@ -113,7 +118,10 @@ def _run_route(
                 f"largest spherical parabolic has order {max_parabolic}, "
                 f"above the cap {rings.order_cap}"
             )
-        return assemble_complex(w, rings, poset).homology()
+        cx = assemble_complex(w, rings, poset)
+        if complexes is not None:
+            complexes[name] = cx
+        return cx.homology()
     if name == "kunneth":
         combined = None
         for factor in diagram_factors(w):
@@ -144,6 +152,7 @@ def run_analysis(
     poset: SphericalPoset | None = None,
     method: str = "auto",
     max_degree: int | None = None,
+    complexes: dict | None = None,
 ):
     """Run the requested homology routes and reconcile them.
 
@@ -152,9 +161,11 @@ def run_analysis(
     method the ones it names.  The chain route reduces the cubical
     complex of the chamber, one cell per interval [T, U] of spherical
     subsets, which the cell dumps print.  rings.order_cap bounds the
-    parabolics the routes may realize.  Returns (report dict, timings
-    dict, exit code).  The report is fully JSON-serializable and
-    deterministic; timings are text-mode garnish.
+    parabolics the routes may realize.  A dict passed as complexes
+    receives the chain route's complex under "chain" when that route
+    runs, so a cell dump need not assemble it again.  Returns (report
+    dict, timings dict, exit code).  The report is fully
+    JSON-serializable and deterministic; timings are text-mode garnish.
     """
     if method not in METHODS:
         raise ContractError(f"unknown method {method!r}")
@@ -177,7 +188,7 @@ def run_analysis(
     for name in plan:
         start = time.perf_counter()
         try:
-            profiles[name] = _run_route(name, w, rings, poset)
+            profiles[name] = _run_route(name, w, rings, poset, complexes)
         except ResourceCapError as exc:
             if method != "auto":
                 raise
@@ -456,8 +467,10 @@ def cmd_homology(args) -> int:
     w = load_system(args.input)
     rings = RepRingCache(args.order_cap)
     poset = enumerate_spherical(w)
+    complexes: dict = {}
     report, timings, code = run_analysis(
-        w, rings, poset, method=args.method, max_degree=args.max_degree
+        w, rings, poset, method=args.method, max_degree=args.max_degree,
+        complexes=complexes,
     )
     extra_renderers = []
     if args.dump_tables:
@@ -465,7 +478,8 @@ def cmd_homology(args) -> int:
         report["tables"] = tables
         extra_renderers.append(lambda out: _tables_text(tables, out))
     if args.cells:
-        cells = cells_payload(assemble_complex(w, rings, poset), poset)
+        cx = complexes.get("chain") or assemble_complex(w, rings, poset)
+        cells = cells_payload(cx, poset)
         report["cells"] = cells
         extra_renderers.append(lambda out: _cells_text(cells, out))
 

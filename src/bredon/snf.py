@@ -3,11 +3,16 @@
 Matrices are stored by row, keeping only their nonzero entries, in
 arbitrary-precision Python ints: intermediate entries can outgrow any
 fixed width, and the Bredon differentials are about 1% dense.  Homology
-is read off the ranks and invariant factors of the differentials, which
-one sparse elimination finds: it pivots on +-1 entries by Markowitz cost
-while any is left and on entries of least magnitude after that, splitting
-off one diagonal entry per pivot.  Only the invariant factors are kept,
-so no transform matrix is ever formed.
+is read off the ranks and invariant factors of the differentials.  A
+complex may come with a matching: pairs of +-1 entries, each coordinate
+in at most one pair, such as the identity faces of the cubical complex.
+Each pair is cancelled once across the whole complex, by a Schur
+complement in its own differential and a dropped row or column in the
+two beside it, so only the unmatched coordinates reach the Smith form.
+That is one sparse elimination per differential: it pivots on +-1
+entries by Markowitz cost while any is left and on entries of least
+magnitude after that, splitting off one diagonal entry per pivot.  Only
+the invariant factors are kept, so no transform matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -184,20 +189,80 @@ def smith_normal_form(a: IntMatrix) -> SmithResult:
     return SmithResult(diagonal=diagonal, rank=len(pivots))
 
 
-def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup]:
+def _matched_residual(
+    d: IntMatrix, pairs: list[tuple[int, int]], drop_rows: set[int], drop_cols: set[int]
+) -> IntMatrix:
+    """d less the rows drop_rows and the columns drop_cols, then reduced on
+    each (row, column) pair in turn: the pair's entry must be +-1 when its
+    turn comes, row operations clear the rest of its column, and its row
+    and column are dropped.  What is left is the Schur complement of the
+    pairs' block, with d's rank less len(pairs) and d's torsion."""
+    matched = {a for _, a in pairs}
+    rows_at: dict[int, set[int]] = {a: set() for a in matched}  # rows met in column a
+    for i, row in enumerate(d.rows):
+        for c, _ in row:
+            if c in rows_at:
+                rows_at[c].add(i)
+    # only the rows with an entry in a matched column ever change
+    rows = {
+        i: {c: v for c, v in d.rows[i] if c not in drop_cols}
+        for i in sorted(set().union(*rows_at.values()) - drop_rows)
+    }
+    for b, a in pairs:
+        pivot_row = rows.pop(b)
+        v = pivot_row.pop(a, 0)
+        if v != 1 and v != -1:
+            raise ConsistencyError(f"matched entry ({b}, {a}) is {v}, not a unit")
+        for r in rows_at.pop(a):
+            target = rows.get(r)  # None once r was a pivot row itself
+            if target is None or a not in target:
+                continue
+            q = target.pop(a) * v
+            for c, x in pivot_row.items():
+                y = target.get(c, 0) - q * x
+                if y:
+                    target[c] = y
+                    if c in rows_at:
+                        rows_at[c].add(r)
+                else:
+                    del target[c]
+    pivot_rows = {b for b, _ in pairs}
+    keep = [c for c in range(d.ncols) if c not in drop_cols and c not in matched]
+    new_col = {c: n for n, c in enumerate(keep)}
+    out = []
+    for i, row in enumerate(d.rows):
+        if i in rows:
+            out.append(sorted((new_col[c], v) for c, v in rows[i].items()))
+        elif i not in drop_rows and i not in pivot_rows:
+            out.append([(new_col[c], v) for c, v in row if c in new_col])
+    return IntMatrix(len(out), len(keep), out)
+
+
+def homology_at(
+    differentials: list[IntMatrix],
+    top: int,
+    matching: list[list[tuple[int, int]]] = (),
+) -> dict[int, FgAbGroup]:
     """Homology H_0 .. H_top of a chain complex of free Z-modules.
 
     differentials[k] is the map C_k -> C_{k-1} on column vectors, with
     index 0 the zero map out of C_0; a negative top gives no groups.
-    Each d_1 .. d_{top+1} that exists is reduced once by
-    smith_normal_form, which gives its rank r_k and its invariant factors,
-    the torsion.  Then
+    matching[k], when given, lists (row, column) pairs of d_k whose
+    entries are +-1, each coordinate of the complex in at most one pair
+    (an acyclic matching keeps them units through the elimination).
+    Each pair is a cancellable summand 0 -> Z -> Z -> 0: d_k is reduced on
+    its pairs to a Schur complement d_k', d_{k+1} loses the pairs' columns
+    as rows and d_{k-1} loses their rows as columns.  Each residual d_k'
+    of d_1 .. d_{top+1} that exists goes once through smith_normal_form,
+    which gives its rank and invariant factors; with r_k = (pairs of d_k)
+    + rank d_k',
 
-        H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}.
+        H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}'.
 
     This holds because im d_d lies in the free module C_{d-1}, so ker d_d
-    is a direct summand of C_d.  The composites d_k . d_{k+1} are checked
-    to vanish, since the formula is meaningless otherwise.
+    is a direct summand of C_d.  The composites d_k . d_{k+1} of the
+    complex as given are checked to vanish, since neither the formula nor
+    the dropped rows and columns are sound otherwise.
     """
     if top >= len(differentials):
         raise ContractError(
@@ -207,13 +272,27 @@ def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup
         if differentials[k].nrows != differentials[k - 1].ncols:
             raise ContractError("chain degrees do not line up")
     last = min(top + 1, len(differentials) - 1)
+    pairs = list(matching[: last + 1])
+    pairs += [[]] * (last + 2 - len(pairs))
+    for k in range(1, last + 1):
+        rows, cols = {b for b, _ in pairs[k]}, {a for _, a in pairs[k]}
+        if len(rows) < len(pairs[k]) or len(cols) < len(pairs[k]) or any(
+            b in cols for b, _ in pairs[k + 1]
+        ):
+            raise ContractError(f"the matching uses a coordinate twice in degree {k}")
     ranks = [0] * (top + 2)
     torsion: list[list[int]] = [[] for _ in range(top + 2)]
     for k in range(1, last + 1):
         if k < last and not differentials[k].mul(differentials[k + 1]).is_zero():
             raise ConsistencyError(f"d_{k} . d_{k + 1} is nonzero")
-        res = smith_normal_form(differentials[k])
-        ranks[k] = res.rank
+        residual = _matched_residual(
+            differentials[k],
+            pairs[k],
+            {a for _, a in pairs[k - 1]},
+            {b for b, _ in pairs[k + 1]},
+        )
+        res = smith_normal_form(residual)
+        ranks[k] = len(pairs[k]) + res.rank
         torsion[k] = [x for x in res.diagonal if x > 1]
     return {
         d: FgAbGroup.from_factors(

@@ -13,11 +13,15 @@ from bredon.abelian import FgAbGroup, HomologyProfile
 from bredon.chains import (
     assemble_complex,
     boundary,
+    build_cells,
     cell_pair_homology,
+    morse_matching,
     relative_complex,
 )
 from bredon.characters import RepRingCache
 from bredon.coxeter import enumerate_spherical, parse_matrix
+from bredon.errors import ConsistencyError
+from bredon.snf import IntMatrix, homology_at
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +299,86 @@ def test_cubical_matches_flag_on_larger_systems(rings, name):
     w = parse_matrix(FLAG_CHECKED[name])
     flag = flag_oracle.assemble_complex(w, rings)
     assert assemble_complex(w, rings).homology() == flag.homology()
+
+
+# ---------------------------------------------------------------------------
+# the matching of identity faces that homology cancels before the Smith form
+# ---------------------------------------------------------------------------
+
+
+def _unmatched(cx):
+    return homology_at(cx.differentials, cx.top_dimension)
+
+
+def test_matching_cancels_to_the_same_homology_on_pinned_classes():
+    rings = RepRingCache()
+    for key in _pinned_sample():
+        cx = assemble_complex(parse_matrix(_from_key(key)), rings)
+        assert any(cx.matching), key
+        assert cx.homology() == HomologyProfile(_unmatched(cx)), key
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_CHECKED))
+def test_matching_cancels_to_the_same_homology_on_larger_systems(rings, name):
+    cx = assemble_complex(parse_matrix(FLAG_CHECKED[name]), rings)
+    want = _unmatched(cx)
+    assert homology_at(cx.differentials, cx.top_dimension, cx.matching) == want
+    # the entries stay units in any order, so the order only sets the fill
+    backwards = [pairs[::-1] for pairs in cx.matching]
+    assert homology_at(cx.differentials, cx.top_dimension, backwards) == want
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 0], [0, 1]], [[1, 3, 0], [3, 1, 4], [0, 4, 1]], AFFINE_D4, _line([5, 3, 3, 3])]
+)
+def test_matching_pairs_identity_faces_once(rows):
+    pairs = morse_matching(build_cells(enumerate_spherical(parse_matrix(rows))))
+    matched = [cell for pair in pairs for cell in pair]
+    assert len(set(matched)) == len(matched)
+    for face, cell in pairs:
+        assert any(f == face and kind == "identity" for f, _, kind in boundary(cell))
+    # bottoms come in order of size, so no pair's induction faces reach
+    # an earlier pair
+    sizes = [len(cell[0]) for _, cell in pairs]
+    assert sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize(
+    "rows, survivors",
+    [
+        (_cycle(4), [20, 20, 8, 1]),
+        (_line([4, 3, 4]), [40, 25, 8, 1]),
+        (_line([5, 3, 5]), [36, 23, 8, 1]),
+    ],
+    ids=["affine-A3", "affine-C3", "5-3-5"],
+)
+def test_simplex_group_survivors_are_the_chamber_faces(rings, rows, survivors):
+    # every proper subset of S is spherical, so the link of T is the
+    # boundary of the simplex on S - T, which leaves one cell per T in
+    # degree n - 1 - |T|: the survivors number sum_{|T| = n-1-k} |Irr W_T|
+    w = parse_matrix(rows)
+    poset = enumerate_spherical(w)
+    cx = assemble_complex(w, rings, poset)
+    pairs = [len(m) for m in cx.matching] + [0]
+    got = [n - pairs[k] - pairs[k + 1] for k, n in enumerate(cx.dims)]
+    assert got == survivors
+    assert got == [
+        sum(rings.table(w, t).n_classes for t in poset.subsets if len(t) == w.rank - 1 - k)
+        for k in range(len(cx.dims))
+    ]
+
+
+def test_flipped_identity_block_is_caught(rings):
+    w, cx = complex_for(_line([3, 3, 4, 0]), rings)
+    face, cell = next(p for p in morse_matching(cx.cells) if len(p[1][1]) - len(p[1][0]) == 2)
+    row0 = cx.offsets[1][cx.cells[1].index(face)]
+    col0 = cx.offsets[2][cx.cells[2].index(cell)]
+    block = {(row0 + j, col0 + j) for j in range(rings.table(w, cell[0]).n_classes)}
+    d = cx.differentials[2]
+    rows = [[(c, -v if (r, c) in block else v) for c, v in row] for r, row in enumerate(d.rows)]
+    cx.differentials[2] = IntMatrix(d.nrows, d.ncols, rows)
+    with pytest.raises(ConsistencyError):
+        cx.homology()
 
 
 @pytest.mark.parametrize(

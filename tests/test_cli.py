@@ -195,9 +195,9 @@ def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows,
     monkeypatch.setattr(bredon.cli, "assemble_complex", recorded)
     code, dumped, _ = run(capsys, "homology", path, "--dump-tables", "--cells",
                           "--output", "json")
-    # assembled twice from the analysis's tables: once for the chain
-    # route and once for the cells dump, and both are the same complex
-    assert [cx.dims for cx in built] == [dims] * 2
+    # assembled once, by the chain route, and the cells dump prints that
+    # complex
+    assert [cx.dims for cx in built] == [dims]
     _, cells, _ = run(capsys, "cells", path, "--output", "json")
     assert code == 0
     report = json.loads(dumped)
@@ -554,12 +554,14 @@ def _groups(*ranks):
         (_diagram(6, [(0, 2, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)]), (40, 4), 40, 4),
         # a 7-cycle of label-3 edges with a label-4 chord between nodes 0 and 3
         (_diagram(7, [(i, (i + 1) % 7, 3) for i in range(7)] + [(0, 3, 4)]), (78, 4), 78, 4),
+        # affine A6: K_0 = H_0 + H_2
+        (_diagram(7, [(i, (i + 1) % 7, 3) for i in range(7)]), (21, 15, 2), 23, 15),
     ],
-    ids=["affine-A5", "affine-D5", "hept-chord"],
+    ids=["affine-A5", "affine-D5", "hept-chord", "affine-A6"],
 )
 def test_rank6_and_rank7_chain_answers(write_system, capsys, rows, homology, k0, k1):
     # regression values of the chain route, the only route that reaches
-    # these systems; affine A5's and D5's ranks match their torus ranks
+    # these systems; the affine systems' ranks match their torus ranks
     path = write_system(rows)
     code, out, err = run(capsys, "homology", path, "--method", "chain", "--output", "json")
     assert (code, err) == (0, "")

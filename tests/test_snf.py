@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from bredon.abelian import FgAbGroup
-from bredon.errors import ConsistencyError
+from bredon.errors import ConsistencyError, ContractError
 from bredon.snf import IntMatrix, SmithResult, homology_at, smith_normal_form
 
 
@@ -229,6 +229,34 @@ def test_nonzero_composite_is_rejected():
         homology_at(diffs, 1)
     # degree 0 needs only d_1, so the bad composite is never formed
     assert homology_at(diffs, 0) == {0: FgAbGroup()}
+
+
+def test_matched_pairs_cancel():
+    # Z --A--> Z^3 --B--> Z^2: H_0 = Z/2 and nothing else.  The pair (0, 0)
+    # of A and the pair (0, 1) of B are unit entries on different
+    # coordinates of C_1, so both cancel and leave B's 2 to the Smith form.
+    a = IntMatrix.from_rows([[1], [1], [0]])
+    b = IntMatrix.from_rows([[1, -1, 0], [0, 0, 2]])
+    diffs = complex_of(b, a)
+    matching = [[], [(0, 1)], [(0, 0)]]
+    want = {0: FgAbGroup.from_factors(0, [2]), 1: FgAbGroup(), 2: FgAbGroup()}
+    assert homology_at(diffs, 2, matching) == homology_at(diffs, 2) == want
+    # pairs above d_{top+1} are not used
+    assert homology_at(diffs, 0, matching) == {0: want[0]}
+
+
+def test_matched_entry_must_be_a_unit():
+    diffs = complex_of(IntMatrix.from_rows([[2]]))
+    with pytest.raises(ConsistencyError, match="not a unit"):
+        homology_at(diffs, 1, [[], [(0, 0)]])
+
+
+def test_matching_uses_each_coordinate_once():
+    # C_1's only coordinate would be both a column of d_1 and a row of d_2
+    one = IntMatrix.from_rows([[1]])
+    diffs = complex_of(one, IntMatrix.zero(1, 1))
+    with pytest.raises(ContractError, match="twice"):
+        homology_at(diffs, 1, [[], [(0, 0)], [(0, 0)]])
 
 
 def elementary_pair(rng, n, steps=12):
