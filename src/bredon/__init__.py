@@ -25,7 +25,6 @@ from .characters import (
     dihedral_table,
     dixon_table,
     induction_matrix,
-    restriction_matrix,
     tensor_table,
 )
 from .coxeter import (
@@ -35,7 +34,6 @@ from .coxeter import (
     classify_subset,
     components,
     enumerate_spherical,
-    numeric_finiteness_check,
     parse_matrix,
     spherical_order,
 )

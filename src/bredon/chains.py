@@ -21,8 +21,8 @@ their identity faces are blocks +-I.  An acyclic matching of them
 (`morse_matching`; Skoldberg 2006, algebraic Morse theory) pairs the
 cells off, leaving for each T a copy of R(W_T) per critical face of the
 link of T, whose chains carry the link's reduced homology;
-`homology_at` cancels the pairs before its Smith forms.  For a simplex
-group one cell per proper T is left: the faces of the chamber.
+`homology_at` takes the pairs as its Smith forms' first pivots.  For a
+simplex group one cell per proper T is left: the faces of the chamber.
 """
 
 from __future__ import annotations

@@ -545,7 +545,7 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# Induction and restriction between nested parabolics
+# Induction between nested parabolics
 # ---------------------------------------------------------------------------
 
 
@@ -585,27 +585,6 @@ def induction_matrix(
                 "induced degree mismatch: column "
                 f"{j} gives {total}, expected {index * sub.degrees[j]}"
             )
-    return IntMatrix.from_rows(rows)
-
-
-def restriction_matrix(
-    sub: CharacterTable, big: CharacterTable, embedding: list[int]
-) -> IntMatrix:
-    """Multiplicities of sub irreducibles in restricted big irreducibles.
-
-    By Frobenius reciprocity this equals induction_matrix on the same
-    data, but it is computed by the independent route (evaluate big
-    characters on sub classes, then decompose), which makes it the test
-    oracle for induction.
-    """
-    rest_vals = big.values[:, embedding]
-    sizes = np.array(sub.class_sizes, dtype=float)
-    raw = (rest_vals * sizes) @ sub.values.conj().T / sub.order
-    rows = _round_int_rows(raw, "restriction matrix")
-    for i in range(big.n_irreducibles):
-        total = sum(rows[i][j] * sub.degrees[j] for j in range(sub.n_irreducibles))
-        if total != big.degrees[i]:
-            raise ConsistencyError("restricted degree mismatch")
     return IntMatrix.from_rows(rows)
 
 

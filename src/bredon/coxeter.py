@@ -25,9 +25,6 @@ from .errors import ContractError, MatrixError
 
 INFINITE = math.inf
 
-# tolerance for the floating-point positive-definiteness oracle
-MINOR_TOL = 1.0e-9
-
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 _H_ORDERS = {3: 120, 4: 14400}
 
@@ -318,25 +315,6 @@ def cosine_matrix(w: CoxeterMatrix, t) -> np.ndarray:
     return np.array(
         [[-math.cos(math.pi / w.entry(i, j)) for j in t] for i in t]
     )
-
-
-def numeric_finiteness_check(w: CoxeterMatrix, t, tol: float = MINOR_TOL) -> bool:
-    """Positive-definiteness of the cosine form, decided by leading
-    principal minors with a floating-point tolerance.
-
-    This is the numeric oracle for finiteness of W_T; the exact route is
-    the diagram classification.  Minors within tol of zero count as
-    degenerate (affine diagrams land there), so the answer is False.
-    """
-    t = canonical_subset(t)
-    _check_subset(w, t)
-    if not t:
-        return True
-    b = cosine_matrix(w, t)
-    for k in range(1, len(t) + 1):
-        if np.linalg.det(b[:k, :k]) <= tol:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,6 @@ class GroupModel:
     def rank(self) -> int:
         return len(self.members)
 
-    @property
-    def gen_elements(self) -> tuple[int, ...]:
-        return tuple(self.right[0].tolist())
-
     def word(self, e: int) -> tuple[int, ...]:
         """Shortlex-least word of element e, read off the tree."""
         letters = []
@@ -90,10 +86,6 @@ class GroupModel:
         for s in word:
             cur = self.right[cur, s]
         return int(cur)
-
-    def mult(self, i: int, j: int) -> int:
-        """Index of element i . j (i applied after j)."""
-        return self.evaluate_word(self.word(j), i)
 
 
 def _close_roots(b: np.ndarray):

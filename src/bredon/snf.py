@@ -3,16 +3,16 @@
 Matrices are stored by row, keeping only their nonzero entries, in
 arbitrary-precision Python ints: intermediate entries can outgrow any
 fixed width, and the Bredon differentials are about 1% dense.  Homology
-is read off the ranks and invariant factors of the differentials.  A
-complex may come with a matching: pairs of +-1 entries, each coordinate
-in at most one pair, such as the identity faces of the cubical complex.
-Each pair is cancelled once across the whole complex, by a Schur
-complement in its own differential and a dropped row or column in the
-two beside it, so only the unmatched coordinates reach the Smith form.
-That is one sparse elimination per differential: it pivots on +-1
-entries by Markowitz cost while any is left and on entries of least
-magnitude after that, splitting off one diagonal entry per pivot.  Only
-the invariant factors are kept, so no transform matrix is ever formed.
+is read off the ranks and invariant factors of the differentials, each
+found by one sparse elimination that splits off one diagonal entry per
+pivot.  A complex may come with a matching: pairs of +-1 entries, each
+coordinate in at most one pair, such as the identity faces of the
+cubical complex.  The pairs of a differential are its first pivots, and
+the row or column each pair leaves in the differentials beside it is
+dropped; after them the elimination pivots on +-1 entries by Markowitz
+cost while any is left and on entries of least magnitude after that.
+Only the invariant factors are kept, so no transform matrix is ever
+formed.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class SmithResult:
     rank: int
 
 
-def smith_normal_form(a: IntMatrix) -> SmithResult:
+def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithResult:
     """Invariant factors of a by sparse elimination, one pivot at a time.
 
     A step on the entry v at (i, j) leaves every other entry of column j
@@ -98,50 +98,64 @@ def smith_normal_form(a: IntMatrix) -> SmithResult:
     is then alone in its row and column, a is (v) + the rest: the step
     records |v| and drops row i and column j.  Otherwise a remainder
     smaller than |v| is left for a later step.  The recorded pivots are a
-    diagonal equivalent to a, so their divisor chain is its Smith form.
+    diagonal equivalent to a, so their divisor chain is its Smith form,
+    in whatever order they are taken.
 
-    Pivots are unit entries of least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1), waiting in a heap under
-    the cost they had when pushed (a popped entry whose cost has since
-    grown goes back with its current cost); once the heap is empty, an
-    entry of least magnitude (a unit, if a remainder left one), ties to
-    the lowest (row, column).
+    The (row, column) entries listed in first are the first pivots, in
+    turn; each must be +-1 when its turn comes.  After them, pivots are
+    unit entries of least Markowitz cost (row nonzeros - 1) * (column
+    nonzeros - 1), waiting in a heap that is filled once first is spent,
+    under the cost they had when pushed (a popped entry whose cost has
+    since grown goes back with its current cost); once the heap is empty,
+    an entry of least magnitude (a unit, if a remainder left one), ties
+    to the lowest (row, column).
     """
     import heapq  # here, not at module load: every CLI request imports snf
 
+    if not all(0 <= i < a.nrows and 0 <= j < a.ncols for i, j in first):
+        raise ContractError(f"a given pivot lies outside the {a.nrows}x{a.ncols} matrix")
     rows = [dict(r) for r in a.rows]
     cols: list[set[int]] = [set() for _ in range(a.ncols)]
-    heap = []
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                heap.append(((len(row) - 1) * (len(cols[j]) - 1), i, j))
-    heapq.heapify(heap)
+    heap = []
 
-    def next_pivot():
-        """(row, column) of the next pivot, or None once a is reduced."""
-        while heap:
-            cost, i, j = heapq.heappop(heap)
-            v = rows[i].get(j)
+    def pivot_order():
+        """(row, column) of each pivot in turn, until a is reduced."""
+        for i, j in first:
+            v = rows[i].get(j, 0)
             if v != 1 and v != -1:
-                continue  # row gone, or the entry changed since it was pushed
-            now = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            if now > cost:
-                heapq.heappush(heap, (now, i, j))
-                continue
-            return i, j
-        least = min(
-            ((abs(v), i, j) for i, row in enumerate(rows) for j, v in row.items()),
-            default=None,
-        )
-        return least and least[1:]
+                raise ConsistencyError(f"pivot ({i}, {j}) is {v}, not a unit")
+            yield i, j
+        heap[:] = [  # every unit left, in place of those pushed so far
+            ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in enumerate(rows)
+            for j, v in row.items()
+            if v == 1 or v == -1
+        ]
+        heapq.heapify(heap)
+        while True:
+            while heap:
+                cost, i, j = heapq.heappop(heap)
+                v = rows[i].get(j)
+                if v != 1 and v != -1:
+                    continue  # row gone, or the entry changed since it was pushed
+                now = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+                if now > cost:
+                    heapq.heappush(heap, (now, i, j))
+                    continue
+                yield i, j
+            least = min(
+                ((abs(v), i, j) for i, row in enumerate(rows) for j, v in row.items()),
+                default=None,
+            )
+            if least is None:
+                return
+            yield least[1:]
 
     pivots = []
-    while pivot := next_pivot():
-        i, j = pivot
+    for i, j in pivot_order():
         pivot_row = rows[i]
         v = pivot_row.pop(j)  # back below unless the step splits (v) off
         col = cols[j]
@@ -189,55 +203,6 @@ def smith_normal_form(a: IntMatrix) -> SmithResult:
     return SmithResult(diagonal=diagonal, rank=len(pivots))
 
 
-def _matched_residual(
-    d: IntMatrix, pairs: list[tuple[int, int]], drop_rows: set[int], drop_cols: set[int]
-) -> IntMatrix:
-    """d less the rows drop_rows and the columns drop_cols, then reduced on
-    each (row, column) pair in turn: the pair's entry must be +-1 when its
-    turn comes, row operations clear the rest of its column, and its row
-    and column are dropped.  What is left is the Schur complement of the
-    pairs' block, with d's rank less len(pairs) and d's torsion."""
-    matched = {a for _, a in pairs}
-    rows_at: dict[int, set[int]] = {a: set() for a in matched}  # rows met in column a
-    for i, row in enumerate(d.rows):
-        for c, _ in row:
-            if c in rows_at:
-                rows_at[c].add(i)
-    # only the rows with an entry in a matched column ever change
-    rows = {
-        i: {c: v for c, v in d.rows[i] if c not in drop_cols}
-        for i in sorted(set().union(*rows_at.values()) - drop_rows)
-    }
-    for b, a in pairs:
-        pivot_row = rows.pop(b)
-        v = pivot_row.pop(a, 0)
-        if v != 1 and v != -1:
-            raise ConsistencyError(f"matched entry ({b}, {a}) is {v}, not a unit")
-        for r in rows_at.pop(a):
-            target = rows.get(r)  # None once r was a pivot row itself
-            if target is None or a not in target:
-                continue
-            q = target.pop(a) * v
-            for c, x in pivot_row.items():
-                y = target.get(c, 0) - q * x
-                if y:
-                    target[c] = y
-                    if c in rows_at:
-                        rows_at[c].add(r)
-                else:
-                    del target[c]
-    pivot_rows = {b for b, _ in pairs}
-    keep = [c for c in range(d.ncols) if c not in drop_cols and c not in matched]
-    new_col = {c: n for n, c in enumerate(keep)}
-    out = []
-    for i, row in enumerate(d.rows):
-        if i in rows:
-            out.append(sorted((new_col[c], v) for c, v in rows[i].items()))
-        elif i not in drop_rows and i not in pivot_rows:
-            out.append([(new_col[c], v) for c, v in row if c in new_col])
-    return IntMatrix(len(out), len(keep), out)
-
-
 def homology_at(
     differentials: list[IntMatrix],
     top: int,
@@ -250,14 +215,13 @@ def homology_at(
     matching[k], when given, lists (row, column) pairs of d_k whose
     entries are +-1, each coordinate of the complex in at most one pair
     (an acyclic matching keeps them units through the elimination).
-    Each pair is a cancellable summand 0 -> Z -> Z -> 0: d_k is reduced on
-    its pairs to a Schur complement d_k', d_{k+1} loses the pairs' columns
-    as rows and d_{k-1} loses their rows as columns.  Each residual d_k'
-    of d_1 .. d_{top+1} that exists goes once through smith_normal_form,
-    which gives its rank and invariant factors; with r_k = (pairs of d_k)
-    + rank d_k',
+    Each pair is a cancellable summand 0 -> Z -> Z -> 0, so d_{k+1} loses
+    the pairs' columns as rows and d_{k-1} loses their rows as columns.
+    Each of d_1 .. d_{top+1} that exists, less those rows and columns,
+    goes once through smith_normal_form with its own pairs as the first
+    pivots; with r_k its rank, which counts the pairs,
 
-        H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}'.
+        H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}.
 
     This holds because im d_d lies in the free module C_{d-1}, so ker d_d
     is a direct summand of C_d.  The composites d_k . d_{k+1} of the
@@ -274,7 +238,10 @@ def homology_at(
     last = min(top + 1, len(differentials) - 1)
     pairs = list(matching[: last + 1])
     pairs += [[]] * (last + 2 - len(pairs))
-    for k in range(1, last + 1):
+    for k in range(last + 1):
+        d = differentials[k]
+        if not all(0 <= b < d.nrows and 0 <= a < d.ncols for b, a in pairs[k]):
+            raise ContractError(f"a matched pair lies outside d_{k}")
         rows, cols = {b for b, _ in pairs[k]}, {a for _, a in pairs[k]}
         if len(rows) < len(pairs[k]) or len(cols) < len(pairs[k]) or any(
             b in cols for b, _ in pairs[k + 1]
@@ -283,16 +250,16 @@ def homology_at(
     ranks = [0] * (top + 2)
     torsion: list[list[int]] = [[] for _ in range(top + 2)]
     for k in range(1, last + 1):
-        if k < last and not differentials[k].mul(differentials[k + 1]).is_zero():
+        d = differentials[k]
+        if k < last and not d.mul(differentials[k + 1]).is_zero():
             raise ConsistencyError(f"d_{k} . d_{k + 1} is nonzero")
-        residual = _matched_residual(
-            differentials[k],
-            pairs[k],
-            {a for _, a in pairs[k - 1]},
-            {b for b, _ in pairs[k + 1]},
-        )
-        res = smith_normal_form(residual)
-        ranks[k] = len(pairs[k]) + res.rank
+        drop_rows, drop_cols = {a for _, a in pairs[k - 1]}, {b for b, _ in pairs[k + 1]}
+        kept = [
+            [] if i in drop_rows else [e for e in row if e[0] not in drop_cols]
+            for i, row in enumerate(d.rows)
+        ]
+        res = smith_normal_form(IntMatrix(d.nrows, d.ncols, kept), pairs[k])
+        ranks[k] = res.rank
         torsion[k] = [x for x in res.diagonal if x > 1]
     return {
         d: FgAbGroup.from_factors(

@@ -1,0 +1,67 @@
+"""Independent oracles the tests check the library against.
+
+Each computes a library answer by a second route that no part of the
+pipeline uses: restriction for induction, leading principal minors for
+the diagram classification, and products by words for the Cayley tables.
+"""
+
+import numpy as np
+
+from bredon.characters import CharacterTable, _round_int_rows
+from bredon.coxeter import CoxeterMatrix, _check_subset, canonical_subset, cosine_matrix
+from bredon.errors import ConsistencyError
+from bredon.groups import GroupModel
+from bredon.snf import IntMatrix
+
+# tolerance for the floating-point positive-definiteness oracle
+MINOR_TOL = 1.0e-9
+
+
+def restriction_matrix(
+    sub: CharacterTable, big: CharacterTable, embedding: list[int]
+) -> IntMatrix:
+    """Multiplicities of sub irreducibles in restricted big irreducibles.
+
+    By Frobenius reciprocity this equals induction_matrix on the same
+    data, but it is computed by the independent route (evaluate big
+    characters on sub classes, then decompose), which makes it the test
+    oracle for induction.
+    """
+    rest_vals = big.values[:, embedding]
+    sizes = np.array(sub.class_sizes, dtype=float)
+    raw = (rest_vals * sizes) @ sub.values.conj().T / sub.order
+    rows = _round_int_rows(raw, "restriction matrix")
+    for i in range(big.n_irreducibles):
+        total = sum(rows[i][j] * sub.degrees[j] for j in range(sub.n_irreducibles))
+        if total != big.degrees[i]:
+            raise ConsistencyError("restricted degree mismatch")
+    return IntMatrix.from_rows(rows)
+
+
+def numeric_finiteness_check(w: CoxeterMatrix, t, tol: float = MINOR_TOL) -> bool:
+    """Positive-definiteness of the cosine form, decided by leading
+    principal minors with a floating-point tolerance.
+
+    This is the numeric oracle for finiteness of W_T; the exact route is
+    the diagram classification.  Minors within tol of zero count as
+    degenerate (affine diagrams land there), so the answer is False.
+    """
+    t = canonical_subset(t)
+    _check_subset(w, t)
+    if not t:
+        return True
+    b = cosine_matrix(w, t)
+    for k in range(1, len(t) + 1):
+        if np.linalg.det(b[:k, :k]) <= tol:
+            return False
+    return True
+
+
+def gen_elements(g: GroupModel) -> tuple[int, ...]:
+    """Element indices of the generators s_0 .. s_{rank-1}."""
+    return tuple(g.right[0].tolist())
+
+
+def mult(g: GroupModel, i: int, j: int) -> int:
+    """Index of element i . j (i applied after j)."""
+    return g.evaluate_word(g.word(j), i)

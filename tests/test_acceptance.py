@@ -20,10 +20,9 @@ from bredon.chains import (
     cell_pair_homology,
     relative_complex,
 )
-from bredon.characters import RepRingCache, induction_matrix, restriction_matrix
+from bredon.characters import RepRingCache, induction_matrix
 from bredon.coxeter import (
     enumerate_spherical,
-    numeric_finiteness_check,
     parse_matrix,
     spherical_order,
 )
@@ -39,6 +38,7 @@ from bredon.formulas import (
 )
 from bredon.groups import conjugacy_classes, realize_group
 from bredon.snf import IntMatrix, smith_normal_form
+from oracles import numeric_finiteness_check, restriction_matrix
 
 
 @pytest.fixture(scope="module")

@@ -15,11 +15,11 @@ from bredon.characters import (
     _split_eigenvectors,
     dixon_table,
     induction_matrix,
-    restriction_matrix,
 )
 from bredon.coxeter import parse_matrix
 from bredon.errors import ConsistencyError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
+from oracles import restriction_matrix
 
 
 @pytest.fixture(scope="module")

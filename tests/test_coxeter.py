@@ -12,11 +12,11 @@ from bredon.coxeter import (
     classify_subset,
     components,
     enumerate_spherical,
-    numeric_finiteness_check,
     parse_matrix,
     spherical_order,
 )
 from bredon.errors import MatrixError
+from oracles import numeric_finiteness_check
 
 
 def mat(rows):

@@ -13,6 +13,7 @@ from bredon.coxeter import parse_matrix, spherical_order
 from bredon import groups
 from bredon.errors import ConsistencyError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
+from oracles import gen_elements, mult
 
 
 def diagram(n, edges):
@@ -57,13 +58,13 @@ def test_orders_match_classification():
 
 def test_generator_relations_hold():
     g = realize(([[1, 4, 2], [4, 1, 3], [2, 3, 1]]))
-    for p in g.gen_elements:
-        assert g.mult(p, p) == 0
+    for p in gen_elements(g):
+        assert mult(g, p, p) == 0
     # braid relation (s1 s2)^4 = e in B3
-    a, b = g.gen_elements[0], g.gen_elements[1]
+    a, b = gen_elements(g)[:2]
     x = 0  # identity index
     for _ in range(4):
-        x = g.mult(g.mult(x, a), b)
+        x = mult(g, mult(g, x, a), b)
     assert x == 0
 
 
@@ -108,7 +109,7 @@ def test_class_sizes_partition_group():
         for _ in range(20):
             x = rng.randrange(g.order)
             h = rng.randrange(g.order)
-            hx = g.mult(g.mult(h, x), int(g.inv[h]))
+            hx = mult(g, mult(g, h, x), int(g.inv[h]))
             assert classes.class_of[x] == classes.class_of[hx]
 
 

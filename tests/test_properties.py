@@ -10,16 +10,16 @@ import random
 import pytest
 
 import flag_oracle
+from oracles import numeric_finiteness_check, restriction_matrix
 from bredon.abelian import FgAbGroup, HomologyProfile
 from bredon.chains import (
     assemble_complex,
     cell_pair_homology,
     relative_complex,
 )
-from bredon.characters import RepRingCache, induction_matrix, restriction_matrix
+from bredon.characters import RepRingCache, induction_matrix
 from bredon.coxeter import (
     enumerate_spherical,
-    numeric_finiteness_check,
     parse_matrix,
     spherical_order,
 )

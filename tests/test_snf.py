@@ -259,6 +259,23 @@ def test_matching_uses_each_coordinate_once():
         homology_at(diffs, 1, [[], [(0, 0)], [(0, 0)]])
 
 
+@pytest.mark.parametrize("pair", [(5, 0), (0, 7), (-1, 0)])
+def test_matched_pair_outside_the_differential_is_rejected(pair):
+    diffs = complex_of(IntMatrix.from_rows([[1]]))
+    with pytest.raises(ContractError, match="outside"):
+        homology_at(diffs, 0, [[], [pair]])
+    with pytest.raises(ContractError, match="outside"):
+        smith_normal_form(diffs[1], [pair])
+
+
+def test_given_pivot_must_be_a_unit_when_its_turn_comes():
+    # the (1, 1) entry is 3 in a, and 3 - 1 = 2 once (0, 0) has cleared column 0
+    a = IntMatrix.from_rows([[1, 1], [1, 3]])
+    assert smith_normal_form(a, [(0, 0)]).diagonal == [1, 2]
+    with pytest.raises(ConsistencyError, match="not a unit"):
+        smith_normal_form(a, [(0, 0), (1, 1)])
+
+
 def elementary_pair(rng, n, steps=12):
     """A random unimodular P and its inverse, as products of elementary
     operations (row additions, swaps and negations)."""
@@ -330,6 +347,25 @@ def test_homology_recovers_planted_groups():
             for k in range(top + 1)
         }
         assert homology_at(diffs, top) == want
+
+
+def test_given_unit_pivot_keeps_the_smith_form():
+    # a Smith form does not depend on pivot order, so any unit entry may go first
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(30):
+        top = rng.randint(1, 4)
+        free = [rng.randint(0, 2) for _ in range(top + 1)]
+        factors = {k: rng.choice([[1], [1, 2], [1, 1, 6], [2, 4]]) for k in range(1, top + 1)}
+        for d in planted_complex(rng, free, factors)[1:]:
+            units = [(i, j) for i, row in enumerate(d.rows) for j, v in row if abs(v) == 1]
+            if not units:
+                continue
+            want = smith_normal_form(d)
+            got = smith_normal_form(d, [rng.choice(units)])
+            assert (got.diagonal, got.rank) == (want.diagonal, want.rank)
+            checked += 1
+    assert checked >= 30
 
 
 def random_sparse_complex(rng):
