@@ -593,6 +593,14 @@ def induction_matrix(
 # ---------------------------------------------------------------------------
 
 
+def _nested(t1, t2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both subsets in canonical form, once T1 is checked to lie in T2."""
+    t1, t2 = canonical_subset(t1), canonical_subset(t2)
+    if not set(t1) <= set(t2):
+        raise ContractError(f"{t1} is not contained in {t2}")
+    return t1, t2
+
+
 class RepRingCache:
     """Shared store of the parabolics' class data and character tables.
 
@@ -711,18 +719,14 @@ class RepRingCache:
     def embedding(self, w: CoxeterMatrix, t1, t2) -> list[int]:
         """Class fusion of W_T1 into W_T2: the class in W_T2 of each T1
         class word."""
-        t1 = canonical_subset(t1)
-        t2 = canonical_subset(t2)
-        if not set(t1) <= set(t2):
-            raise ContractError(f"{t1} is not contained in {t2}")
+        t1, t2 = _nested(t1, t2)
         pos_in_big = {g: i for i, g in enumerate(t2)}
         words = [[pos_in_big[t1[p]] for p in word] for word in self.table(w, t1).class_words]
         return self._fuse(w.submatrix(t2), words)
 
     def induction(self, w: CoxeterMatrix, t1, t2) -> IntMatrix:
         """Induction multiplicities R(W_T1) -> R(W_T2) for T1 inside T2."""
-        t1 = canonical_subset(t1)
-        t2 = canonical_subset(t2)
+        t1, t2 = _nested(t1, t2)
         key = (w.submatrix(t2).m, tuple(t2.index(g) for g in t1))
         if key not in self._inductions:
             emb = self.embedding(w, t1, t2)

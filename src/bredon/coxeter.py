@@ -56,6 +56,7 @@ class CoxeterMatrix:
         t = canonical_subset(t)
         sub = self._submatrices.get(t)
         if sub is None:
+            _check_subset(self, t)
             sub = CoxeterMatrix(tuple(tuple(self.m[i][j] for j in t) for i in t))
             self._submatrices[t] = sub
         return sub

@@ -9,10 +9,10 @@ pivot.  A complex may come with a matching: pairs of +-1 entries, each
 coordinate in at most one pair, such as the identity faces of the
 cubical complex.  The pairs of a differential are its first pivots, and
 the row or column each pair leaves in the differentials beside it is
-dropped; after them the elimination pivots on +-1 entries by Markowitz
-cost while any is left and on entries of least magnitude after that.
-Only the invariant factors are kept, so no transform matrix is ever
-formed.
+dropped.  After them the elimination takes units row by row in passes,
+and an entry of least magnitude when a pass finds none; no cost order
+is needed, since the matched pairs are the pivots that would fill.  Only
+the invariant factors are kept, so no transform matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -102,16 +102,14 @@ def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithR
     in whatever order they are taken.
 
     The (row, column) entries listed in first are the first pivots, in
-    turn; each must be +-1 when its turn comes.  After them, pivots are
-    unit entries of least Markowitz cost (row nonzeros - 1) * (column
-    nonzeros - 1), waiting in a heap that is filled once first is spent,
-    under the cost they had when pushed (a popped entry whose cost has
-    since grown goes back with its current cost); once the heap is empty,
-    an entry of least magnitude (a unit, if a remainder left one), ties
-    to the lowest (row, column).
+    turn; each must be +-1 when its turn comes.  After them, pivots come
+    in passes over the rows, each taking the first +-1 entry of each row
+    in turn (a unit step empties its row); passes repeat while one finds
+    a unit, and a pass that finds none pivots on an entry of least
+    magnitude, ties to the lowest (row, column).  Units need no cost
+    order: the order does not change the result, and on the Bredon
+    differentials the pivots that would fill are the matched pairs.
     """
-    import heapq  # here, not at module load: every CLI request imports snf
-
     if not all(0 <= i < a.nrows and 0 <= j < a.ncols for i, j in first):
         raise ContractError(f"a given pivot lies outside the {a.nrows}x{a.ncols} matrix")
     rows = [dict(r) for r in a.rows]
@@ -119,7 +117,6 @@ def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithR
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    heap = []
 
     def pivot_order():
         """(row, column) of each pivot in turn, until a is reduced."""
@@ -128,24 +125,16 @@ def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithR
             if v != 1 and v != -1:
                 raise ConsistencyError(f"pivot ({i}, {j}) is {v}, not a unit")
             yield i, j
-        heap[:] = [  # every unit left, in place of those pushed so far
-            ((len(row) - 1) * (len(cols[j]) - 1), i, j)
-            for i, row in enumerate(rows)
-            for j, v in row.items()
-            if v == 1 or v == -1
-        ]
-        heapq.heapify(heap)
         while True:
-            while heap:
-                cost, i, j = heapq.heappop(heap)
-                v = rows[i].get(j)
-                if v != 1 and v != -1:
-                    continue  # row gone, or the entry changed since it was pushed
-                now = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-                if now > cost:
-                    heapq.heappush(heap, (now, i, j))
-                    continue
-                yield i, j
+            found = False
+            for i, row in enumerate(rows):
+                for j, v in row.items():
+                    if v == 1 or v == -1:
+                        found = True
+                        yield i, j
+                        break  # the unit step has emptied row i
+            if found:
+                continue
             least = min(
                 ((abs(v), i, j) for i, row in enumerate(rows) for j, v in row.items()),
                 default=None,
@@ -174,10 +163,6 @@ def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithR
                     if not old:
                         cols[c].add(r)
                     target[c] = y
-                    if (y == 1 or y == -1) and old != 1 and old != -1:
-                        # pushed once, when the entry turns into a unit
-                        fill_cost = (len(target) - 1) * (len(cols[c]) - 1)
-                        heapq.heappush(heap, (fill_cost, r, c))
                 elif old:
                     del target[c]
                     cols[c].discard(r)

@@ -17,7 +17,7 @@ from bredon.characters import (
     induction_matrix,
 )
 from bredon.coxeter import parse_matrix
-from bredon.errors import ConsistencyError, ResourceCapError
+from bredon.errors import ConsistencyError, ContractError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
 from oracles import restriction_matrix
 
@@ -377,6 +377,21 @@ def test_induction_transitivity(rings):
     ind_kl = rings.induction(w, k, l)
     ind_lm = rings.induction(w, l, m)
     assert ind_lm.mul(ind_kl) == ind_km
+
+
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (lambda rings, w: rings.table(w, (1, -1)), "generator index -1 outside rank 3"),
+        (lambda rings, w: rings.table(w, (1, 3)), "generator index 3 outside rank 3"),
+        (lambda rings, w: rings.induction(w, (0, 2), (0, 1)), "not contained in"),
+    ],
+    ids=["negative-index", "index-past-rank", "not-nested"],
+)
+def test_subsets_outside_the_system_are_contract_errors(lookup, message):
+    w = parse_matrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
+    with pytest.raises(ContractError, match=message):
+        lookup(RepRingCache(), w)
 
 
 def test_cache_reuses_isomorphic_parabolics(rings):

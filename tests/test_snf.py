@@ -204,6 +204,13 @@ def test_homology_of_known_complexes():
     h = homology_at(complex_of(IntMatrix.zero(1, 2), hadamard), 1)
     assert h[1] == FgAbGroup.from_factors(0, [2])
 
+    # the unit step on row 1 turns row 0's 3 into a unit after the pass has
+    # left row 0, so a second pass takes it; the 5 is a least-magnitude pivot
+    late = IntMatrix.from_rows([[2, 3, 0], [1, 1, 0], [0, 0, 5]])
+    assert smith_normal_form(late) == dense_smith_form(late) == SmithResult([1, 1, 5], 3)
+    h = homology_at(complex_of(IntMatrix.zero(1, 3), late), 1)
+    assert h[1] == FgAbGroup.from_factors(0, [5])
+
 
 def test_homology_chain_rule():
     # two-step complex Z^3 --A--> Z^3 --B--> Z^3 with B*A = 0
