@@ -54,8 +54,6 @@ from .formulas import (
     k_homology,
     kunneth_product,
     lowrank_catalog,
-    odd_dihedral_cell_formula,
-    relative_cell_formula,
     right_angled_homology,
 )
 from .groups import GroupModel, conjugacy_classes, realize_group

@@ -26,6 +26,12 @@ the irreducible parabolics of rank >= 3 are ever realized.  The
 representation ring R_C(W_T) is the free Z-module on the rows, and
 induction along W_T <= W_T' is the integer matrix of Frobenius
 induced-character multiplicities.
+
+RepRingCache keys at two levels.  Models, classes, tables and inductions
+are positional, keyed by the induced Coxeter matrix.  The Dixon values
+are keyed by irreducible type: one Burnside-Dixon build per type serves
+every relabelled copy of it, whose own classes are mapped onto the
+stored ones by a generator map between reference labellings.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ import numpy as np
 from .coxeter import (
     CoxeterMatrix,
     canonical_subset,
-    classify_irreducible,
     components,
+    reference_labelling,
     spherical_order,
 )
 from .errors import ConsistencyError, ContractError, ResourceCapError
@@ -467,6 +473,14 @@ def _power_maps(model: GroupModel, classes: ConjugacyClasses):
     return np.array(powers) // width, rep_orders
 
 
+def _row_order(values: np.ndarray, degrees: list[int]) -> list[int]:
+    """The order of a Dixon table's rows: by degree, then by their values
+    rounded once, read as (real, imag) pairs class by class."""
+    rounded = np.round(values, 6)
+    keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(degrees), -1).tolist()
+    return sorted(range(len(degrees)), key=lambda t: (degrees[t], keys[t]))
+
+
 def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
     """Burnside-Dixon character table of an arbitrary finite model."""
     k = classes.count
@@ -529,11 +543,7 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
             raise ConsistencyError("lifted multiplicities do not sum to the degree")
         values[t] = mults[t].astype(complex) @ zeta
 
-    # rows by degree, then by their values rounded once, read as
-    # (real, imag) pairs class by class
-    rounded = np.round(values, 6)
-    value_keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(k, 2 * k).tolist()
-    row_order = sorted(range(k), key=lambda t: (degrees[t], value_keys[t]))
+    row_order = _row_order(values, degrees)
     return CharacterTable(
         members=model.members,
         order=order,
@@ -589,8 +599,24 @@ def induction_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Cache: models, classes, tables, inductions, keyed by induced matrices
+# Cache: models, classes, tables and inductions keyed by induced matrices,
+# Dixon values by irreducible type
 # ---------------------------------------------------------------------------
+
+
+def _relabelling(sub: CoxeterMatrix, walk, ref: CoxeterMatrix, ref_walk) -> list[int]:
+    """The generator map of sub onto ref that sends walk[i] to
+    ref_walk[i], as a list over sub's positions; ConsistencyError unless
+    it preserves every m_ij."""
+    k = sub.rank
+    gens = [0] * k
+    for a, b in zip(walk, ref_walk):
+        gens[a] = b
+    if ref.rank != k or any(
+        sub.m[i][j] != ref.m[gens[i]][gens[j]] for i in range(k) for j in range(k)
+    ):
+        raise ConsistencyError(f"the relabelling {gens} does not preserve the Coxeter matrix")
+    return gens
 
 
 def _nested(t1, t2) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -604,12 +630,19 @@ def _nested(t1, t2) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class RepRingCache:
     """Shared store of the parabolics' class data and character tables.
 
-    Everything is keyed by the induced Coxeter matrix, so isomorphic
-    parabolics of different systems are computed once.  Tables are
-    positional: their generators are 0..k-1 of the induced system, and
-    callers translate subset positions at the boundary.  Only the
-    irreducible parabolics of rank >= 3 are realized for their tables;
-    model and classes realize any finite parabolic on demand.
+    Models, classes, tables and inductions are keyed by the induced
+    Coxeter matrix, so equal induced matrices of different systems are
+    computed once.  They are positional: their generators are 0..k-1 of
+    the induced system, and callers translate subset positions at the
+    boundary.  Only the irreducible parabolics of rank >= 3 are realized
+    for their tables; model and classes realize any finite parabolic on
+    demand.
+
+    The Dixon values are keyed by irreducible type instead: each type
+    runs dixon_table once, on its first orientation, and every
+    orientation (a relabelled copy such as the four A3 of affine A3) maps
+    its own classes onto the stored ones through reference_labelling's
+    walks (_dixon_orientation).
     """
 
     def __init__(self, order_cap: int = DEFAULT_ORDER_CAP):
@@ -619,6 +652,7 @@ class RepRingCache:
         self._tables: dict = {}
         self._products: dict = {}  # product key -> factor class counts, column map
         self._inductions: dict = {}
+        self._dixon: dict = {}  # irreducible type -> submatrix, walk, table of its first orientation
 
     def model(self, w: CoxeterMatrix, t) -> GroupModel:
         sub = w.submatrix(t)
@@ -658,15 +692,47 @@ class RepRingCache:
         elif len(parts) > 1:
             table = self._product_table(sub, parts)
         else:
-            label = classify_irreducible(sub, t)
+            label, walk = reference_labelling(sub, t)
             if label.family == "A" and label.rank == 1:
                 table = rank1_table()
             elif label.family == "I":
                 table = dihedral_table(label.edge)
             else:
-                table = dixon_table(self.model(sub, t), self.classes(sub, t))
+                table = self._dixon_orientation(sub, label, walk)
         table.validate()
         return table
+
+    def _dixon_orientation(self, sub: CoxeterMatrix, label, walk) -> CharacterTable:
+        """The table of an irreducible parabolic of rank >= 3 on its own
+        model's classes, with the values of its type.
+
+        The first orientation of a type runs dixon_table and is stored.
+        Every orientation, that one included, evaluates each of its class
+        words, with the generators relabelled walk to walk, in the stored
+        model, takes those columns of the stored values and orders the
+        rows as dixon_table does.
+        """
+        t = sub.generators
+        if label not in self._dixon:
+            self._dixon[label] = (sub, walk, dixon_table(self.model(sub, t), self.classes(sub, t)))
+        ref, ref_walk, stored = self._dixon[label]
+        gens = _relabelling(sub, walk, ref, ref_walk)
+        classes = self.classes(sub, t)
+        columns = self._fuse(ref, [[gens[s] for s in word] for word in classes.rep_words])
+        if sorted(columns) != list(range(stored.n_classes)) or [
+            stored.class_sizes[c] for c in columns
+        ] != classes.sizes:
+            raise ConsistencyError(f"the classes of {label.name} do not match its stored classes")
+        values = stored.values[:, columns]
+        rows = _row_order(values, stored.degrees)
+        return CharacterTable(
+            members=t,
+            order=stored.order,
+            class_words=list(classes.rep_words),
+            class_sizes=list(classes.sizes),
+            values=values[rows],
+            degrees=[stored.degrees[r] for r in rows],
+        )
 
     def _product_table(self, sub, parts) -> CharacterTable:
         # factor tables are positional in their part; re-address them into

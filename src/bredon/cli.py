@@ -557,7 +557,7 @@ def cmd_validate(args) -> int:
         raise MatrixError(f"no .json cases in {directory}")
     cases = []
     failures = 0
-    rings = RepRingCache(args.order_cap)  # keyed by induced matrix, so shared
+    rings = RepRingCache(args.order_cap)  # keyed by induced matrix and type, so shared
     for path in paths:
         name = path.stem
         try:

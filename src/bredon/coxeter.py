@@ -199,18 +199,29 @@ def classify_irreducible(w: CoxeterMatrix, t) -> ComponentType:
     Matches the classification of finite irreducible Coxeter groups:
     A_n, B_n, D_n, E6, E7, E8, F4, H3, H4, I2(m).
     """
+    return reference_labelling(w, t)[0]
+
+
+def reference_labelling(w: CoxeterMatrix, t) -> tuple[ComponentType, tuple[int, ...]]:
+    """classify_irreducible's type, and the members of t in the order of
+    the walk that decided it: a path from the end of its heavier label
+    (from its least end when both end labels agree), a branched tree from
+    the branch node along its arms by increasing length.  Any two
+    connected subsets of one finite type induce the same matrix when
+    each is read in this order.  An infinite type keeps t sorted.
+    """
     t = canonical_subset(t)
     _check_subset(w, t)
     n = len(t)
     if n == 0:
         raise ContractError("cannot classify the empty subset")
     if n == 1:
-        return ComponentType("A", 1)
+        return ComponentType("A", 1), t
     if n == 2:
         m = w.entry(t[0], t[1])
         if m == INFINITE:
-            return INFINITE_TYPE
-        return ComponentType("I", 2, int(m))
+            return INFINITE_TYPE, t
+        return ComponentType("I", 2, int(m)), t
 
     edges = [
         (i, j, w.entry(i, j))
@@ -219,10 +230,10 @@ def classify_irreducible(w: CoxeterMatrix, t) -> ComponentType:
     ]
     # no finite type of rank >= 3 carries a label outside {3, 4, 5}
     if any(m not in (3, 4, 5) for _, _, m in edges):
-        return INFINITE_TYPE
+        return INFINITE_TYPE, t
     if len(edges) != n - 1:
         # connected input, so != n-1 means a cycle
-        return INFINITE_TYPE
+        return INFINITE_TYPE, t
     deg = {i: 0 for i in t}
     adj: dict[int, list[int]] = {i: [] for i in t}
     for i, j, _ in edges:
@@ -231,26 +242,28 @@ def classify_irreducible(w: CoxeterMatrix, t) -> ComponentType:
         adj[i].append(j)
         adj[j].append(i)
     if max(deg.values()) >= 4:
-        return INFINITE_TYPE
+        return INFINITE_TYPE, t
     branch = [v for v in t if deg[v] == 3]
     if len(branch) > 1:
-        return INFINITE_TYPE
+        return INFINITE_TYPE, t
 
     if not branch:
         return _classify_path(w, t, deg, adj, n)
 
     # branched tree: only simple edges allowed, arms decide D vs E
     if any(m != 3 for _, _, m in edges):
-        return INFINITE_TYPE
-    arms = sorted(_arm_lengths(branch[0], adj))
-    if arms[0] == 1 and arms[1] == 1:
-        return ComponentType("D", arms[2] + 3)
-    if arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4):
-        return ComponentType("E", arms[2] + 4)
-    return INFINITE_TYPE
+        return INFINITE_TYPE, t
+    arms = sorted(_arms(branch[0], adj), key=len)
+    walk = (branch[0], *(v for arm in arms for v in arm))
+    lengths = [len(arm) for arm in arms]
+    if lengths[0] == 1 and lengths[1] == 1:
+        return ComponentType("D", lengths[2] + 3), walk
+    if lengths[0] == 1 and lengths[1] == 2 and lengths[2] in (2, 3, 4):
+        return ComponentType("E", lengths[2] + 4), walk
+    return INFINITE_TYPE, t
 
 
-def _classify_path(w, t, deg, adj, n) -> ComponentType:
+def _classify_path(w, t, deg, adj, n) -> tuple[ComponentType, tuple[int, ...]]:
     ends = [v for v in t if deg[v] == 1]
     start = min(ends)
     order = [start]
@@ -261,33 +274,37 @@ def _classify_path(w, t, deg, adj, n) -> ComponentType:
         order.append(nxt[0])
     labels = [int(w.entry(order[k], order[k + 1])) for k in range(n - 1)]
     if labels[0] < labels[-1]:
-        labels.reverse()  # heavier label first, so terminal checks look at labels[0]
+        # heavier label first, so terminal checks look at labels[0]
+        labels.reverse()
+        order.reverse()
+    walk = tuple(order)
     fours = labels.count(4)
     fives = labels.count(5)
     if fours == 0 and fives == 0:
-        return ComponentType("A", n)
+        return ComponentType("A", n), walk
     if fives == 0 and fours == 1:
         if labels[0] == 4:
-            return ComponentType("B", n)
+            return ComponentType("B", n), walk
         if n == 4 and labels == [3, 4, 3]:
-            return ComponentType("F", 4)
-        return INFINITE_TYPE
+            return ComponentType("F", 4), walk
+        return INFINITE_TYPE, t
     if fours == 0 and fives == 1 and labels[0] == 5 and n in (3, 4):
-        return ComponentType("H", n)
-    return INFINITE_TYPE
+        return ComponentType("H", n), walk
+    return INFINITE_TYPE, t
 
 
-def _arm_lengths(center: int, adj) -> list[int]:
-    lengths = []
+def _arms(center: int, adj) -> list[list[int]]:
+    """The arms of a branch node, each walked outward from the node."""
+    arms = []
     for first in adj[center]:
-        length = 1
+        arm = [first]
         prev, cur = center, first
         while len(adj[cur]) == 2:
             nxt = [u for u in adj[cur] if u != prev][0]
             prev, cur = cur, nxt
-            length += 1
-        lengths.append(length)
-    return lengths
+            arm.append(cur)
+        arms.append(arm)
+    return arms
 
 
 def classify_subset(w: CoxeterMatrix, t) -> tuple[ComponentType, ...]:

@@ -5,9 +5,6 @@ These are the theorem-backed shortcuts that bypass the chain complex:
 * finite W: everything is one orbit, H_0 = Z^(number of conjugacy classes);
 * right-angled W: H_0 = Z^(number of spherical subsets), rest zero;
 * even W: H_0 free of rank sum over spherical T of prod m_ij / 2;
-* single cells: the pair of a spherical cell modulo its boundary has
-  free H_0 (rank prod m_ij / 2) for even T, and (Z^((m-1)/2), Z) in
-  degrees (0, 1) for the odd dihedral cell;
 * rank <= 3: an explicit catalog in terms of dihedral class counts;
 * products: the Kunneth formula glues profiles of commuting factors.
 
@@ -31,10 +28,8 @@ from .coxeter import (
     INFINITE,
     CoxeterMatrix,
     SphericalPoset,
-    canonical_subset,
     components,
     enumerate_spherical,
-    spherical_order,
 )
 from .errors import ContractError
 
@@ -104,28 +99,6 @@ def even_homology(
         poset = enumerate_spherical(w)
     rank = sum(_half_label_product(w, t) for t in poset.subsets)
     return HomologyProfile({0: FgAbGroup.free(rank)})
-
-
-def relative_cell_formula(w: CoxeterMatrix, t) -> HomologyProfile:
-    """Homology of an even spherical cell modulo its boundary.
-
-    For even spherical T the pair contributes Z^(prod m_ij / 2) in degree
-    0 and nothing above.
-    """
-    t = canonical_subset(t)
-    if spherical_order(w, t) is None:
-        raise ContractError(f"subset {t} is not spherical")
-    for i, j in combinations(t, 2):
-        if int(w.entry(i, j)) % 2:
-            raise ContractError("even-cell formula needs all labels even")
-    return HomologyProfile({0: FgAbGroup.free(_half_label_product(w, t))})
-
-
-def odd_dihedral_cell_formula(m: int) -> HomologyProfile:
-    """The odd dihedral cell pair: H_0 = Z^((m-1)/2), H_1 = Z."""
-    if m < 3 or m % 2 == 0:
-        raise ContractError("odd dihedral cell needs an odd label >= 3")
-    return HomologyProfile({0: FgAbGroup.free((m - 1) // 2), 1: FgAbGroup.free(1)})
 
 
 def lowrank_catalog(

@@ -188,6 +188,20 @@ def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithR
     return SmithResult(diagonal=diagonal, rank=len(pivots))
 
 
+def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether a . b = 0: each row of the product is accumulated alone
+    and the test stops at the first row with a nonzero entry, so no
+    product is kept and nothing is sorted."""
+    for row in a.rows:
+        acc: dict[int, int] = {}
+        for k, x in row:
+            for j, y in b.rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
 def homology_at(
     differentials: list[IntMatrix],
     top: int,
@@ -236,7 +250,7 @@ def homology_at(
     torsion: list[list[int]] = [[] for _ in range(top + 2)]
     for k in range(1, last + 1):
         d = differentials[k]
-        if k < last and not d.mul(differentials[k + 1]).is_zero():
+        if k < last and not _composite_vanishes(d, differentials[k + 1]):
             raise ConsistencyError(f"d_{k} . d_{k + 1} is nonzero")
         drop_rows, drop_cols = {a for _, a in pairs[k - 1]}, {b for b, _ in pairs[k + 1]}
         kept = [

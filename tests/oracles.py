@@ -2,14 +2,25 @@
 
 Each computes a library answer by a second route that no part of the
 pipeline uses: restriction for induction, leading principal minors for
-the diagram classification, and products by words for the Cayley tables.
+the diagram classification, products by words for the Cayley tables,
+and the closed forms of single cell pairs for the cubical complex.
 """
+
+from itertools import combinations
 
 import numpy as np
 
+from bredon.abelian import FgAbGroup, HomologyProfile
 from bredon.characters import CharacterTable, _round_int_rows
-from bredon.coxeter import CoxeterMatrix, _check_subset, canonical_subset, cosine_matrix
-from bredon.errors import ConsistencyError
+from bredon.coxeter import (
+    CoxeterMatrix,
+    _check_subset,
+    canonical_subset,
+    cosine_matrix,
+    spherical_order,
+)
+from bredon.errors import ConsistencyError, ContractError
+from bredon.formulas import _half_label_product
 from bredon.groups import GroupModel
 from bredon.snf import IntMatrix
 
@@ -65,3 +76,25 @@ def gen_elements(g: GroupModel) -> tuple[int, ...]:
 def mult(g: GroupModel, i: int, j: int) -> int:
     """Index of element i . j (i applied after j)."""
     return g.evaluate_word(g.word(j), i)
+
+
+def relative_cell_formula(w: CoxeterMatrix, t) -> HomologyProfile:
+    """Homology of an even spherical cell modulo its boundary.
+
+    For even spherical T the pair contributes Z^(prod m_ij / 2) in degree
+    0 and nothing above.
+    """
+    t = canonical_subset(t)
+    if spherical_order(w, t) is None:
+        raise ContractError(f"subset {t} is not spherical")
+    for i, j in combinations(t, 2):
+        if int(w.entry(i, j)) % 2:
+            raise ContractError("even-cell formula needs all labels even")
+    return HomologyProfile({0: FgAbGroup.free(_half_label_product(w, t))})
+
+
+def odd_dihedral_cell_formula(m: int) -> HomologyProfile:
+    """The odd dihedral cell pair: H_0 = Z^((m-1)/2), H_1 = Z."""
+    if m < 3 or m % 2 == 0:
+        raise ContractError("odd dihedral cell needs an odd label >= 3")
+    return HomologyProfile({0: FgAbGroup.free((m - 1) // 2), 1: FgAbGroup.free(1)})

@@ -32,13 +32,16 @@ from bredon.formulas import (
     k_homology,
     kunneth_product,
     lowrank_catalog,
-    odd_dihedral_cell_formula,
-    relative_cell_formula,
     right_angled_homology,
 )
 from bredon.groups import conjugacy_classes, realize_group
 from bredon.snf import IntMatrix, smith_normal_form
-from oracles import numeric_finiteness_check, restriction_matrix
+from oracles import (
+    numeric_finiteness_check,
+    odd_dihedral_cell_formula,
+    relative_cell_formula,
+    restriction_matrix,
+)
 
 
 @pytest.fixture(scope="module")

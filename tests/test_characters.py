@@ -12,11 +12,13 @@ from bredon.characters import (
     RepRingCache,
     _charpoly_roots,
     _mod_nullspace,
+    _relabelling,
     _split_eigenvectors,
     dixon_table,
     induction_matrix,
 )
-from bredon.coxeter import parse_matrix
+from bredon.cli import run_analysis
+from bredon.coxeter import classify_subset, enumerate_spherical, parse_matrix
 from bredon.errors import ConsistencyError, ContractError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
 from oracles import restriction_matrix
@@ -401,6 +403,101 @@ def test_cache_reuses_isomorphic_parabolics(rings):
     t1 = rings.table(w1, (0, 1))  # I2(4) inside B3
     t2 = rings.table(w2, (0, 2))  # I2(4) inside another system
     assert t1 is t2
+
+
+def _line(labels):
+    """Coxeter matrix of a linear diagram with the given edge labels (0 = infinity)."""
+    n = len(labels) + 1
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, m in enumerate(labels):
+        rows[i][i + 1] = rows[i + 1][i] = m
+    return rows
+
+
+def _cycle(n):
+    """Affine A_(n-1): an n-cycle of label-3 edges."""
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = 3
+    return rows
+
+
+# the chain-rank5 systems, affine A5 and affine F4
+_TYPE_STORE_SYSTEMS = {
+    "rank5-334inf": _line([3, 3, 4, 0]),
+    "affine-A3": _cycle(4),
+    "affine-C3": _line([4, 3, 4]),
+    "hyperbolic-535": _line([5, 3, 5]),
+    "hyperbolic-435": _line([4, 3, 5]),
+    "hyperbolic-353": _line([3, 5, 3]),
+    "affine-A5": _cycle(6),
+    "affine-F4": _line([3, 3, 4, 3]),
+}
+
+
+def _dixon_orientations(rows):
+    w = parse_matrix(rows)
+    poset = enumerate_spherical(w)
+    return w, [t for t in poset.subsets if len(t) >= 3 and len(poset.labels[t]) == 1]
+
+
+def test_type_store_serves_every_orientation_its_own_dixon_table():
+    # one cache for all systems, so orientations are served across systems
+    # too; each must equal a fresh build on its own model, row for row and
+    # column for column
+    rings = RepRingCache()
+    seen = {}
+    for name, rows in _TYPE_STORE_SYSTEMS.items():
+        w, subsets = _dixon_orientations(rows)
+        for t in subsets:
+            got = rings.table(w, t)
+            model = realize_group(w, t)
+            fresh = dixon_table(model, conjugacy_classes(model))
+            assert got.class_words == fresh.class_words, (name, t)
+            assert got.class_sizes == fresh.class_sizes, (name, t)
+            assert got.degrees == fresh.degrees, (name, t)
+            assert np.max(np.abs(got.values - fresh.values)) < characters.VALUE_TOL, (name, t)
+            seen.setdefault(classify_subset(w, t)[0].name, set()).add((name, t))
+    counts = {label: len(copies) for label, copies in seen.items()}
+    assert counts == {"A3": 12, "B3": 6, "H3": 5, "A4": 6, "A5": 6, "B4": 2, "F4": 1}
+
+
+def _dixon_builds(monkeypatch, rows):
+    calls = []
+    build = characters.dixon_table
+
+    def counting(model, classes):
+        calls.append(model.order)
+        return build(model, classes)
+
+    monkeypatch.setattr(characters, "dixon_table", counting)
+    w = parse_matrix(rows)
+    run_analysis(w, RepRingCache())
+    return sorted(calls)
+
+
+def test_one_dixon_build_per_type(monkeypatch):
+    # affine A3 has four A3; affine A5 has six each of A5, A4 and A3
+    assert _dixon_builds(monkeypatch, _cycle(4)) == [24]
+    assert _dixon_builds(monkeypatch, _cycle(6)) == [24, 120, 720]
+
+
+def test_relabelling_must_preserve_the_coxeter_matrix(monkeypatch):
+    b3 = parse_matrix(_line([4, 3]))
+    assert _relabelling(b3, (0, 1, 2), b3, (0, 1, 2)) == [0, 1, 2]
+    with pytest.raises(ConsistencyError, match="does not preserve"):
+        _relabelling(b3, (0, 1, 2), b3, (2, 1, 0))
+    # and through the cache
+    rings = RepRingCache()
+    rings.table(parse_matrix(_line([4, 3])), (0, 1, 2))  # stores B3 as 4-3
+    # the other orientation, 3-4, read from its least end: 3-4 onto 4-3
+    monkeypatch.setattr(
+        characters,
+        "reference_labelling",
+        lambda sub, t: (classify_subset(sub, t)[0], tuple(t)),
+    )
+    with pytest.raises(ConsistencyError, match="does not preserve"):
+        rings.table(parse_matrix(_line([3, 4])), (0, 1, 2))
 
 
 def test_empty_subset_table(rings):

@@ -13,6 +13,7 @@ from bredon.coxeter import (
     components,
     enumerate_spherical,
     parse_matrix,
+    reference_labelling,
     spherical_order,
 )
 from bredon.errors import MatrixError
@@ -167,6 +168,40 @@ def test_e6_e7_e8_orders():
     assert spherical_order(branched(8, (1, 2, 4)), tuple(range(8))) == 696729600
     # arms (1,3,3) is affine E7~ territory, not finite
     assert spherical_order(branched(8, (1, 3, 3)), tuple(range(8))) is None
+
+
+def _relabelled(edges, n, perm):
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for a, b, label in edges:
+        rows[perm[a]][perm[b]] = rows[perm[b]][perm[a]] = label
+    return mat(rows)
+
+
+@pytest.mark.parametrize(
+    "name, n, edges",
+    [
+        ("A4", 4, [(0, 1, 3), (1, 2, 3), (2, 3, 3)]),
+        ("B4", 4, [(0, 1, 4), (1, 2, 3), (2, 3, 3)]),
+        ("F4", 4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)]),
+        ("H4", 4, [(0, 1, 5), (1, 2, 3), (2, 3, 3)]),
+        ("D4", 4, [(0, 1, 3), (0, 2, 3), (0, 3, 3)]),
+        ("D5", 5, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)]),
+        ("E6", 6, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (2, 5, 3)]),
+        ("E7", 7, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (2, 6, 3)]),
+    ],
+)
+def test_reference_labelling_reads_every_relabelling_alike(name, n, edges):
+    # the induced matrix read in walk order is one matrix per type
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(12):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        w = _relabelled(edges, n, perm)
+        label, walk = reference_labelling(w, range(n))
+        assert label.name == name and sorted(walk) == list(range(n))
+        seen.add(tuple(tuple(w.entry(i, j) for j in walk) for i in walk))
+    assert len(seen) == 1
 
 
 def test_cycle_is_infinite():

@@ -17,10 +17,9 @@ from bredon.formulas import (
     k_homology,
     kunneth_product,
     lowrank_catalog,
-    odd_dihedral_cell_formula,
-    relative_cell_formula,
     right_angled_homology,
 )
+from oracles import odd_dihedral_cell_formula, relative_cell_formula
 
 
 @pytest.fixture(scope="module")
