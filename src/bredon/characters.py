@@ -21,23 +21,25 @@ sorted by (length, word) of their shortlex-least representative, so the
 identity comes first.  That is the order conjugacy_classes gives a
 realized model; the closed forms write it down, and a product's classes
 are the tuples of its factors' classes, represented by the merge of the
-factors' words.  Class fusion follows the same split by type, so only
-the irreducible parabolics of rank >= 3 are ever realized.  The
-representation ring R_C(W_T) is the free Z-module on the rows, and
-induction along W_T <= W_T' is the integer matrix of Frobenius
-induced-character multiplicities.
+factors' words.  Each table is built with its class-fusion rule by one
+classification of the induced matrix, so only the irreducible
+parabolics of rank >= 3 are ever realized.  The representation ring
+R_C(W_T) is the free Z-module on the rows, and induction along
+W_T <= W_T' is the integer matrix of Frobenius induced-character
+multiplicities.
 
-RepRingCache keys at two levels.  Models, classes, tables and inductions
-are positional, keyed by the induced Coxeter matrix.  The Dixon values
-are keyed by irreducible type: one Burnside-Dixon build per type serves
-every relabelled copy of it, whose own classes are mapped onto the
-stored ones by a generator map between reference labellings.
+RepRingCache keys at two levels.  Tables with their fusion rules,
+models, classes and inductions are positional, keyed by the induced
+Coxeter matrix.  The Dixon values are keyed by irreducible type: one
+Burnside-Dixon build per type serves every relabelled copy of it, whose
+own classes are mapped onto the stored ones by a generator map between
+reference labellings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import cos, isqrt, lcm, pi, sqrt
+from math import cos, isqrt, lcm, pi, prod, sqrt
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .coxeter import (
     canonical_subset,
     components,
     reference_labelling,
-    spherical_order,
 )
 from .errors import ConsistencyError, ContractError, ResourceCapError
 from .groups import (
@@ -599,8 +600,8 @@ def induction_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Cache: models, classes, tables and inductions keyed by induced matrices,
-# Dixon values by irreducible type
+# Cache: models, classes, tables with their fusion rules and inductions
+# keyed by induced matrices, Dixon values by irreducible type
 # ---------------------------------------------------------------------------
 
 
@@ -630,13 +631,14 @@ def _nested(t1, t2) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class RepRingCache:
     """Shared store of the parabolics' class data and character tables.
 
-    Models, classes, tables and inductions are keyed by the induced
+    Models, classes, entries and inductions are keyed by the induced
     Coxeter matrix, so equal induced matrices of different systems are
     computed once.  They are positional: their generators are 0..k-1 of
     the induced system, and callers translate subset positions at the
-    boundary.  Only the irreducible parabolics of rank >= 3 are realized
-    for their tables; model and classes realize any finite parabolic on
-    demand.
+    boundary.  An entry is a table with its class-fusion rule, both from
+    one classification (_build).  Only the irreducible parabolics of
+    rank >= 3 are realized for their entries; model and classes realize
+    any finite parabolic on demand.
 
     The Dixon values are keyed by irreducible type instead: each type
     runs dixon_table once, on its first orientation, and every
@@ -649,10 +651,9 @@ class RepRingCache:
         self.order_cap = order_cap
         self._models: dict = {}
         self._classes: dict = {}
-        self._tables: dict = {}
-        self._products: dict = {}  # product key -> factor class counts, column map
+        self._entries: dict = {}  # induced matrix -> table, fusion rule
         self._inductions: dict = {}
-        self._dixon: dict = {}  # irreducible type -> submatrix, walk, table of its first orientation
+        self._dixon: dict = {}  # type -> its first orientation's matrix, walk, table, rule
 
     def model(self, w: CoxeterMatrix, t) -> GroupModel:
         sub = w.submatrix(t)
@@ -671,116 +672,105 @@ class RepRingCache:
         return self._classes[key]
 
     def table(self, w: CoxeterMatrix, t) -> CharacterTable:
-        sub = w.submatrix(t)
-        key = sub.m
-        if key not in self._tables:
-            self._tables[key] = self._build_table(sub)
-        return self._tables[key]
+        return self._entry(w.submatrix(t))[0]
 
-    def _build_table(self, sub: CoxeterMatrix) -> CharacterTable:
+    def _fuse(self, sub: CoxeterMatrix, words) -> list[int]:
+        """The class in W_sub of each word in sub's generator positions."""
+        return self._entry(sub)[1](words)
+
+    def _entry(self, sub: CoxeterMatrix):
+        key = sub.m
+        if key not in self._entries:
+            self._entries[key] = self._build(sub)
+        return self._entries[key]
+
+    def _build(self, sub: CoxeterMatrix):
+        """The table of W_sub and its class-fusion rule, chosen by the
+        types of sub's components."""
         t = sub.generators
-        order = spherical_order(sub, t)
-        if order is None:
+        parts = components(sub, t)
+        labels = [reference_labelling(sub, part) for part in parts]
+        if not all(label.finite for label, _ in labels):
             raise ContractError(f"subset {t} is not spherical")
+        order = prod(label.order for label, _ in labels)
         if order > self.order_cap:
             raise ResourceCapError(
                 f"|W_T| = {order} exceeds the order cap {self.order_cap}"
             )
-        parts = components(sub, t)
-        if len(t) == 0:
-            table = trivial_table()
-        elif len(parts) > 1:
-            table = self._product_table(sub, parts)
+        if len(parts) > 1:
+            table, rule = self._product(sub, parts)
+        elif len(t) < 2:  # the trivial group's only class word is ()
+            table = rank1_table() if t else trivial_table()
+            rule = lambda words: [len(word) % 2 for word in words]
+        elif len(t) == 2:
+            m = labels[0][0].edge
+            table = dihedral_table(m)
+            rule = lambda words: [_dihedral_class(word, m) for word in words]
         else:
-            label, walk = reference_labelling(sub, t)
-            if label.family == "A" and label.rank == 1:
-                table = rank1_table()
-            elif label.family == "I":
-                table = dihedral_table(label.edge)
-            else:
-                table = self._dixon_orientation(sub, label, walk)
+            table, rule = self._dixon_orientation(sub, *labels[0])
         table.validate()
-        return table
+        return table, rule
 
-    def _dixon_orientation(self, sub: CoxeterMatrix, label, walk) -> CharacterTable:
-        """The table of an irreducible parabolic of rank >= 3 on its own
-        model's classes, with the values of its type.
-
-        The first orientation of a type runs dixon_table and is stored.
-        Every orientation, that one included, evaluates each of its class
-        words, with the generators relabelled walk to walk, in the stored
-        model, takes those columns of the stored values and orders the
-        rows as dixon_table does.
-        """
+    def _dixon_orientation(self, sub: CoxeterMatrix, label, walk):
+        """An irreducible parabolic of rank >= 3: the values of its type on
+        its own model's classes, and fusion by evaluation in that model.
+        The first orientation of a type runs dixon_table and stores it with
+        its rule; every orientation maps its class words, relabelled walk
+        to walk, by the stored rule, takes those columns of the stored
+        values and orders the rows as dixon_table does."""
         t = sub.generators
+        model, classes = self.model(sub, t), self.classes(sub, t)
+        rule = lambda words: [int(classes.class_of[model.evaluate_word(word)]) for word in words]
         if label not in self._dixon:
-            self._dixon[label] = (sub, walk, dixon_table(self.model(sub, t), self.classes(sub, t)))
-        ref, ref_walk, stored = self._dixon[label]
+            self._dixon[label] = (sub, walk, dixon_table(model, classes), rule)
+        ref, ref_walk, stored, ref_rule = self._dixon[label]
         gens = _relabelling(sub, walk, ref, ref_walk)
-        classes = self.classes(sub, t)
-        columns = self._fuse(ref, [[gens[s] for s in word] for word in classes.rep_words])
+        columns = ref_rule([[gens[s] for s in word] for word in classes.rep_words])
         if sorted(columns) != list(range(stored.n_classes)) or [
             stored.class_sizes[c] for c in columns
         ] != classes.sizes:
             raise ConsistencyError(f"the classes of {label.name} do not match its stored classes")
         values = stored.values[:, columns]
         rows = _row_order(values, stored.degrees)
-        return CharacterTable(
+        table = replace(
+            stored,
             members=t,
-            order=stored.order,
             class_words=list(classes.rep_words),
             class_sizes=list(classes.sizes),
             values=values[rows],
             degrees=[stored.degrees[r] for r in rows],
         )
+        return table, rule
 
-    def _product_table(self, sub, parts) -> CharacterTable:
-        # factor tables are positional in their part; re-address them into
-        # the ambient positions of sub before tensoring
+    def _product(self, sub: CoxeterMatrix, parts):
+        """The tensor product of the factor tables, re-addressed into sub's
+        positions, with its columns sorted by (length, word); a word's class
+        combines its factors' classes through the same sort."""
         factors = [replace(self.table(sub, part), members=part) for part in parts]
+        rules = [self._entry(sub.submatrix(part))[1] for part in parts]
+        local = [{g: i for i, g in enumerate(part)} for part in parts]
         combined = factors[0]
         for nxt in factors[1:]:
             combined = tensor_table(combined, nxt)
-        # the tensor's columns are in row-major order of the factor
-        # classes; sort them by (length, word) of their merged words
-        words = combined.class_words
-        order = sorted(range(len(words)), key=lambda c: (len(words[c]), words[c]))
+        merged = combined.class_words
+        order = sorted(range(len(merged)), key=lambda c: (len(merged[c]), merged[c]))
         columns = np.empty(len(order), dtype=np.int64)
         columns[order] = np.arange(len(order))
-        self._products[sub.m] = ([f.n_classes for f in factors], columns)
-        return CharacterTable(
-            members=combined.members,
-            order=combined.order,
-            class_words=[words[c] for c in order],
+
+        def rule(words):
+            kron = np.zeros(len(words), dtype=np.int64)
+            for factor, fuse, pos in zip(factors, rules, local):
+                split = [[pos[s] for s in word if s in pos] for word in words]
+                kron = kron * factor.n_classes + fuse(split)
+            return columns[kron].tolist()
+
+        table = replace(
+            combined,
+            class_words=[merged[c] for c in order],
             class_sizes=[combined.class_sizes[c] for c in order],
             values=combined.values[:, order],
-            degrees=combined.degrees,
         )
-
-    def _fuse(self, sub: CoxeterMatrix, words) -> list[int]:
-        """Class fusion: the class of each word (in sub's generator
-        positions) in W_sub, found by the type of sub.  A product splits
-        each word by component and combines the components' classes; A1
-        goes by the word's parity and I2(m) by _dihedral_class; the
-        irreducible types of rank >= 3 evaluate the word in their model."""
-        t = sub.generators
-        parts = components(sub, t)
-        if len(parts) > 1:
-            self.table(sub, t)  # records the factors' class counts and column map
-            dims, columns = self._products[sub.m]
-            kron = np.zeros(len(words), dtype=np.int64)
-            for part, dim in zip(parts, dims):
-                local = {g: i for i, g in enumerate(part)}
-                part_words = [[local[s] for s in word if s in local] for word in words]
-                kron = kron * dim + self._fuse(sub.submatrix(part), part_words)
-            return columns[kron].tolist()
-        if len(t) < 2:  # the trivial group's only class word is ()
-            return [len(word) % 2 for word in words]
-        if len(t) == 2:
-            return [_dihedral_class(word, int(sub.m[0][1])) for word in words]
-        model = self.model(sub, t)
-        class_of = self.classes(sub, t).class_of
-        return [int(class_of[model.evaluate_word(word)]) for word in words]
+        return table, rule
 
     def embedding(self, w: CoxeterMatrix, t1, t2) -> list[int]:
         """Class fusion of W_T1 into W_T2: the class in W_T2 of each T1

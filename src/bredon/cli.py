@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -421,10 +422,17 @@ def _cells_text(payload: dict, out) -> None:
 
 
 def _emit(args, report: dict, text_renderer) -> None:
-    if args.output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        text_renderer(sys.stdout)
+    # a reader may close the pipe early (`bredon cells x.json | head`):
+    # the rest goes to os.devnull, so the interpreter's final flush is
+    # quiet and the command keeps its own exit code
+    try:
+        if args.output == "json":
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            text_renderer(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_classify(args) -> int:

@@ -444,7 +444,8 @@ def _dixon_orientations(rows):
 def test_type_store_serves_every_orientation_its_own_dixon_table():
     # one cache for all systems, so orientations are served across systems
     # too; each must equal a fresh build on its own model, row for row and
-    # column for column
+    # column for column, and fuse its corank-1 parabolics' classes as that
+    # model does
     rings = RepRingCache()
     seen = {}
     for name, rows in _TYPE_STORE_SYSTEMS.items():
@@ -452,11 +453,16 @@ def test_type_store_serves_every_orientation_its_own_dixon_table():
         for t in subsets:
             got = rings.table(w, t)
             model = realize_group(w, t)
-            fresh = dixon_table(model, conjugacy_classes(model))
+            classes = conjugacy_classes(model)
+            fresh = dixon_table(model, classes)
             assert got.class_words == fresh.class_words, (name, t)
             assert got.class_sizes == fresh.class_sizes, (name, t)
             assert got.degrees == fresh.degrees, (name, t)
             assert np.max(np.abs(got.values - fresh.values)) < characters.VALUE_TOL, (name, t)
+            for t1 in itertools.combinations(t, len(t) - 1):
+                words = [[t.index(t1[p]) for p in word] for word in rings.table(w, t1).class_words]
+                expected = [int(classes.class_of[model.evaluate_word(word)]) for word in words]
+                assert rings.embedding(w, t1, t) == expected, (name, t, t1)
             seen.setdefault(classify_subset(w, t)[0].name, set()).add((name, t))
     counts = {label: len(copies) for label, copies in seen.items()}
     assert counts == {"A3": 12, "B3": 6, "H3": 5, "A4": 6, "A5": 6, "B4": 2, "F4": 1}

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,14 @@ def _line(labels):
     rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     for i, m in enumerate(labels):
         rows[i][i + 1] = rows[i + 1][i] = m
+    return rows
+
+
+def _cycle(n):
+    """Affine A_(n-1): an n-cycle of label-3 edges."""
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = 3
     return rows
 
 
@@ -497,6 +509,10 @@ def test_order_cap_holds_on_paths_without_an_upfront_check(write_system, capsys,
             [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # H3 x A1
             "5c5d2581020c7f1993b4a0f0195f4a57c3752b273fe6c1c746499442c91d7a98",
         ),
+        # relabelled orientations of one type: six each of A3, A4 and A5
+        (_cycle(6), "13d00030007052ddf4bef784f08a4faa82bba3f8aeb7c620ef147de4d3e13f89"),
+        # affine F4: two B3, two A3 and one B4 among others
+        (_line([3, 3, 4, 3]), "7859def68dfd02f4963fa34fe67e63eea24a5e75abe09b065005af99224d1880"),
     ],
 )
 def test_report_bytes_are_pinned(write_system, capsys, rows, digest):
@@ -573,3 +589,21 @@ def test_rank6_and_rank7_chain_answers(write_system, capsys, rows, homology, k0,
         {"free_rank": k0, "torsion": []},
         {"free_rank": k1, "torsion": []},
     )
+
+
+def test_a_reader_closing_the_pipe_early_is_not_an_error(write_system):
+    # `bredon cells x.json | head`: affine A5's cells print 126 KB, more
+    # than a pipe buffer, so the command is still writing when the pipe
+    # closes
+    path = write_system(_cycle(6))
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bredon.cli", "cells", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert (len(head), err) == (100, b"")
