@@ -5,7 +5,10 @@ and K-theory by one or several routes), cells (the cubical cell
 structure and boundary blocks), validate (run a corpus of systems
 with known answers).  JSON output is schema-stable and byte-deterministic
 for a fixed input, which is why wall-clock timings appear only in text
-output.
+output.  One writer, _json_text, emits every JSON report with the bytes
+of json.dumps(report, sort_keys=True, indent=2): sorted keys, two-space
+indent, ASCII escapes.  Dumped table values are rounded to 6 decimals,
+with -0.0 written as 0.0.
 
 Exit codes: 0 success, 2 validation or cross-method discrepancy,
 3 resource cap exceeded, 4 input error.
@@ -20,6 +23,8 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .abelian import FgAbGroup, HomologyProfile
 from .chains import BredonComplex, assemble_complex, boundary
@@ -252,14 +257,11 @@ def run_analysis(
 # ---------------------------------------------------------------------------
 
 
-def _clean(x: float) -> float:
-    return round(x, 6) + 0.0
-
-
 def tables_payload(w: CoxeterMatrix, rings: RepRingCache, poset) -> list[dict]:
     out = []
     for t in poset.subsets:
         table = rings.table(w, t)
+        v = table.values
         out.append(
             {
                 "members": list(t),
@@ -270,10 +272,11 @@ def tables_payload(w: CoxeterMatrix, rings: RepRingCache, poset) -> list[dict]:
                 "class_words": [
                     [t[p] for p in word] for word in table.class_words
                 ],
-                "values": [
-                    [[_clean(v.real), _clean(v.imag)] for v in row]
-                    for row in table.values
-                ],
+                # np.round is what round(x, 6) does to each np.float64,
+                # and + 0.0 writes -0.0 as 0.0
+                "values": (
+                    np.stack([np.round(v.real, 6), np.round(v.imag, 6)], axis=-1) + 0.0
+                ).tolist(),
             }
         )
     return out
@@ -421,18 +424,64 @@ def _cells_text(payload: dict, out) -> None:
 # ---------------------------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return _quote(_json_text(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _json_text(o, indent: str = "\n") -> str:
+    """``json.dumps(o, sort_keys=True, indent=2)``, byte for byte, raising
+    TypeError where it does.  With ``indent`` set, json uses its pure-Python
+    encoder, a generator per container and a call chain per scalar; this
+    joins each container's items at once."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NON_FINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(args, report: dict, text_renderer) -> None:
     # a reader may close the pipe early (`bredon cells x.json | head`):
     # the rest goes to os.devnull, so the interpreter's final flush is
     # quiet and the command keeps its own exit code
     try:
         if args.output == "json":
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print(_json_text(report))
         else:
             text_renderer(sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_classify(args) -> int:

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import bredon.cli
@@ -525,6 +530,131 @@ def test_report_bytes_are_pinned(write_system, capsys, rows, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+H3_X_A1 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]]
+
+
+def test_text_report_bytes_are_pinned(write_system, capsys):
+    # the text renderer formats the dumped table values; route timings
+    # are the only bytes that vary between runs
+    path = write_system(H3_X_A1)
+    code, out, err = run(capsys, "homology", path, "--dump-tables", "--cells")
+    assert (code, err) == (0, "")
+    out = re.sub(r"  \(\d+\.\d\ds\)$", "", out, flags=re.M)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "821ef902c0e5e94522205b994c67ab873357dd87af8366af0ba2069db4dd7f2b"
+    )
+
+
+@pytest.mark.parametrize("rows", [H3_X_A1, _line([5, 3, 3])], ids=["H3xA1", "H4"])
+def test_dumped_values_are_rounded_per_scalar(write_system, capsys, rows):
+    path = write_system(rows)
+    code, out, err = run(capsys, "homology", path, "--method", "closed", "--output", "json",
+                         "--dump-tables", "--order-cap", "14400")
+    assert (code, err) == (0, "")
+    assert not re.search(r"-0\.0(?![0-9e])", out)
+    w = parse_matrix(rows)
+    rings = RepRingCache(14400)
+    for tab in json.loads(out)["tables"]:
+        table = rings.table(w, tuple(tab["members"]))
+        assert tab["values"] == [
+            [[round(v.real, 6) + 0.0, round(v.imag, 6) + 0.0] for v in row]
+            for row in table.values
+        ]
+        assert all(
+            math.copysign(1.0, x) == 1.0
+            for row in tab["values"] for pair in row for x in pair if x == 0
+        )
+
+
+def _dumps(o):
+    return json.dumps(o, sort_keys=True, indent=2)
+
+
+class _Count(int):
+    """An int subclass with its own repr: json writes int.__repr__."""
+
+    def __repr__(self):
+        return "count"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}, [[]]]},
+        [[], [{}], {"x": []}],
+        {
+            "caf\u00e9 \u4e2d": "\U0001f600 \u2028 \ud800",
+            'q"uote': "back\\slash",
+            "ctl \x00\x1f\n\t\x7f": '"\\\b\f\r',
+        },
+        [-0.0, 0.0, 1e-07, 1e22, 2**70, -(2**70), 0.1, 1e16, 5e-324],
+        [True, False, 1, 0, None, [True, 1, False, 0], _Count(7)],
+        [np.float64(0.1), np.float64(-0.0), np.float64(1e22), np.float64("nan")],
+        [float("nan"), float("inf"), float("-inf")],
+        {10: "a", 2: "b", -1.5: "c", False: "d", 2**70: "e", float("inf"): "f"},
+        {True: 1}, {None: [None]}, {np.float64(1.5): 2, 0.25: 3, _Count(1): 4},
+        ("tuple", (1, [2.5, ()])),
+        "top-level \u00e9", 3, -0.0, float("nan"), None, True, np.float64(2.0),
+    ],
+)
+def test_json_writer_matches_json_dumps(value):
+    assert bredon.cli._json_text(value) == _dumps(value)
+
+
+def _random_text(rng):
+    # printable ASCII, control characters, non-ASCII and an astral character
+    return "".join(
+        chr(rng.choice([rng.randrange(32, 127), rng.randrange(32), rng.randrange(127, 0x3000), 0x1F600]))
+        for _ in range(rng.randrange(6))
+    )
+
+
+def _random_json(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-(2**80), 2**80) if rng.random() < 0.2 else rng.randint(-9, 999)
+    if kind == 2:
+        return rng.choice([
+            rng.uniform(-1e3, 1e3), rng.random() * 10.0 ** rng.randint(-30, 30), -0.0,
+            float("nan"), float("-inf"), np.float64(rng.random()),
+        ])
+    if kind == 3:
+        return _random_text(rng)
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    if rng.random() < 0.7:
+        keys = [_random_text(rng) for _ in items]
+    else:  # numbers and bools sort among themselves
+        keys = [rng.choice([rng.randint(-50, 50), rng.uniform(-5, 5), True, False]) for _ in items]
+    return dict(zip(keys, items))
+
+
+def test_json_writer_matches_json_dumps_on_random_objects():
+    rng = random.Random(1)
+    for _ in range(200):
+        value = _random_json(rng)
+        assert bredon.cli._json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(3), [np.int64(1)], {"a": {1, 2}}, {1, 2}, {"a": [1, object()]},
+     {(1, 2): 0}, {"a": 1, 2: 3}, {None: 1, "b": 2}],
+)
+def test_json_writer_raises_where_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        bredon.cli._json_text(value)
+
+
 E6_ROWS = [[1, 2, 3, 2, 2, 2], [2, 1, 2, 3, 2, 2], [3, 2, 1, 3, 2, 2],
            [2, 3, 3, 1, 3, 2], [2, 2, 2, 3, 1, 3], [2, 2, 2, 2, 3, 1]]
 
@@ -607,3 +737,19 @@ def test_a_reader_closing_the_pipe_early_is_not_an_error(write_system):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert (len(head), err) == (100, b"")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+def test_a_broken_pipe_leaves_no_descriptor_open(monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            bredon.cli._emit(SimpleNamespace(output="json"), {"a": [1, 2]}, None)
+            monkeypatch.undo()
+    assert open_fds() == before
