@@ -3,18 +3,18 @@
 Tables are computed three ways, chosen by the classification of the
 subgroup:
 
-* the trivial group, rank 1 and dihedral parabolics get the textbook
-  closed forms, classes included;
+* closed forms: the textbook tables of the trivial group, rank 1 and
+  dihedral parabolics, classes included, and Murnaghan-Nakayama over
+  (bi)partitions for types A_n and B_n (n >= 3) on their realized classes;
 * reducible parabolics are tensor products of their factor tables;
-* every other irreducible finite type (rank >= 3) is realized as a
-  Cayley graph and goes through the Burnside-Dixon modular algorithm
-  with Schneider's refinements: the common eigenvectors of the
-  class-sum matrices over F_p, p = 1 mod exponent(G), come from
-  splitting each current eigenspace by the block the next matrix
-  induces on it (one small mod-p nullspace per root of that block),
-  the structure constants are counted only for the classes the split
-  reads, and the eigenvectors are lifted to C by discrete Fourier
-  inversion along power maps.
+* the other irreducible types (D, E, F, H) are realized as a Cayley
+  graph and go through the Burnside-Dixon modular algorithm with
+  Schneider's refinements: the common eigenvectors of the class-sum
+  matrices over F_p, p = 1 mod exponent(G), come from splitting each
+  current eigenspace by the block the next matrix induces on it (one
+  small mod-p nullspace per root of that block), the structure constants
+  are counted only for the classes the split reads, and the eigenvectors
+  are lifted to C by discrete Fourier inversion along power maps.
 
 A table's columns are always the conjugacy classes in canonical order:
 sorted by (length, word) of their shortlex-least representative, so the
@@ -31,9 +31,9 @@ multiplicities.
 RepRingCache keys at two levels.  Tables with their fusion rules,
 models, classes and inductions are positional, keyed by the induced
 Coxeter matrix.  The Dixon values are keyed by irreducible type: one
-Burnside-Dixon build per type serves every relabelled copy of it, whose
-own classes are mapped onto the stored ones by a generator map between
-reference labellings.
+Burnside-Dixon build per D, E, F or H type serves every relabelled copy
+of it, whose own classes are mapped onto the stored ones by a generator
+map between reference labellings.
 """
 
 from __future__ import annotations
@@ -240,6 +240,71 @@ def tensor_table(p: CharacterTable, q: CharacterTable) -> CharacterTable:
         values=values,
         degrees=degrees,
     )
+
+
+def murnaghan_nakayama(sub: CoxeterMatrix, label, walk, words) -> list[list[int]]:
+    """Every irreducible character of W_sub, of type A_n = S_(n+1) or B_n,
+    at each word in sub's positions, one row per (bi)partition.
+
+    Along a walk that induces the reference matrix (3 along the path, 4 on
+    its first edge for B_n), generator i is (i, i+1) of n + 1 points in
+    A_n, and (i-1, i) in B_n but for the first, which negates coordinate 0.
+    Each cycle of a word's signed cycle type, largest first, of length r
+    removes an r-rim hook from either component with sign (-1)^leg, and -1
+    more from the second if the cycle is negative: a bead of a beta-set
+    moves down by r to a free place, passing leg beads.
+    """
+    n, family = label.rank, label.family
+    ref = [[1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(n)] for i in range(n)]
+    ref[0][1] = ref[1][0] = 4 if family == "B" else 3
+    position = _relabelling(sub, walk, CoxeterMatrix(tuple(map(tuple, ref))), range(n))
+    points = n + 1 if family == "A" else n
+    cycle_types = []
+    for word in words:
+        image = list(range(1, points + 1))  # image[i] = +-(j + 1): e_i goes to +-e_j
+        for s in word:
+            a = position[s] - (family == "B")
+            if a < 0:
+                image[0] = -image[0]
+            else:
+                image[a], image[a + 1] = image[a + 1], image[a]
+        cycles = []
+        for i in range(points):
+            cycle = []
+            while image[i]:  # read entries are cleared
+                cycle.append(image[i])
+                image[i], i = 0, abs(image[i]) - 1
+            if cycle:
+                cycles.append((len(cycle), 1 if prod(cycle) > 0 else -1))
+        cycle_types.append(tuple(sorted(cycles, reverse=True)))
+    empty = (1 << points) - 1  # the beta-set of the empty partition
+    parts = [{empty}]  # parts[k]: the partitions of k, adding a box (a bead moves up 1) at a time
+    for k in range(points):
+        parts.append({x ^ 3 << b for x in parts[k] for b in range(points + k) if x >> b & 3 == 1})
+    memo = {(empty, empty, ()): 1}  # (alpha, beta, remaining cycles) -> value
+    hooks: dict = {}  # (beta-set, r) -> [(beta-set without an r-rim hook, (-1)^leg)]
+
+    def chi(alpha, beta, cycles):
+        if (alpha, beta, cycles) not in memo:
+            (r, sign), rest = cycles[0], cycles[1:]
+            for x in (alpha, beta):
+                if (x, r) not in hooks:
+                    hooks[x, r] = [
+                        (x ^ 1 << b ^ 1 << b - r, (-1) ** (x % (1 << b) >> b - r).bit_count())
+                        for b in range(r, x.bit_length())
+                        if x >> b & 1 and not x >> b - r & 1
+                    ]
+            total = 0
+            for a, e in hooks[alpha, r]:
+                total += e * chi(a, beta, rest)
+            for b, e in hooks[beta, r]:
+                total += sign * e * chi(alpha, b, rest)
+            memo[alpha, beta, cycles] = total
+        return memo[alpha, beta, cycles]
+
+    sizes = [points] if family == "A" else range(n + 1)  # boxes of the first component
+    labels = [(a, b) for k in sizes for a in parts[k] for b in parts[points - k]]
+    return [[chi(alpha, beta, cycles) for cycles in cycle_types] for alpha, beta in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +540,9 @@ def _power_maps(model: GroupModel, classes: ConjugacyClasses):
 
 
 def _row_order(values: np.ndarray, degrees: list[int]) -> list[int]:
-    """The order of a Dixon table's rows: by degree, then by their values
-    rounded once, read as (real, imag) pairs class by class."""
+    """The order of a table's rows from dixon_table or _irreducible: by
+    degree, then by their values rounded once, read as (real, imag) pairs
+    class by class."""
     rounded = np.round(values, 6)
     keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(degrees), -1).tolist()
     return sorted(range(len(degrees)), key=lambda t: (degrees[t], keys[t]))
@@ -640,11 +706,11 @@ class RepRingCache:
     rank >= 3 are realized for their entries; model and classes realize
     any finite parabolic on demand.
 
-    The Dixon values are keyed by irreducible type instead: each type
-    runs dixon_table once, on its first orientation, and every
-    orientation (a relabelled copy such as the four A3 of affine A3) maps
-    its own classes onto the stored ones through reference_labelling's
-    walks (_dixon_orientation).
+    The Dixon values, of types D, E, F and H only, are keyed by
+    irreducible type instead: each type runs dixon_table once, on its
+    first orientation, and every orientation (a relabelled copy such as
+    the two H3 of hyperbolic 5-3-5) maps its own classes onto the stored
+    ones through reference_labelling's walks (_irreducible).
     """
 
     def __init__(self, order_cap: int = DEFAULT_ORDER_CAP):
@@ -707,38 +773,40 @@ class RepRingCache:
             table = dihedral_table(m)
             rule = lambda words: [_dihedral_class(word, m) for word in words]
         else:
-            table, rule = self._dixon_orientation(sub, *labels[0])
+            table, rule = self._irreducible(sub, *labels[0])
         table.validate()
         return table, rule
 
-    def _dixon_orientation(self, sub: CoxeterMatrix, label, walk):
-        """An irreducible parabolic of rank >= 3: the values of its type on
-        its own model's classes, and fusion by evaluation in that model.
-        The first orientation of a type runs dixon_table and stores it with
-        its rule; every orientation maps its class words, relabelled walk
-        to walk, by the stored rule, takes those columns of the stored
-        values and orders the rows as dixon_table does."""
+    def _irreducible(self, sub: CoxeterMatrix, label, walk):
+        """An irreducible parabolic of rank >= 3: its type's values on its
+        own model's classes, rows ordered as dixon_table orders them, and
+        fusion by evaluation in that model.  Types A and B have closed
+        values.  Any other type's first orientation stores its dixon_table
+        and rule; every orientation maps its class words, relabelled walk to
+        walk, by that rule and takes those columns of the stored values."""
         t = sub.generators
         model, classes = self.model(sub, t), self.classes(sub, t)
         rule = lambda words: [int(classes.class_of[model.evaluate_word(word)]) for word in words]
-        if label not in self._dixon:
-            self._dixon[label] = (sub, walk, dixon_table(model, classes), rule)
-        ref, ref_walk, stored, ref_rule = self._dixon[label]
-        gens = _relabelling(sub, walk, ref, ref_walk)
-        columns = ref_rule([[gens[s] for s in word] for word in classes.rep_words])
-        if sorted(columns) != list(range(stored.n_classes)) or [
-            stored.class_sizes[c] for c in columns
-        ] != classes.sizes:
-            raise ConsistencyError(f"the classes of {label.name} do not match its stored classes")
-        values = stored.values[:, columns]
-        rows = _row_order(values, stored.degrees)
-        table = replace(
-            stored,
-            members=t,
-            class_words=list(classes.rep_words),
-            class_sizes=list(classes.sizes),
-            values=values[rows],
-            degrees=[stored.degrees[r] for r in rows],
+        if label.family in ("A", "B"):
+            chars = murnaghan_nakayama(sub, label, walk, classes.rep_words)
+            values, degrees = np.array(chars, dtype=complex), [row[0] for row in chars]
+        else:
+            if label not in self._dixon:
+                self._dixon[label] = (sub, walk, dixon_table(model, classes), rule)
+            ref, ref_walk, stored, ref_rule = self._dixon[label]
+            gens = _relabelling(sub, walk, ref, ref_walk)
+            columns = ref_rule([[gens[s] for s in word] for word in classes.rep_words])
+            if sorted(columns) != list(range(stored.n_classes)) or [
+                stored.class_sizes[c] for c in columns
+            ] != classes.sizes:
+                raise ConsistencyError(
+                    f"the classes of {label.name} do not match its stored classes"
+                )
+            values, degrees = stored.values[:, columns], stored.degrees
+        rows = _row_order(values, degrees)
+        table = CharacterTable(
+            t, model.order, list(classes.rep_words), list(classes.sizes),
+            values[rows], [degrees[r] for r in rows],
         )
         return table, rule
 

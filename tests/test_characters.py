@@ -441,31 +441,64 @@ def _dixon_orientations(rows):
     return w, [t for t in poset.subsets if len(t) >= 3 and len(poset.labels[t]) == 1]
 
 
+def _assert_fresh_dixon(rings, w, t, where):
+    """rings' table of W_t equals a fresh dixon_table on its own model, row
+    for row and column for column, and fuses its corank-1 parabolics'
+    classes as that model does."""
+    got = rings.table(w, t)
+    model = realize_group(w, t, order_cap=rings.order_cap)
+    classes = conjugacy_classes(model)
+    fresh = dixon_table(model, classes)
+    assert got.class_words == fresh.class_words, where
+    assert got.class_sizes == fresh.class_sizes, where
+    assert got.degrees == fresh.degrees, where
+    assert np.max(np.abs(got.values - fresh.values)) < characters.VALUE_TOL, where
+    for t1 in itertools.combinations(t, len(t) - 1):
+        words = [[t.index(t1[p]) for p in word] for word in rings.table(w, t1).class_words]
+        expected = [int(classes.class_of[model.evaluate_word(word)]) for word in words]
+        assert rings.embedding(w, t1, t) == expected, (where, t1)
+
+
 def test_type_store_serves_every_orientation_its_own_dixon_table():
     # one cache for all systems, so orientations are served across systems
-    # too; each must equal a fresh build on its own model, row for row and
-    # column for column, and fuse its corank-1 parabolics' classes as that
-    # model does
+    # too; each must equal a fresh build on its own model
     rings = RepRingCache()
     seen = {}
     for name, rows in _TYPE_STORE_SYSTEMS.items():
         w, subsets = _dixon_orientations(rows)
         for t in subsets:
-            got = rings.table(w, t)
-            model = realize_group(w, t)
-            classes = conjugacy_classes(model)
-            fresh = dixon_table(model, classes)
-            assert got.class_words == fresh.class_words, (name, t)
-            assert got.class_sizes == fresh.class_sizes, (name, t)
-            assert got.degrees == fresh.degrees, (name, t)
-            assert np.max(np.abs(got.values - fresh.values)) < characters.VALUE_TOL, (name, t)
-            for t1 in itertools.combinations(t, len(t) - 1):
-                words = [[t.index(t1[p]) for p in word] for word in rings.table(w, t1).class_words]
-                expected = [int(classes.class_of[model.evaluate_word(word)]) for word in words]
-                assert rings.embedding(w, t1, t) == expected, (name, t, t1)
+            _assert_fresh_dixon(rings, w, t, (name, t))
             seen.setdefault(classify_subset(w, t)[0].name, set()).add((name, t))
     counts = {label: len(copies) for label, copies in seen.items()}
     assert counts == {"A3": 12, "B3": 6, "H3": 5, "A4": 6, "A5": 6, "B4": 2, "F4": 1}
+
+
+def _closed_systems():
+    """A_n and B_n for n = 3..6, B_n also read from its 3 end, and three
+    affine systems whose A and B parabolics come in several orientations."""
+    systems = {}
+    for n in range(3, 7):
+        systems[f"A{n}"] = _line([3] * (n - 1))
+        systems[f"B{n}"] = _line([4] + [3] * (n - 2))
+        systems[f"B{n}-reversed"] = _line([3] * (n - 2) + [4])
+    systems["affine-A5"] = _cycle(6)
+    systems["affine-C4"] = _line([4, 3, 3, 4])
+    affine_b4 = _line([4, 3, 3, 2])  # the path 0 =4= 1 - 2 - 3, and node 4 on node 2
+    affine_b4[2][4] = affine_b4[4][2] = 3
+    systems["affine-B4"] = affine_b4
+    return systems
+
+
+@pytest.mark.parametrize("name, rows", _closed_systems().items(), ids=_closed_systems())
+def test_closed_tables_match_dixon(name, rows):
+    # the Murnaghan-Nakayama tables of types A and B, on every orientation
+    # of every A/B parabolic of the system
+    rings = RepRingCache(order_cap=46080)
+    w, subsets = _dixon_orientations(rows)
+    closed = [t for t in subsets if classify_subset(w, t)[0].family in ("A", "B")]
+    assert closed
+    for t in closed:
+        _assert_fresh_dixon(rings, w, t, (name, t))
 
 
 def _dixon_builds(monkeypatch, rows):
@@ -483,9 +516,23 @@ def _dixon_builds(monkeypatch, rows):
 
 
 def test_one_dixon_build_per_type(monkeypatch):
-    # affine A3 has four A3; affine A5 has six each of A5, A4 and A3
-    assert _dixon_builds(monkeypatch, _cycle(4)) == [24]
-    assert _dixon_builds(monkeypatch, _cycle(6)) == [24, 120, 720]
+    # types A and B never reach Dixon: affine A3 has four A3, affine A5
+    # six each of A5, A4 and A3, rank5-334inf A3, B3 and B4, affine C3 B3
+    for name in ("affine-A3", "affine-A5", "rank5-334inf", "affine-C3"):
+        assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS[name]) == [], name
+    # the two H3 orientations of 5-3-5 share one build, and F4 has one
+    assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["hyperbolic-535"]) == [120]
+    assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["affine-F4"]) == [1152]
+
+
+def _walk_as_given(monkeypatch, walk=None):
+    """Make reference_labelling keep its classification but walk the
+    members in the given order (default: sorted)."""
+    monkeypatch.setattr(
+        characters,
+        "reference_labelling",
+        lambda sub, t: (classify_subset(sub, t)[0], tuple(t) if walk is None else walk),
+    )
 
 
 def test_relabelling_must_preserve_the_coxeter_matrix(monkeypatch):
@@ -495,15 +542,28 @@ def test_relabelling_must_preserve_the_coxeter_matrix(monkeypatch):
         _relabelling(b3, (0, 1, 2), b3, (2, 1, 0))
     # and through the cache
     rings = RepRingCache()
-    rings.table(parse_matrix(_line([4, 3])), (0, 1, 2))  # stores B3 as 4-3
-    # the other orientation, 3-4, read from its least end: 3-4 onto 4-3
-    monkeypatch.setattr(
-        characters,
-        "reference_labelling",
-        lambda sub, t: (classify_subset(sub, t)[0], tuple(t)),
-    )
+    rings.table(parse_matrix(_line([5, 3])), (0, 1, 2))  # stores H3 as 5-3
+    # the other orientation, 3-5, read from its least end: 3-5 onto 5-3
+    _walk_as_given(monkeypatch)
     with pytest.raises(ConsistencyError, match="does not preserve"):
-        rings.table(parse_matrix(_line([3, 4])), (0, 1, 2))
+        rings.table(parse_matrix(_line([3, 5])), (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "labels, walk",
+    [
+        ([3, 4], None),  # B3 read from its 3 end: the 4 is not on the first edge
+        ([3, 3], (1, 0, 2)),  # A3 walked off its path: 0 and 2 commute
+        ([4, 3, 3], (1, 0, 2, 3)),  # B4 whose 4 is on the first edge, but not as a path
+    ],
+)
+def test_closed_tables_check_their_walk(monkeypatch, labels, walk):
+    # the A/B path reads class words as permutations along the walk, so a
+    # walk that does not induce the reference matrix must fail on the walk,
+    # not later on the values (validate's orthogonality check)
+    _walk_as_given(monkeypatch, walk)
+    with pytest.raises(ConsistencyError, match="does not preserve"):
+        RepRingCache().table(parse_matrix(_line(labels)), tuple(range(len(labels) + 1)))
 
 
 def test_empty_subset_table(rings):
