@@ -138,10 +138,8 @@ class BredonComplex:
     def top_dimension(self) -> int:
         return len(self.cells) - 1
 
-    def homology(self, max_degree: int | None = None) -> HomologyProfile:
-        top = self.top_dimension
-        limit = top if max_degree is None else min(max_degree, top)
-        return HomologyProfile(homology_at(self.differentials, limit, self.matching))
+    def homology(self) -> HomologyProfile:
+        return HomologyProfile(homology_at(self.differentials, self.top_dimension, self.matching))
 
 
 def assemble_complex(
@@ -222,16 +220,12 @@ def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
     return BredonComplex(cells, block_ranks, offsets, dims, differentials)
 
 
-def cell_pair_homology(
-    w: CoxeterMatrix, t, rings: RepRingCache | None = None
-) -> HomologyProfile:
+def cell_pair_homology(w: CoxeterMatrix, t, rings: RepRingCache) -> HomologyProfile:
     """Relative homology of one closed cell modulo its boundary.
 
     t must be spherical; the computation runs inside the subsystem on t,
     keeping only the cells [T', t].
     """
-    if rings is None:
-        rings = RepRingCache()
     t = canonical_subset(t)
     if spherical_order(w, t) is None:
         raise ContractError(f"subset {t} is not spherical")

@@ -69,12 +69,11 @@ class CharacterTable:
     """Irreducible complex characters of a finite parabolic.
 
     values[i, c] is the i-th character on the c-th conjugacy class;
-    class_words hold one defining word per class in generator positions
-    (positions index the sorted member tuple).  Row order is fixed by the
-    construction path, so identical inputs give identical tables.
+    class_words hold one defining word per class in the positions 0..k-1
+    of the induced system, with no generator labels.  Row order is fixed
+    by the construction path, so identical inputs give identical tables.
     """
 
-    members: tuple[int, ...]
     order: int
     class_words: list[tuple[int, ...]]
     class_sizes: list[int]
@@ -111,7 +110,6 @@ class CharacterTable:
 
 def trivial_table() -> CharacterTable:
     return CharacterTable(
-        members=(),
         order=1,
         class_words=[()],
         class_sizes=[1],
@@ -123,7 +121,6 @@ def trivial_table() -> CharacterTable:
 def rank1_table() -> CharacterTable:
     """A1 = C2: trivial and sign characters on the classes (), (0,)."""
     return CharacterTable(
-        members=(0,),
         order=2,
         class_words=[(), (0,)],
         class_sizes=[1, 1],
@@ -202,7 +199,6 @@ def dihedral_table(m: int) -> CharacterTable:
                 values[base + l, c] = 2 * cos(2 * pi * l * k / m)
     degrees = [1, 1] + ([1, 1] if even else []) + [2] * n_two_dim
     return CharacterTable(
-        members=(0, 1),
         order=2 * m,
         class_words=words,
         class_sizes=sizes,
@@ -215,25 +211,21 @@ def tensor_table(p: CharacterTable, q: CharacterTable) -> CharacterTable:
     """Character table of a direct product from factor tables.
 
     Classes are the pairs (row-major, p outer and q inner) and characters
-    are products; member sets must be disjoint.  Both factors' class words
-    are translated into the merged position space and merged letter by
-    letter, least first; the alphabets are disjoint, so the merge of two
-    shortlex-least words is the shortlex-least word of the pair.
+    are products.  Both factors' class words must already be written in
+    one position space, with no letter in both; each pair's words are
+    merged letter by letter, least first, and since the alphabets are
+    disjoint the merge of two shortlex-least words is the shortlex-least
+    word of the pair.
     """
-    if set(p.members) & set(q.members):
+    if {s for word in p.class_words for s in word} & {s for word in q.class_words for s in word}:
         raise ContractError("tensor factors share generators")
     from heapq import merge  # here, not at module load: every CLI request imports characters
 
-    members = tuple(sorted(p.members + q.members))
-    pos = {g: i for i, g in enumerate(members)}
-    words_p = [[pos[p.members[i]] for i in word] for word in p.class_words]
-    words_q = [[pos[q.members[i]] for i in word] for word in q.class_words]
-    class_words = [tuple(merge(wp, wq)) for wp in words_p for wq in words_q]
+    class_words = [tuple(merge(wp, wq)) for wp in p.class_words for wq in q.class_words]
     class_sizes = [sp * sq for sp in p.class_sizes for sq in q.class_sizes]
     values = np.kron(p.values, q.values)
     degrees = [dp * dq for dp in p.degrees for dq in q.degrees]
     return CharacterTable(
-        members=members,
         order=p.order * q.order,
         class_words=class_words,
         class_sizes=class_sizes,
@@ -612,7 +604,6 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
 
     row_order = _row_order(values, degrees)
     return CharacterTable(
-        members=model.members,
         order=order,
         class_words=list(classes.rep_words),
         class_sizes=list(classes.sizes),
@@ -725,9 +716,7 @@ class RepRingCache:
         sub = w.submatrix(t)
         key = sub.m
         if key not in self._models:
-            self._models[key] = realize_group(
-                sub, sub.generators, order_cap=self.order_cap
-            )
+            self._models[key] = realize_group(sub, order_cap=self.order_cap)
         return self._models[key]
 
     def classes(self, w: CoxeterMatrix, t) -> ConjugacyClasses:
@@ -805,16 +794,21 @@ class RepRingCache:
             values, degrees = stored.values[:, columns], stored.degrees
         rows = _row_order(values, degrees)
         table = CharacterTable(
-            t, model.order, list(classes.rep_words), list(classes.sizes),
+            model.order, list(classes.rep_words), list(classes.sizes),
             values[rows], [degrees[r] for r in rows],
         )
         return table, rule
 
     def _product(self, sub: CoxeterMatrix, parts):
-        """The tensor product of the factor tables, re-addressed into sub's
-        positions, with its columns sorted by (length, word); a word's class
-        combines its factors' classes through the same sort."""
-        factors = [replace(self.table(sub, part), members=part) for part in parts]
+        """The tensor product of the factor tables, their class words
+        translated into sub's positions, with its columns sorted by
+        (length, word); a word's class combines its factors' classes
+        through the same sort."""
+        tables = [self.table(sub, part) for part in parts]
+        factors = [
+            replace(f, class_words=[tuple(part[i] for i in word) for word in f.class_words])
+            for f, part in zip(tables, parts)
+        ]
         rules = [self._entry(sub.submatrix(part))[1] for part in parts]
         local = [{g: i for i, g in enumerate(part)} for part in parts]
         combined = factors[0]

@@ -75,7 +75,7 @@ def load_system(path: str) -> CoxeterMatrix:
     return system_from_json(_read_json(path), origin=path)
 
 
-def system_from_json(data, origin: str = "input") -> CoxeterMatrix:
+def system_from_json(data, origin: str) -> CoxeterMatrix:
     if not isinstance(data, dict) or "m" not in data:
         raise MatrixError(f'{origin} must be an object with an "m" matrix')
     w = parse_matrix(data["m"])
@@ -166,11 +166,12 @@ def run_analysis(
     diagram splits, then chain; method "auto" runs them all and any other
     method the ones it names.  The chain route reduces the cubical
     complex of the chamber, one cell per interval [T, U] of spherical
-    subsets, which the cell dumps print.  rings.order_cap bounds the
-    parabolics the routes may realize.  A dict passed as complexes
-    receives the chain route's complex under "chain" when that route
-    runs, so a cell dump need not assemble it again.  Returns (report
-    dict, timings dict, exit code).  The report is fully
+    subsets, which the cell dumps print.  A route above rings.order_cap
+    is listed under "skipped", but a plan of one route (chain, kunneth,
+    or closed with one form) raises unless the method is auto.  A dict
+    passed as complexes receives the chain route's complex under "chain"
+    when that route runs, so a cell dump need not assemble it again.
+    Returns (report dict, timings dict, exit code).  The report is fully
     JSON-serializable and deterministic; timings are text-mode garnish.
     """
     if method not in METHODS:
@@ -196,7 +197,7 @@ def run_analysis(
         try:
             profiles[name] = _run_route(name, w, rings, poset, complexes)
         except ResourceCapError as exc:
-            if method != "auto":
+            if method != "auto" and len(plan) == 1:
                 raise
             skipped[name] = str(exc)
             continue
@@ -244,8 +245,8 @@ def run_analysis(
     if discrepancies:
         code = EXIT_DISCREPANCY
     elif not profiles:
-        # auto always plans the chain route and any other method raises
-        # on a cap, so no profile means every route hit the cap
+        # a plan of one route raises on a cap unless the method is auto,
+        # so no profile means every planned route hit the cap
         code = EXIT_RESOURCE
     else:
         code = EXIT_OK

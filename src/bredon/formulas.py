@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 
 from .abelian import FgAbGroup, HomologyProfile, TRIVIAL
 from .characters import RepRingCache
@@ -46,9 +47,7 @@ def dihedral_class_count(m: int) -> int:
     return m // 2 + 3 if m % 2 == 0 else (m - 1) // 2 + 2
 
 
-def finite_homology(
-    w: CoxeterMatrix, order: int | None, rings: RepRingCache | None = None
-) -> HomologyProfile:
+def finite_homology(w: CoxeterMatrix, order: int | None, rings: RepRingCache) -> HomologyProfile:
     """H_0 = Z^(class count of W) for finite W; higher degrees vanish.
 
     order is |W|, or None when W is infinite, as SphericalPoset.full_order
@@ -60,8 +59,6 @@ def finite_homology(
     """
     if order is None:
         raise ContractError("finite-group formula needs a finite system")
-    if rings is None:
-        rings = RepRingCache()
     count = rings.classes(w, w.generators).count
     return HomologyProfile({0: FgAbGroup.free(count)})
 
@@ -78,15 +75,9 @@ def right_angled_homology(
 
 
 def _half_label_product(w: CoxeterMatrix, t) -> int:
-    """prod over pairs in t of m_ij / 2; finite labels only (infinite
-    labels cannot occur inside a spherical subset, so the restriction
-    only matters for documentation).  Empty product is 1."""
-    out = 1
-    for i, j in combinations(t, 2):
-        m = w.entry(i, j)
-        if m != INFINITE:
-            out *= int(m) // 2
-    return out
+    """prod over pairs in the spherical subset t of m_ij / 2, whose labels
+    are all finite.  Empty product is 1."""
+    return prod(int(w.entry(i, j)) // 2 for i, j in combinations(t, 2))
 
 
 def even_homology(
@@ -101,9 +92,7 @@ def even_homology(
     return HomologyProfile({0: FgAbGroup.free(rank)})
 
 
-def lowrank_catalog(
-    w: CoxeterMatrix, order: int | None, rings: RepRingCache | None = None
-) -> HomologyProfile:
+def lowrank_catalog(w: CoxeterMatrix, order: int | None, rings: RepRingCache) -> HomologyProfile:
     """Catalog of all systems of rank at most 3; order is |W| or None, as
     for finite_homology.
 
@@ -272,10 +261,7 @@ def applicable_closed_forms(w: CoxeterMatrix, order: int | None) -> list[str]:
 
 
 def closed_form_homology(
-    w: CoxeterMatrix,
-    name: str,
-    poset: SphericalPoset,
-    rings: RepRingCache | None = None,
+    w: CoxeterMatrix, name: str, poset: SphericalPoset, rings: RepRingCache
 ) -> HomologyProfile:
     """Dispatch one named closed form; poset is w's spherical poset."""
     if name == "finite":

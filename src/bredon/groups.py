@@ -21,9 +21,9 @@ outlives the closure: the shortlex tree (parent and last letter of each
 element) and the int32 tables of x s, s x and x^-1.  Products,
 conjugation, words and powers are exact integer gathers on it.
 
-Generators inside a model are addressed by *position* in the sorted
-subset, which makes models reusable across systems that induce the same
-matrix.
+A model realizes one induced system W_T and addresses its generators by
+*position* 0..|T|-1 only, carrying no labels of T, which makes it
+reusable across systems that induce the same matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coxeter import CoxeterMatrix, canonical_subset, cosine_matrix, spherical_order
+from .coxeter import CoxeterMatrix, cosine_matrix, spherical_order
 from .errors import ConsistencyError, ContractError, ResourceCapError
 
 DEFAULT_ORDER_CAP = 14400
@@ -52,7 +52,7 @@ def _root_keys(vecs: np.ndarray) -> list[tuple]:
 class GroupModel:
     """Finite parabolic W_T as its Cayley graph.
 
-    Generators are addressed by position (0..rank-1).  Elements are
+    Generators are positions 0..rank-1 and carry no labels.  Elements are
     numbered in (length, word) order of their shortlex-least words, so
     element 0 is the identity and elements 1..rank are the generators,
     and those words form a tree: element x != 0 is parent[x] .
@@ -60,7 +60,6 @@ class GroupModel:
     s_s . x and inv[x] = x^-1 answer products by gathers.
     """
 
-    members: tuple[int, ...]
     order: int
     parent: np.ndarray
     letter: np.ndarray
@@ -70,7 +69,7 @@ class GroupModel:
 
     @property
     def rank(self) -> int:
-        return len(self.members)
+        return self.right.shape[1]
 
     def word(self, e: int) -> tuple[int, ...]:
         """Shortlex-least word of element e, read off the tree."""
@@ -80,9 +79,9 @@ class GroupModel:
             e = self.parent[e]
         return tuple(reversed(letters))
 
-    def evaluate_word(self, word, start: int = 0) -> int:
-        """Element index of start . s_word[0] ... s_word[-1]."""
-        cur = start
+    def evaluate_word(self, word) -> int:
+        """Element index of s_word[0] ... s_word[-1]."""
+        cur = 0
         for s in word:
             cur = self.right[cur, s]
         return int(cur)
@@ -146,17 +145,17 @@ def _close_roots(b: np.ndarray):
     return targets.reshape(-1, k).T, [find(o) for o in orbit], roots.sum(axis=1) > 0
 
 
-def realize_group(
-    w: CoxeterMatrix, t, order_cap: int = DEFAULT_ORDER_CAP
-) -> GroupModel:
-    """Build the Cayley graph of a spherical W_T from its root permutations.
+def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> GroupModel:
+    """Build the Cayley graph of a spherical W, positioned as w's
+    generators, from its root permutations.
 
-    Raises ResourceCapError when the classified order exceeds order_cap
-    or the element keys would not fit an int64 (only E8 among the finite
-    types), and ConsistencyError when the closure does not reproduce the
-    classified order or leaves an entry of right unresolved.
+    Raises ContractError when W is not spherical, ResourceCapError when
+    the classified order exceeds order_cap or the element keys would not
+    fit an int64 (only E8 among the finite types), and ConsistencyError
+    when the closure does not reproduce the classified order or leaves
+    an entry of right unresolved.
     """
-    t = canonical_subset(t)
+    t = w.generators
     order = spherical_order(w, t)
     if order is None:
         raise ContractError(f"subset {t} is not spherical")
@@ -168,9 +167,7 @@ def realize_group(
     if k == 0:
         zero = np.zeros(1, dtype=np.int32)
         empty = np.zeros((1, 0), dtype=np.int32)
-        return GroupModel(
-            members=t, order=1, parent=zero, letter=zero, right=empty, left=empty, inv=zero
-        )
+        return GroupModel(order=1, parent=zero, letter=zero, right=empty, left=empty, inv=zero)
 
     gen_perms, orbit, positive = _close_roots(cosine_matrix(w, t))
     nroots = gen_perms.shape[1]
@@ -283,7 +280,6 @@ def realize_group(
         table //= k
 
     return GroupModel(
-        members=t,
         order=order,
         parent=parent,
         letter=letter,

@@ -28,7 +28,9 @@ class IntMatrix:
     """Sparse integer matrix stored by row (shape explicit, rows may be empty).
 
     rows[i] lists the nonzero entries of row i as (column, value) pairs in
-    increasing column order; zeros are never stored.
+    increasing column order; zeros are never stored.  A matrix is built
+    zero or from dense rows and cut by submatrix; the library's only
+    product is the zero test of a composite, _composite_vanishes.
     """
 
     nrows: int
@@ -47,30 +49,6 @@ class IntMatrix:
         if any(len(r) != ncols for r in rows):
             raise ContractError("ragged rows")
         return cls(len(rows), ncols, [[(j, v) for j, v in enumerate(r) if v] for r in rows])
-
-    def dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for row, entries in zip(out, self.rows):
-            for j, v in entries:
-                row[j] = v
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ContractError(
-                f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
-            )
-        out = []
-        for row in self.rows:
-            acc: dict[int, int] = {}
-            for k, a in row:
-                for j, b in other.rows[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append(sorted((j, v) for j, v in acc.items() if v))
-        return IntMatrix(self.nrows, other.ncols, out)
 
     def submatrix(self, row_ids: list[int], col_ids: list[int]) -> "IntMatrix":
         """The rows row_ids and columns col_ids, both increasing, renumbered from 0."""

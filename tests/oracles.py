@@ -3,7 +3,8 @@
 Each computes a library answer by a second route that no part of the
 pipeline uses: restriction for induction, leading principal minors for
 the diagram classification, products by words for the Cayley tables,
-and the closed forms of single cell pairs for the cubical complex.
+the closed forms of single cell pairs for the cubical complex, and full
+sparse products and dense copies of integer matrices.
 """
 
 from itertools import combinations
@@ -74,8 +75,38 @@ def gen_elements(g: GroupModel) -> tuple[int, ...]:
 
 
 def mult(g: GroupModel, i: int, j: int) -> int:
-    """Index of element i . j (i applied after j)."""
-    return g.evaluate_word(g.word(j), i)
+    """Index of element i . j (i applied after j): j's word walked along
+    the right Cayley table from i."""
+    for s in g.word(j):
+        i = g.right[i, s]
+    return int(i)
+
+
+def dense(a: IntMatrix) -> list[list[int]]:
+    """The dense rows of a sparse matrix."""
+    out = [[0] * a.ncols for _ in range(a.nrows)]
+    for row, entries in zip(out, a.rows):
+        for j, v in entries:
+            row[j] = v
+    return out
+
+
+def is_zero(a: IntMatrix) -> bool:
+    return not any(a.rows)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The sparse product a . b, every row accumulated and kept."""
+    if a.ncols != b.nrows:
+        raise ContractError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
+    out = []
+    for row in a.rows:
+        acc: dict[int, int] = {}
+        for k, x in row:
+            for j, y in b.rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(sorted((j, v) for j, v in acc.items() if v))
+    return IntMatrix(a.nrows, b.ncols, out)
 
 
 def relative_cell_formula(w: CoxeterMatrix, t) -> HomologyProfile:

@@ -22,6 +22,7 @@ from bredon.characters import RepRingCache
 from bredon.coxeter import enumerate_spherical, parse_matrix
 from bredon.errors import ConsistencyError
 from bredon.snf import IntMatrix, homology_at
+from oracles import dense, is_zero, matmul
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,8 @@ def test_boundary_squares_to_zero(rings):
     for rows in cases:
         _, cx = complex_for(rows, rings)
         for k in range(1, cx.top_dimension):
-            prod = cx.differentials[k].mul(cx.differentials[k + 1])
-            assert prod.is_zero()
+            prod = matmul(cx.differentials[k], cx.differentials[k + 1])
+            assert is_zero(prod)
 
 
 def test_each_induction_block_is_requested_once_per_pair():
@@ -108,8 +109,8 @@ def test_flag_infinite_dihedral_worked_boundary(rings):
     assert d1.nrows == 5 and d1.ncols == 2
     # coordinate order: [{}], [{1}] x2, [{2}] x2
     # inducing the trivial character of {e} to A1 gives both characters once
-    assert [row[0] for row in d1.dense()] == [1, -1, -1, 0, 0]
-    assert [row[1] for row in d1.dense()] == [1, 0, 0, -1, -1]
+    assert [row[0] for row in dense(d1)] == [1, -1, -1, 0, 0]
+    assert [row[1] for row in dense(d1)] == [1, 0, 0, -1, -1]
 
 
 def test_rank5_chain_regression_values(rings):
@@ -171,7 +172,8 @@ def test_finite_group_concentrated_in_degree_zero(rings):
 
 def test_max_degree_truncation(rings):
     w = parse_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
-    prof = assemble_complex(w, rings).homology(max_degree=0)
+    cx = assemble_complex(w, rings)
+    prof = HomologyProfile(homology_at(cx.differentials, 0, cx.matching))
     assert prof.group_at(0) == FgAbGroup.free(5)
     assert prof.max_degree == 0
 
@@ -222,9 +224,9 @@ def test_relative_complex_layout(rings, rows):
                 ]
             )
         for d in range(1, len(rel.cells)):
-            dense = full.differentials[d].dense()
-            expected = [[dense[r][c] for c in coords[d]] for r in coords[d - 1]]
-            assert rel.differentials[d].dense() == expected
+            full_rows = dense(full.differentials[d])
+            expected = [[full_rows[r][c] for c in coords[d]] for r in coords[d - 1]]
+            assert dense(rel.differentials[d]) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +410,7 @@ def test_cubical_infinite_dihedral_worked_boundary(rings):
     # d[{}, {i}] = ind [{i}, {i}] - [{}, {}]; coordinates [{}], [{1}] x2, [{2}] x2
     cx = assemble_complex(parse_matrix([[1, 0], [0, 1]]), rings)
     assert cx.cells == [[((), ()), ((0,), (0,)), ((1,), (1,))], [((), (0,)), ((), (1,))]]
-    d1 = cx.differentials[1].dense()
+    d1 = dense(cx.differentials[1])
     assert [row[0] for row in d1] == [-1, 1, 1, 0, 0]
     assert [row[1] for row in d1] == [-1, 0, 0, 1, 1]
 
@@ -420,7 +422,7 @@ def test_cubical_square_signs():
     cx = assemble_complex(w, rings)
     (square,) = cx.cells[2]
     assert square == ((), (0, 1))
-    d2 = cx.differentials[2].dense()
+    d2 = dense(cx.differentials[2])
     rows = dict(zip(cx.cells[1], cx.offsets[1]))
     assert d2[rows[((0,), (0, 1))]][0] == 1  # ind to W_{s_0}, sign +
     assert d2[rows[((), (1,))]][0] == -1  # drop s_0, sign -

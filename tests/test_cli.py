@@ -321,6 +321,46 @@ def test_auto_skips_chain_but_closed_still_answers(write_system, capsys):
     assert report["homology"] == {"0": {"free_rank": 3, "torsion": []}}
 
 
+@pytest.mark.parametrize(
+    "rows, cap, ran, rank",
+    [
+        # A1 x A1 x A1: the finite and low-rank forms realize |W| = 8
+        ([[1, 2, 2], [2, 1, 2], [2, 2, 1]], 4, {"closed:right-angled", "closed:even"}, 8),
+        # B2 x A1: the even form needs no table of order 16
+        ([[1, 4, 2], [4, 1, 2], [2, 2, 1]], 8, {"closed:even"}, 10),
+    ],
+)
+def test_closed_skips_a_capped_form_when_another_applies(write_system, capsys, rows, cap, ran, rank):
+    path = write_system(rows)
+    code, out, err = run(capsys, "homology", path, "--method", "closed",
+                         "--order-cap", str(cap), "--output", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert set(report["methods"]) == ran
+    assert set(report["skipped"]) == {"closed:finite", "closed:low-rank"}
+    assert report["homology"] == {"0": {"free_rank": rank, "torsion": []}}
+
+
+def test_closed_reports_every_form_capped_with_exit_3(write_system, capsys):
+    # A3 has the finite and low-rank forms, and both realize |W| = 24
+    path = write_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    code, out, err = run(capsys, "homology", path, "--method", "closed",
+                         "--order-cap", "4", "--output", "json")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert report["methods"] == {}
+    assert set(report["skipped"]) == {"closed:finite", "closed:low-rank"}
+
+
+def test_closed_with_one_form_raises_its_cap(write_system, capsys):
+    # B4 is finite of rank 4, so the finite form is its only closed form
+    path = write_system([[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+    code, out, err = run(capsys, "homology", path, "--method", "closed",
+                         "--order-cap", "8")
+    assert (code, out) == (3, "")
+    assert err == "resource cap: |W_T| = 384 exceeds the order cap 8\n"
+
+
 def test_max_degree_flag(write_system, capsys):
     path = write_system([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
     code, out, _ = run(capsys, "homology", path, "--max-degree", "0",

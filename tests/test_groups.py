@@ -11,7 +11,7 @@ import pytest
 from bredon.characters import _power_maps
 from bredon.coxeter import parse_matrix, spherical_order
 from bredon import groups
-from bredon.errors import ConsistencyError, ResourceCapError
+from bredon.errors import ConsistencyError, ContractError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
 from oracles import gen_elements, mult
 
@@ -30,12 +30,12 @@ def path(labels):
 
 def realize(rows, cap=14400):
     w = parse_matrix(rows)
-    return realize_group(w, w.generators, order_cap=cap)
+    return realize_group(w, order_cap=cap)
 
 
 def test_trivial_group():
     w = parse_matrix([[1]])
-    g = realize_group(w, (), order_cap=10)
+    g = realize_group(w.submatrix(()), order_cap=10)
     assert g.order == 1
     assert [g.word(e) for e in range(g.order)] == [()]
 
@@ -52,7 +52,7 @@ def test_orders_match_classification():
     ]
     for rows in cases:
         w = parse_matrix(rows)
-        g = realize_group(w, w.generators, order_cap=14400)
+        g = realize_group(w, order_cap=14400)
         assert g.order == spherical_order(w, w.generators)
 
 
@@ -78,7 +78,17 @@ def test_words_are_geodesic_consistent():
 def test_order_cap_enforced():
     w = parse_matrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
     with pytest.raises(ResourceCapError):
-        realize_group(w, w.generators, order_cap=100)
+        realize_group(w, order_cap=100)
+
+
+def test_only_a_spherical_system_is_realized():
+    # the infinite dihedral group, and affine A2 inside a larger system
+    with pytest.raises(ContractError, match="not spherical"):
+        realize_group(parse_matrix([[1, 0], [0, 1]]))
+    w = parse_matrix([[1, 3, 3, 2], [3, 1, 3, 2], [3, 3, 1, 2], [2, 2, 2, 1]])
+    with pytest.raises(ContractError, match="not spherical"):
+        realize_group(w.submatrix((0, 1, 2)))
+    assert realize_group(w.submatrix((0, 1, 3))).order == 12
 
 
 def dihedral_class_count_oracle(m):
@@ -241,7 +251,7 @@ def test_batched_lookup_inverts_the_element_list(name):
     g = realize(ORACLE_SYSTEMS[name])
     oracle = RootPermutations(ORACLE_SYSTEMS[name], g)
     assert oracle.lookup(oracle.perms).tolist() == list(range(g.order))
-    assert g.order == spherical_order(parse_matrix(ORACLE_SYSTEMS[name]), range(len(g.members)))
+    assert g.order == spherical_order(parse_matrix(ORACLE_SYSTEMS[name]), range(g.rank))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
@@ -249,7 +259,7 @@ def test_cayley_tables_match_composed_permutations(name):
     g = realize(ORACLE_SYSTEMS[name])
     oracle = RootPermutations(ORACLE_SYSTEMS[name], g)
     perms, gens = oracle.perms, oracle.gens
-    k = len(g.members)
+    k = g.rank
     ident = np.arange(perms.shape[1])
     # elements 1..k are the generators, in position order
     assert [g.word(s + 1) for s in range(k)] == [(s,) for s in range(k)]
@@ -266,7 +276,7 @@ def shortlex_words(g, oracle):
     descents: lengths come from a breadth-first search on composed root
     permutations, and each word starts with the least s that shortens
     the element, followed by the word of s x."""
-    k = len(g.members)
+    k = g.rank
     left = np.stack([oracle.lookup(oracle.gens[s][oracle.perms]) for s in range(k)], axis=1)
     length = np.full(g.order, -1)
     length[0] = 0
@@ -303,7 +313,7 @@ def test_many_commuting_generators_get_small_keys():
     # A1^14: 28 roots, but each simple root's orbit has 2, so keys take 14
     # bits; with radix 28 they would need 68 and the realization would refuse
     w = parse_matrix(diagram(14, []))
-    g = realize_group(w, w.generators, order_cap=16384)
+    g = realize_group(w, order_cap=16384)
     assert g.order == 16384
     assert conjugacy_classes(g).count == 16384
 
@@ -315,7 +325,7 @@ def test_e8_keys_overflow_before_allocating():
     start = time.perf_counter()
     try:
         with pytest.raises(ResourceCapError):
-            realize_group(w, w.generators, order_cap=10**9)
+            realize_group(w, order_cap=10**9)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -350,7 +360,7 @@ def test_e6_model_memory():
     w = parse_matrix(rows)
     tracemalloc.start()
     try:
-        g = realize_group(w, w.generators, order_cap=60000)
+        g = realize_group(w, order_cap=60000)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,7 +376,7 @@ def test_e6_closure_peak_memory():
     w = parse_matrix(CLASSICAL_COUNTS["E6"][0])
     tracemalloc.start()
     try:
-        realize_group(w, w.generators, order_cap=60000)
+        realize_group(w, order_cap=60000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -413,15 +423,15 @@ def test_closure_checks_the_classified_order(monkeypatch):
     monkeypatch.setattr(groups, "spherical_order", lambda w, t: true_order(w, t) + shift[w.m])
     shift[b3.m] = -2
     with pytest.raises(ConsistencyError, match="closure exceeded the classified order 46"):
-        realize_group(b3, b3.generators)
+        realize_group(b3)
     shift[b3.m] = -1
     with pytest.raises(ConsistencyError, match="closure left a product unresolved"):
-        realize_group(b3, b3.generators)
+        realize_group(b3)
     shift[h3.m] = 1
     with pytest.raises(
         ConsistencyError, match="closure produced 120 elements, classification says 121"
     ):
-        realize_group(h3, h3.generators)
+        realize_group(h3)
 
 
 @pytest.mark.parametrize("name", ["F4", "H4"])

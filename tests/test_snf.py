@@ -9,7 +9,8 @@ import pytest
 
 from bredon.abelian import FgAbGroup
 from bredon.errors import ConsistencyError, ContractError
-from bredon.snf import IntMatrix, SmithResult, homology_at, smith_normal_form
+from bredon.snf import IntMatrix, SmithResult, _composite_vanishes, homology_at, smith_normal_form
+from oracles import dense, is_zero, matmul
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -60,7 +61,7 @@ def dense_smith_form(a: IntMatrix) -> SmithResult:
     guarantees d_i | d_{i+1}.  The matrix is densified first: this is the
     reference the sparse smith_normal_form is checked against.
     """
-    m = a.dense()
+    m = dense(a)
     nr, nc = a.nrows, a.ncols
 
     def swap_cols(i, j):
@@ -176,7 +177,7 @@ def test_snf_matches_minor_gcd_oracle():
         res = smith_normal_form(a)
         prod = 1
         for k in range(1, min(nrows, ncols) + 1):
-            g = minor_gcd(a.dense(), nrows, ncols, k)
+            g = minor_gcd(dense(a), nrows, ncols, k)
             if k <= res.rank:
                 prod *= res.diagonal[k - 1]
                 assert prod == g
@@ -217,7 +218,7 @@ def test_homology_chain_rule():
     b = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 0]])
     # kernel of B is spanned by e3; pick A mapping onto multiples of e3
     a = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0], [3, 0, 0]])
-    assert b.mul(a).is_zero()
+    assert is_zero(matmul(b, a))
     h = homology_at(complex_of(b, a), 2)
     assert h == {
         0: FgAbGroup.from_factors(1, [2]),  # coker B
@@ -236,6 +237,54 @@ def test_nonzero_composite_is_rejected():
         homology_at(diffs, 1)
     # degree 0 needs only d_1, so the bad composite is never formed
     assert homology_at(diffs, 0) == {0: FgAbGroup()}
+
+
+def _sparse_rows(rng, nrows, ncols, density=0.3):
+    return [
+        [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _cancelling_pair(rng, m, r, n):
+    """Dense rows of a = [P, -P Q] and b = [Q; I], with a's columns and
+    b's rows shuffled alike: every entry of a . b is P Q - P Q, so its
+    terms cancel without being absent."""
+    p, q = _sparse_rows(rng, m, r), _sparse_rows(rng, r, n)
+    pq = [[sum(p[i][l] * q[l][j] for l in range(r)) for j in range(n)] for i in range(m)]
+    a = [p[i] + [-v for v in pq[i]] for i in range(m)]
+    b = q + [[int(i == j) for j in range(n)] for i in range(n)]
+    perm = list(range(r + n))
+    rng.shuffle(perm)
+    return [[row[c] for c in perm] for row in a], [b[c] for c in perm]
+
+
+def test_composite_vanishes_matches_the_full_product():
+    rng = random.Random(20240611)
+    seen = {"random zero": 0, "random nonzero": 0, "cancelled": 0, "last row only": 0}
+    for _ in range(300):
+        m, r, n = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 6)
+        a, b = _cancelling_pair(rng, m, r, n)
+        kind = rng.choice(("random", "cancelled", "last row only"))
+        if kind == "random":
+            a, b = _sparse_rows(rng, m, r + n, 0.2), _sparse_rows(rng, r + n, n, 0.2)
+        elif kind == "last row only":
+            a[-1] = [x + y for x, y in zip(a[-1], _sparse_rows(rng, 1, r + n)[0])]
+        a, b = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
+        full = matmul(a, b)
+        assert _composite_vanishes(a, b) == is_zero(full), (dense(a), dense(b))
+        if kind == "random":
+            seen["random zero" if is_zero(full) else "random nonzero"] += 1
+        elif kind == "cancelled":
+            rows_b = dense(b)
+            terms = any(x and any(rows_b[k]) for row in dense(a) for k, x in enumerate(row))
+            seen["cancelled"] += terms and is_zero(full)
+        else:
+            seen["last row only"] += not any(full.rows[:-1]) and bool(full.rows[-1])
+    assert all(count >= 10 for count in seen.values()), seen
+    # shapes with no rows or no columns have a zero product
+    assert _composite_vanishes(IntMatrix.zero(0, 3), IntMatrix.from_rows([[1]] * 3))
+    assert _composite_vanishes(IntMatrix.from_rows([[1, 2]]), IntMatrix.zero(2, 0))
 
 
 def test_matched_pairs_cancel():
@@ -329,7 +378,7 @@ def planted_complex(rng, free, factors):
             d.rows[i] = [(first + i, e)]
         p_below, _ = bases[k - 1]
         _, p_inv = bases[k]
-        diffs.append(p_below.mul(d).mul(p_inv))
+        diffs.append(matmul(matmul(p_below, d), p_inv))
     return diffs
 
 
@@ -457,7 +506,7 @@ def test_dense_random_matrix_reduces(n):
     # the entries from growing (a dense reduction did not finish at n = 13)
     rng = random.Random(1979 + n)
     a = random_matrix(rng, n, n)
-    rows = a.dense()
+    rows = dense(a)
     res = smith_normal_form(a)
     det = abs(exact_minor_det(rows, range(n), range(n)))
     if det:
