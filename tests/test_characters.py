@@ -15,6 +15,7 @@ from bredon.characters import (
     _relabelling,
     _split_eigenvectors,
     dixon_table,
+    icosahedral_values,
     induction_matrix,
 )
 from bredon.cli import run_analysis
@@ -439,7 +440,15 @@ def _cycle(n):
     return rows
 
 
-# the chain-rank5 systems, affine A5 and affine F4
+def _affine_d4():
+    """Affine D4: node 2 joined by label-3 edges to the four others."""
+    rows = [[1 if i == j else 2 for j in range(5)] for i in range(5)]
+    for i in (0, 1, 3, 4):
+        rows[i][2] = rows[2][i] = 3
+    return rows
+
+
+# the chain-rank5 systems, affine A5, D4 and F4, and the Lanner group 5-3-3-5
 _TYPE_STORE_SYSTEMS = {
     "rank5-334inf": _line([3, 3, 4, 0]),
     "affine-A3": _cycle(4),
@@ -449,6 +458,8 @@ _TYPE_STORE_SYSTEMS = {
     "hyperbolic-353": _line([3, 5, 3]),
     "affine-A5": _cycle(6),
     "affine-F4": _line([3, 3, 4, 3]),
+    "affine-D4": _affine_d4(),
+    "lanner-5335": _line([5, 3, 3, 5]),
 }
 
 
@@ -487,35 +498,59 @@ def test_type_store_serves_every_orientation_its_own_dixon_table():
             _assert_fresh_dixon(rings, w, t, (name, t))
             seen.setdefault(classify_subset(w, t)[0].name, set()).add((name, t))
     counts = {label: len(copies) for label, copies in seen.items()}
-    assert counts == {"A3": 12, "B3": 6, "H3": 5, "A4": 6, "A5": 6, "B4": 2, "F4": 1}
+    assert counts == {
+        "A3": 19, "B3": 6, "H3": 7, "A4": 6, "A5": 6, "B4": 2, "D4": 4, "F4": 1, "H4": 2
+    }
 
 
 def _closed_systems():
-    """A_n and B_n for n = 3..6, B_n also read from its 3 end, and three
-    affine systems whose A and B parabolics come in several orientations."""
+    """A_n and B_n for n = 3..6, B_n also read from its 3 end, H3 in all
+    six numberings, three affine systems whose A and B parabolics come in
+    several orientations, the hyperbolic systems with H3 parabolics, and H4
+    for its H3."""
     systems = {}
     for n in range(3, 7):
         systems[f"A{n}"] = _line([3] * (n - 1))
         systems[f"B{n}"] = _line([4] + [3] * (n - 2))
         systems[f"B{n}-reversed"] = _line([3] * (n - 2) + [4])
+    h3 = _line([5, 3])
+    for perm in itertools.permutations(range(3)):
+        systems["H3-" + "".join(map(str, perm))] = [[h3[i][j] for j in perm] for i in perm]
     systems["affine-A5"] = _cycle(6)
     systems["affine-C4"] = _line([4, 3, 3, 4])
     affine_b4 = _line([4, 3, 3, 2])  # the path 0 =4= 1 - 2 - 3, and node 4 on node 2
     affine_b4[2][4] = affine_b4[4][2] = 3
     systems["affine-B4"] = affine_b4
+    for labels in ([5, 3, 5], [4, 3, 5], [3, 5, 3]):
+        systems["hyperbolic-" + "".join(map(str, labels))] = _line(labels)
+    systems["H4"] = _line([5, 3, 3])
     return systems
 
 
 @pytest.mark.parametrize("name, rows", _closed_systems().items(), ids=_closed_systems())
 def test_closed_tables_match_dixon(name, rows):
-    # the Murnaghan-Nakayama tables of types A and B, on every orientation
-    # of every A/B parabolic of the system
+    # the Murnaghan-Nakayama tables of types A and B and the A5 x C2 table
+    # of H3, on every orientation of every such parabolic of the system
     rings = RepRingCache(order_cap=46080)
     w, subsets = _dixon_orientations(rows)
-    closed = [t for t in subsets if classify_subset(w, t)[0].family in ("A", "B")]
+    labels = {t: classify_subset(w, t)[0] for t in subsets}
+    closed = [t for t in subsets if labels[t].family in ("A", "B") or labels[t].name == "H3"]
     assert closed
     for t in closed:
         _assert_fresh_dixon(rings, w, t, (name, t))
+
+
+def test_icosahedral_values_check_a5_times_c2():
+    # B3's w0 is central but of length 9
+    b3 = realize_group(parse_matrix(_line([4, 3])), order_cap=48)
+    with pytest.raises(ConsistencyError, match="not a central w0 of length 15"):
+        icosahedral_values(b3, conjugacy_classes(b3))
+    # H3 with its class sizes 15 and 20 exchanged: the rotations no longer fit A5
+    h3 = realize_group(parse_matrix(_line([5, 3])), order_cap=120)
+    classes = conjugacy_classes(h3)
+    sizes = [{15: 20, 20: 15}.get(size, size) for size in classes.sizes]
+    with pytest.raises(ConsistencyError, match="orders and sizes of A5"):
+        icosahedral_values(h3, dataclasses.replace(classes, sizes=sizes))
 
 
 def _dixon_builds(monkeypatch, rows):
@@ -533,12 +568,16 @@ def _dixon_builds(monkeypatch, rows):
 
 
 def test_one_dixon_build_per_type(monkeypatch):
-    # types A and B never reach Dixon: affine A3 has four A3, affine A5
-    # six each of A5, A4 and A3, rank5-334inf A3, B3 and B4, affine C3 B3
-    for name in ("affine-A3", "affine-A5", "rank5-334inf", "affine-C3"):
+    # types A, B and H3 never reach Dixon: affine A3 has four A3, affine A5
+    # six each of A5, A4 and A3, rank5-334inf A3, B3 and B4, affine C3 B3,
+    # and the hyperbolic systems two H3 or one H3 and one B3
+    for name in ("affine-A3", "affine-A5", "rank5-334inf", "affine-C3",
+                 "hyperbolic-535", "hyperbolic-435", "hyperbolic-353"):
         assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS[name]) == [], name
-    # the two H3 orientations of 5-3-5 share one build, and F4 has one
-    assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["hyperbolic-535"]) == [120]
+    # the four D4 orientations of affine D4 share one build, as do the two
+    # H4 of 5-3-3-5, and F4 has one
+    assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["affine-D4"]) == [192]
+    assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["lanner-5335"]) == [14400]
     assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["affine-F4"]) == [1152]
 
 
@@ -559,11 +598,11 @@ def test_relabelling_must_preserve_the_coxeter_matrix(monkeypatch):
         _relabelling(b3, (0, 1, 2), b3, (2, 1, 0))
     # and through the cache
     rings = RepRingCache()
-    rings.table(parse_matrix(_line([5, 3])), (0, 1, 2))  # stores H3 as 5-3
-    # the other orientation, 3-5, read from its least end: 3-5 onto 5-3
+    rings.table(parse_matrix(_line([5, 3, 3])), (0, 1, 2, 3))  # stores H4 as 5-3-3
+    # the other orientation, 3-3-5, read from its least end: 3-3-5 onto 5-3-3
     _walk_as_given(monkeypatch)
     with pytest.raises(ConsistencyError, match="does not preserve"):
-        rings.table(parse_matrix(_line([3, 5])), (0, 1, 2))
+        rings.table(parse_matrix(_line([3, 3, 5])), (0, 1, 2, 3))
 
 
 @pytest.mark.parametrize(

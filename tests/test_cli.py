@@ -554,6 +554,9 @@ def test_order_cap_holds_on_paths_without_an_upfront_check(write_system, capsys,
             [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # H3 x A1
             "5c5d2581020c7f1993b4a0f0195f4a57c3752b273fe6c1c746499442c91d7a98",
         ),
+        # 5-3-5 reads H3 as 5-3 and as 3-5; 4-3-5 has H3 beside B3
+        (_line([5, 3, 5]), "c3349ce1bd24bf3afdc8a13be67e8e8d87e7a429ab0ebfc6a809302b88e4bfa3"),
+        (_line([4, 3, 5]), "574673c67ffcc2cae6280bf0511861004932bdfde8d290d60898e54d53834cc8"),
         # relabelled orientations of one type: six each of A3, A4 and A5
         (_cycle(6), "13d00030007052ddf4bef784f08a4faa82bba3f8aeb7c620ef147de4d3e13f89"),
         # affine F4: two B3, two A3 and one B4 among others
