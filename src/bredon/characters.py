@@ -1,4 +1,4 @@
-"""Complex character tables of the finite parabolics, and induction.
+"""Character tables of the finite parabolics, and induction.
 
 Tables are computed three ways, chosen by the classification of the
 subgroup:
@@ -16,7 +16,12 @@ subgroup:
   current eigenspace by the block the next matrix induces on it (one
   small mod-p nullspace per root of that block), the structure constants
   are counted only for the classes the split reads, and the eigenvectors
-  are lifted to C by discrete Fourier inversion along power maps.
+  are lifted to C by discrete Fourier inversion along power maps, where
+  they must come out real.
+
+Every finite Coxeter group is real: each element is conjugate to its
+inverse (Geck-Pfeiffer 2000), so every character is real-valued and
+every table holds float64 values.
 
 A table's columns are always the conjugacy classes in canonical order:
 sorted by (length, word) of their shortlex-least representative, so the
@@ -68,9 +73,10 @@ _SCAN_CHUNK = 1 << 16  # values of F_p evaluated at once by _charpoly_roots
 
 @dataclass
 class CharacterTable:
-    """Irreducible complex characters of a finite parabolic.
+    """Irreducible characters of a finite parabolic, all real-valued.
 
-    values[i, c] is the i-th character on the c-th conjugacy class;
+    values[i, c] is the i-th character on the c-th conjugacy class, a
+    float64;
     class_words hold one defining word per class in the positions 0..k-1
     of the induced system, with no generator labels.  Row order is fixed
     by the construction path, so identical inputs give identical tables.
@@ -101,11 +107,11 @@ class CharacterTable:
             raise ConsistencyError("class sizes do not sum to the group order")
         if sum(d * d for d in self.degrees) != self.order:
             raise ConsistencyError("degree squares do not sum to the group order")
-        ident = self.values[:, 0].real
+        ident = self.values[:, 0]
         if np.max(np.abs(ident - np.array(self.degrees, dtype=float))) > VALUE_TOL:
             raise ConsistencyError("identity column disagrees with the degrees")
         sizes = np.array(self.class_sizes, dtype=float)
-        gram = (self.values * sizes) @ self.values.conj().T / self.order
+        gram = (self.values * sizes) @ self.values.T / self.order
         if np.max(np.abs(gram - np.eye(k))) > VALUE_TOL:
             raise ConsistencyError("first orthogonality relations fail")
 
@@ -115,7 +121,7 @@ def trivial_table() -> CharacterTable:
         order=1,
         class_words=[()],
         class_sizes=[1],
-        values=np.ones((1, 1), dtype=complex),
+        values=np.ones((1, 1)),
         degrees=[1],
     )
 
@@ -126,7 +132,7 @@ def rank1_table() -> CharacterTable:
         order=2,
         class_words=[(), (0,)],
         class_sizes=[1, 1],
-        values=np.array([[1, 1], [1, -1]], dtype=complex),
+        values=np.array([[1, 1], [1, -1]], dtype=float),
         degrees=[1, 1],
     )
 
@@ -180,7 +186,7 @@ def dihedral_table(m: int) -> CharacterTable:
     even = m % 2 == 0
     n_two_dim = (m - 1) // 2
     base = 3 if even else 1
-    values = np.zeros((2 + 2 * even + n_two_dim, len(words)), dtype=complex)
+    values = np.zeros((2 + 2 * even + n_two_dim, len(words)))
     for c, word in enumerate(words):
         if len(word) % 2:
             values[0, c] = 1
@@ -341,7 +347,7 @@ def icosahedral_values(model: GroupModel, classes: ConjugacyClasses):
     if [(orders[c], classes.sizes[c]) for c in even] != _A5_ORDERS_SIZES:
         raise ConsistencyError("the rotation classes of H3 do not have the orders and sizes of A5")
     column = {c: i for i, c in enumerate(even)}  # sorted stably, so 5A comes first
-    a5 = np.array(_A5_TABLE, dtype=complex)[:, [column[r] for r in rotation]]
+    a5 = np.array(_A5_TABLE, dtype=float)[:, [column[r] for r in rotation]]
     sign = np.array([(-1) ** e for e in parity])  # delta(w0) = -1
     return np.vstack([a5, a5 * sign]), [row[0] for row in _A5_TABLE] * 2
 
@@ -458,11 +464,13 @@ def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
     """Class-algebra structure constants a_{ijk} mod p, as the matrices
     A_i[j, k] for i = 1, 2, ... in class order, built only as they are
     read: with z fixed in class k, a_{ijk} counts x in class i with
-    x^{-1} z in class j.
+    x^{-1} z in class j.  Each class of a finite Coxeter group is closed
+    under inversion, so x^{-1} runs over class i as x does, and a_{ijk}
+    also counts x in class i with x z in class j.
 
     The classes come in blocks of 1, 2, 4, ... classes.  For a block,
-    x^{-1} z comes from walking the words of all class representatives
-    z along the right Cayley table from x^{-1}, for every x of the block
+    x z comes from walking the words of all class representatives z
+    along the right Cayley table from x, for every x of the block
     at once; the words are walked in lexicographic order, so each prefix
     they share is walked once.  A split that reads few classes walks few
     elements, and one that reads them all makes about log2 k passes over
@@ -479,7 +487,7 @@ def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
         xs = np.flatnonzero((class_of >= lo) & (class_of < hi))
         rows = (class_of[xs] - lo) * k  # x in class i counts in row (i - lo, j)
         a = np.empty((hi - lo, k, k), dtype=np.int64)
-        walked = [model.inv.take(xs)]  # walked[l]: after l letters of prev
+        walked = [xs]  # walked[l]: after l letters of prev
         prev: tuple[int, ...] = ()
         for c in lex:
             word = words[c]
@@ -580,15 +588,18 @@ def _power_maps(model: GroupModel, classes: ConjugacyClasses):
 
 def _row_order(values: np.ndarray, degrees: list[int]) -> list[int]:
     """The order of a table's rows from dixon_table or _irreducible: by
-    degree, then by their values rounded once, read as (real, imag) pairs
-    class by class."""
-    rounded = np.round(values, 6)
-    keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(degrees), -1).tolist()
+    degree, then by their values rounded once, class by class."""
+    keys = np.round(values, 6).tolist()
     return sorted(range(len(degrees)), key=lambda t: (degrees[t], keys[t]))
 
 
 def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
-    """Burnside-Dixon character table of an arbitrary finite model."""
+    """Burnside-Dixon character table of a finite Coxeter group's model.
+
+    Its classes must be closed under inversion, as they are in every
+    finite Coxeter group: the degree formula pairs each class with itself,
+    and the lifted values must be real.  ConsistencyError otherwise.
+    """
     k = classes.count
     order = model.order
     # power_class[i, l] is the class of rep_i^l for l = 0..exponent-1
@@ -604,14 +615,12 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
     if len(omegas) != k:
         raise ConsistencyError(f"found {len(omegas)} central characters, expected {k}")
 
-    sizes = np.array(classes.sizes, dtype=np.int64)
     inv_sizes = np.array([pow(int(s), -1, p) for s in classes.sizes], dtype=np.int64)
-    class_inv = classes.class_of[model.inv[classes.reps]].astype(np.int64)
 
     degrees = []
     chi_bar = np.zeros((k, k), dtype=np.int64)
     for t, omega in enumerate(omegas):
-        denom = int(np.sum(omega * omega[class_inv] % p * inv_sizes % p) % p)
+        denom = int(np.sum(omega * omega % p * inv_sizes % p) % p)
         if denom == 0:
             raise ConsistencyError("degree denominator vanished mod p")
         d_sq = order * pow(denom, -1, p) % p
@@ -648,6 +657,9 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
         if np.any(np.sum(mults[t], axis=1) != degrees[t]):
             raise ConsistencyError("lifted multiplicities do not sum to the degree")
         values[t] = mults[t].astype(complex) @ zeta
+    if np.max(np.abs(values.imag)) > VALUE_TOL:
+        raise ConsistencyError("a lifted character value is not real")
+    values = values.real
 
     row_order = _row_order(values, degrees)
     return CharacterTable(
@@ -665,10 +677,10 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
 
 
 def _round_int_rows(raw: np.ndarray, what: str) -> list[list[int]]:
-    if raw.size and np.max(np.abs(raw.imag)) > VALUE_TOL:
+    if np.iscomplexobj(raw):
         raise ConsistencyError(f"{what} has a complex entry")
-    nearest = np.round(raw.real)
-    if raw.size and np.max(np.abs(raw.real - nearest)) > VALUE_TOL:
+    nearest = np.round(raw)
+    if raw.size and np.max(np.abs(raw - nearest)) > VALUE_TOL:
         raise ConsistencyError(f"{what} has a non-integer entry")
     if raw.size and np.min(nearest) < 0:
         raise ConsistencyError(f"{what} has a negative entry")
@@ -685,13 +697,14 @@ def induction_matrix(
     composing matrices composes inductions.  With the fusion matrix
     F[j, embedding[j]] = |class j|, chi . F sums a sub character over each
     big class, and the Frobenius formula for the induced character turns
-    the inner products into big.values @ conj(sub.values @ F)^T / |W_T|.
+    the inner products into big.values @ (sub.values @ F)^T / |W_T|, with
+    no complex conjugate since the characters are real.
     """
     if big.order % sub.order:
         raise ContractError("subgroup order does not divide the group order")
-    fusion = np.zeros((sub.n_classes, big.n_classes), dtype=complex)
+    fusion = np.zeros((sub.n_classes, big.n_classes))
     fusion[np.arange(sub.n_classes), embedding] = sub.class_sizes
-    raw = big.values @ (sub.values @ fusion).conj().T / sub.order
+    raw = big.values @ (sub.values @ fusion).T / sub.order
     rows = _round_int_rows(raw, "induction matrix")
     index = big.order // sub.order
     for j, total in enumerate(np.dot(big.degrees, rows).tolist()):
@@ -825,7 +838,7 @@ class RepRingCache:
         rule = lambda words: [int(classes.class_of[model.evaluate_word(word)]) for word in words]
         if label.family in ("A", "B"):
             chars = murnaghan_nakayama(sub, label, walk, classes.rep_words)
-            values, degrees = np.array(chars, dtype=complex), [row[0] for row in chars]
+            values, degrees = np.array(chars, dtype=float), [row[0] for row in chars]
         elif label.name == "H3":
             values, degrees = icosahedral_values(model, classes)
         else:

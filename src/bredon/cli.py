@@ -388,12 +388,7 @@ def _tables_text(tables: list[dict], out) -> None:
         )
         print(f"  class sizes {tab['class_sizes']}", file=out)
         for degree, row in zip(tab["degrees"], tab["values"]):
-            cells = []
-            for re_part, im_part in row:
-                if im_part:
-                    cells.append(f"{re_part:+.3f}{im_part:+.3f}i")
-                else:
-                    cells.append(f"{re_part:+.3f}")
+            cells = [f"{value:+.3f}" for value, _ in row]  # the imaginary part is 0.0
             print(f"  deg {degree}: " + "  ".join(cells), file=out)
 
 

@@ -375,45 +375,30 @@ class SphericalPoset:
 def enumerate_spherical(w: CoxeterMatrix) -> SphericalPoset:
     """Enumerate spherical subsets rank by rank.
 
-    Sphericality is downward closed, so rank-n candidates are built from
-    rank-(n-1) members and pruned unless every facet is already present.
+    Sphericality is downward closed, so each rank-n subset extends its
+    rank-(n-1) prefix t by a generator above t[-1], and is pruned unless
+    its other facets are already present.  Extending each rank in
+    lexicographic order keeps the next one in lexicographic order.
     """
-    by_rank: list[list[tuple[int, ...]]] = [[()]]
+    by_rank: list[list[tuple[int, ...]]] = []
     orders: dict[tuple[int, ...], int] = {(): 1}
     labels: dict[tuple[int, ...], tuple[ComponentType, ...]] = {(): ()}
-    singles = [(i,) for i in range(w.rank)]
-    by_rank.append(singles)
-    for s in singles:
-        orders[s] = 2
-        labels[s] = (ComponentType("A", 1),)
-    prev = singles
-    n = 2
-    while prev:
-        prev_set = set(prev)
-        candidates = set()
-        for t in prev:
-            for i in range(w.rank):
-                if i not in t:
-                    candidates.add(canonical_subset(t + (i,)))
-        level = []
-        for cand in sorted(candidates):
-            if any(
-                cand[:k] + cand[k + 1:] not in prev_set
-                for k in range(n)
-            ):
-                continue
-            types = classify_subset(w, cand)
-            order = _parabolic_order(types)
-            if order is None:
-                continue
-            level.append(cand)
-            orders[cand] = order
-            labels[cand] = types
-        if not level:
-            break
+    level = [()]
+    while level:
         by_rank.append(level)
-        prev = level
-        n += 1
+        prev_set, level = set(level), []
+        for t in by_rank[-1]:
+            for i in range(t[-1] + 1 if t else 0, w.rank):
+                cand = t + (i,)
+                if any(cand[:k] + cand[k + 1:] not in prev_set for k in range(len(t))):
+                    continue
+                types = classify_subset(w, cand)
+                order = _parabolic_order(types)
+                if order is None:
+                    continue
+                level.append(cand)
+                orders[cand] = order
+                labels[cand] = types
     return SphericalPoset(
         by_rank=tuple(tuple(level) for level in by_rank),
         orders=orders,

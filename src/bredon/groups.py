@@ -17,9 +17,12 @@ their keys groups equal keys, and each new element takes the place of
 its first ascent, which keeps the elements in (length, word) order.  The
 next layer's permutations and keys are gathered in blocks of rows, so
 memory stays near one layer's permutations.  Only the Cayley graph
-outlives the closure: the shortlex tree (parent and last letter of each
-element) and the int32 tables of x s, s x and x^-1.  Products,
-conjugation, words and powers are exact integer gathers on it.
+outlives the closure: the last letter of each element's shortlex-least
+word and the int32 tables of x s and s x.  Products, conjugation, words
+and powers are exact integer gathers on it.  The generators are
+involutions, so an element's word is read backwards through right, and
+no inverse table is kept: every element of a finite Coxeter group is
+conjugate to its inverse, so no class computation needs x^-1.
 
 A model realizes one induced system W_T and addresses its generators by
 *position* 0..|T|-1 only, carrying no labels of T, which makes it
@@ -55,28 +58,28 @@ class GroupModel:
     Generators are positions 0..rank-1 and carry no labels.  Elements are
     numbered in (length, word) order of their shortlex-least words, so
     element 0 is the identity and elements 1..rank are the generators,
-    and those words form a tree: element x != 0 is parent[x] .
-    s_letter[x].  The int32 tables right[x, s] = x . s_s, left[x, s] =
-    s_s . x and inv[x] = x^-1 answer products by gathers.
+    and letter[x] is the last letter of x's word.  The int32 tables
+    right[x, s] = x . s_s and left[x, s] = s_s . x answer products by
+    gathers; since s_s is an involution, x's word without its last letter
+    is the word of right[x, letter[x]].
     """
 
     order: int
-    parent: np.ndarray
     letter: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    inv: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.right.shape[1]
 
     def word(self, e: int) -> tuple[int, ...]:
-        """Shortlex-least word of element e, read off the tree."""
+        """Shortlex-least word of element e, read backwards through right."""
         letters = []
         while e:
-            letters.append(int(self.letter[e]))
-            e = self.parent[e]
+            s = int(self.letter[e])
+            letters.append(s)
+            e = self.right[e, s]
         return tuple(reversed(letters))
 
     def evaluate_word(self, word) -> int:
@@ -167,7 +170,7 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
     if k == 0:
         zero = np.zeros(1, dtype=np.int32)
         empty = np.zeros((1, 0), dtype=np.int32)
-        return GroupModel(order=1, parent=zero, letter=zero, right=empty, left=empty, inv=zero)
+        return GroupModel(order=1, letter=zero, right=empty, left=empty)
 
     gen_perms, orbit, positive = _close_roots(cosine_matrix(w, t))
     nroots = gen_perms.shape[1]
@@ -259,34 +262,22 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
     if right_flat.min() < 0:
         raise ConsistencyError("closure left a product unresolved")
     letter = np.concatenate(letters, dtype=np.int32)
-    parent = right_flat.take(np.arange(0, order * k, k) + letter)  # x . s_letter[x]
-    parent[0] = 0
+    parent = right_flat.take(np.arange(0, order * k, k) + letter)  # x . s_letter[x], x != 0
 
-    # left and inv layer by layer from s (p t) = (s p) t and
-    # (p t)^-1 = t p^-1, as flat gathers into the tables.  The tables are
-    # scaled by k while they are built, so that each entry is already the
-    # flat offset of its row.
+    # left layer by layer from s (p t) = (s p) t, as flat gathers into
+    # the table.  The tables are scaled by k while left is built, so that
+    # each entry is already the flat offset of its row.
     right_flat *= k
     left = np.empty_like(right)
-    inv = np.zeros(order, dtype=np.int32)
     left[0] = right[0]
-    left_flat = left.reshape(-1)
     letter_col = letter[:, None]
     for a, b in zip(layers[1:], layers[2:]):
         par = parent[a:b]
         right_flat.take(left.take(par, axis=0) + letter_col[a:b], out=left[a:b], mode="clip")
-        left_flat.take(inv.take(par) + letter[a:b], out=inv[a:b], mode="clip")
-    for table in (right, left, inv):
-        table //= k
+    right //= k
+    left //= k
 
-    return GroupModel(
-        order=order,
-        parent=parent,
-        letter=letter,
-        right=right,
-        left=left,
-        inv=inv,
-    )
+    return GroupModel(order=order, letter=letter, right=right, left=left)
 
 
 @dataclass

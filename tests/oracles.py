@@ -2,9 +2,9 @@
 
 Each computes a library answer by a second route that no part of the
 pipeline uses: restriction for induction, leading principal minors for
-the diagram classification, products by words for the Cayley tables,
-the closed forms of single cell pairs for the cubical complex, and full
-sparse products and dense copies of integer matrices.
+the diagram classification, products and inverses by words for the
+Cayley tables, the closed forms of single cell pairs for the cubical
+complex, and full sparse products and dense copies of integer matrices.
 """
 
 from itertools import combinations
@@ -80,6 +80,20 @@ def mult(g: GroupModel, i: int, j: int) -> int:
     for s in g.word(j):
         i = g.right[i, s]
     return int(i)
+
+
+def inverses(g: GroupModel) -> np.ndarray:
+    """x^-1 for every element x: x's word read backwards, walked along the
+    right Cayley table from the identity.  The generators are involutions,
+    so the reversed word is a word of x^-1."""
+    inv = np.zeros(g.order, dtype=np.int32)
+    rest = np.arange(g.order)  # x with the letters walked so far stripped
+    while rest.any():
+        live = rest != 0
+        s = g.letter[rest]
+        inv = np.where(live, g.right[inv, s], inv)
+        rest = np.where(live, g.right[rest, s], 0)
+    return inv
 
 
 def dense(a: IntMatrix) -> list[list[int]]:

@@ -21,8 +21,8 @@ from bredon.characters import (
 from bredon.cli import run_analysis
 from bredon.coxeter import classify_subset, enumerate_spherical, parse_matrix
 from bredon.errors import ConsistencyError, ContractError, ResourceCapError
-from bredon.groups import conjugacy_classes, realize_group
-from oracles import dense, matmul, restriction_matrix
+from bredon.groups import ConjugacyClasses, GroupModel, conjugacy_classes, realize_group
+from oracles import dense, inverses, matmul, restriction_matrix
 
 
 @pytest.fixture(scope="module")
@@ -165,11 +165,12 @@ def test_charpoly_roots_oracle(p, mat):
 
 
 def _structure_constants_by_full_walk(model, classes, p):
-    # reference: walk every class word from x^{-1} for every x of the group
+    # reference: walk every class word from x^{-1} for every x of the group,
+    # as the definition reads; the library walks from x
     k = classes.count
     a = np.zeros((k, k, k), dtype=np.int64)
     for c, word in enumerate(classes.rep_words):
-        cur = model.inv
+        cur = inverses(model)
         for s in word:
             cur = model.right[cur, s]
         np.add.at(a[:, :, c], (classes.class_of, classes.class_of[cur]), 1)
@@ -683,6 +684,22 @@ def test_dixon_refuses_an_inexact_fourier_lift(monkeypatch):
 
     monkeypatch.setattr(characters, "_structure_matrices", counted)
     with pytest.raises(ResourceCapError, match="not exact at exponent 12"):
+        dixon_table(model, classes)
+
+
+def test_dixon_refuses_a_group_that_is_not_real():
+    # the cyclic group C3 = <g> is no Coxeter group: g and g^2 are not
+    # conjugate, its characters are not real, and the degree formula, which
+    # pairs each class with itself, has no solution
+    right = np.array([[1], [2], [0]], dtype=np.int32)
+    model = GroupModel(order=3, letter=np.zeros(3, dtype=np.int32), right=right, left=right)
+    classes = ConjugacyClasses(
+        reps=[0, 1, 2],
+        rep_words=[(), (0,), (0, 0)],
+        sizes=[1, 1, 1],
+        class_of=np.arange(3, dtype=np.int32),
+    )
+    with pytest.raises(ConsistencyError, match="degree denominator vanished"):
         dixon_table(model, classes)
 
 

@@ -13,7 +13,7 @@ from bredon.coxeter import parse_matrix, spherical_order
 from bredon import groups
 from bredon.errors import ConsistencyError, ContractError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
-from oracles import gen_elements, mult
+from oracles import gen_elements, inverses, mult
 
 
 def diagram(n, edges):
@@ -114,12 +114,13 @@ def test_class_sizes_partition_group():
     for rows in cases:
         g = realize(rows)
         classes = conjugacy_classes(g)
+        inv = inverses(g)
         assert sum(classes.sizes) == g.order
         # class_of is constant on conjugation orbits: spot-check random pairs
         for _ in range(20):
             x = rng.randrange(g.order)
             h = rng.randrange(g.order)
-            hx = mult(g, mult(g, h, x), int(g.inv[h]))
+            hx = mult(g, mult(g, h, x), int(inv[h]))
             assert classes.class_of[x] == classes.class_of[hx]
 
 
@@ -268,7 +269,7 @@ def test_cayley_tables_match_composed_permutations(name):
         assert (gens[s][gens[s]] == ident).all()
         assert g.right[:, s].tolist() == oracle.lookup(perms[:, gens[s]]).tolist()  # x s
         assert g.left[:, s].tolist() == oracle.lookup(gens[s][perms]).tolist()  # s x
-    assert g.inv.tolist() == oracle.lookup(np.argsort(perms, axis=1)).tolist()
+    assert inverses(g).tolist() == oracle.lookup(np.argsort(perms, axis=1)).tolist()
 
 
 def shortlex_words(g, oracle):
@@ -364,7 +365,7 @@ def test_e6_model_memory():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # int32 right and left of 51840 x 6, plus inv, parent and letter: 3.1 MB
+    # int32 right and left of 51840 x 6, plus letter: 2.7 MB
     assert g.order == 51840
     assert retained < 4 * 2**20
 
@@ -372,7 +373,7 @@ def test_e6_model_memory():
 def test_e6_closure_peak_memory():
     # the closure gathers the next layer's permutations and keys a block of
     # rows at a time, so no int64 gather index spans a whole layer (3,662
-    # elements x 72 roots); the model itself keeps 3.1 MB
+    # elements x 72 roots); the model itself keeps 2.7 MB
     w = parse_matrix(CLASSICAL_COUNTS["E6"][0])
     tracemalloc.start()
     try:
@@ -383,8 +384,9 @@ def test_e6_closure_peak_memory():
     assert peak < 5 * 2**20
 
 
-# sha256 of parent, letter, right, left and inv (int32, little-endian, in
-# that order), generated before the closure numbered layers by sorting
+# sha256 of parent (right[x, letter[x]], 0 at the identity), letter, right,
+# left and inv (by the oracle), as int32 little-endian in that order,
+# generated before the closure numbered layers by sorting
 MODEL_DIGESTS = {
     "H4": "fbaafd16f2abd70454b3dad033bf0edcf2097c7cff2083ba5b06856d5edef115",
     "F4": "910677427c209dfaaea114f871aa04d642a9da76fe48236466ebeba0c49bb23c",
@@ -405,11 +407,37 @@ PINNED_MODELS = {
 def test_large_models_are_pinned(name):
     # the brute-force oracles above stop at rank 4
     g = realize(PINNED_MODELS[name], cap=60000)
+    parent = g.right[np.arange(g.order), g.letter]
+    parent[0] = 0
     digest = hashlib.sha256()
-    for table in (g.parent, g.letter, g.right, g.left, g.inv):
+    for table in (parent, g.letter, g.right, g.left, inverses(g)):
         assert table.dtype == np.int32 and len(table) == g.order
         digest.update(table.astype("<i4").tobytes())
     assert digest.hexdigest() == MODEL_DIGESTS[name]
+
+
+REAL_SYSTEMS = {
+    **{f"A{n}": path([3] * (n - 1)) for n in range(1, 7)},
+    **{f"B{n}": path([4] + [3] * (n - 2)) for n in range(2, 7)},
+    **{
+        f"D{n}": diagram(n, [(i, i + 1, 3) for i in range(n - 2)] + [(n - 3, n - 1, 3)])
+        for n in range(4, 7)
+    },
+    **{name: CLASSICAL_COUNTS[name][0] for name in ("E6", "F4", "H4")},
+    "H3": path([5, 3]),
+    **{f"I2({m})": [[1, m], [m, 1]] for m in range(3, 13)},
+    "H3xA1": diagram(4, [(0, 1, 5), (1, 2, 3)]),
+    "B3xI2(5)": diagram(5, [(0, 1, 4), (1, 2, 3), (3, 4, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SYSTEMS))
+def test_every_class_is_closed_under_inversion(name):
+    # finite Coxeter groups are real (Geck-Pfeiffer 2000): the class
+    # algebra and the Dixon degrees rely on it, and no inverse table is kept
+    g = realize(REAL_SYSTEMS[name], cap=60000)
+    class_of = conjugacy_classes(g).class_of
+    assert np.array_equal(class_of.take(inverses(g)), class_of)
 
 
 def test_closure_checks_the_classified_order(monkeypatch):
