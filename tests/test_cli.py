@@ -56,6 +56,13 @@ def _cycle(n):
     return rows
 
 
+def _diagram(n, edges):
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, label in edges:
+        m[i][j] = m[j][i] = label
+    return m
+
+
 def test_homology_text_output(write_system, capsys):
     path = write_system([[1, 0], [0, 1]])
     code, out, _ = run(capsys, "homology", path)
@@ -561,6 +568,11 @@ def test_order_cap_holds_on_paths_without_an_upfront_check(write_system, capsys,
         (_cycle(6), "13d00030007052ddf4bef784f08a4faa82bba3f8aeb7c620ef147de4d3e13f89"),
         # affine F4: two B3, two A3 and one B4 among others
         (_line([3, 3, 4, 3]), "7859def68dfd02f4963fa34fe67e63eea24a5e75abe09b065005af99224d1880"),
+        # affine D4: four D4 orientations, one Dixon build served by the type store
+        (
+            _diagram(5, [(i, 2, 3) for i in (0, 1, 3, 4)]),
+            "c2b8a1e7e56d50f998b0cda33106f1e3ea4245c73d9dac6025d77abd3472b67c",
+        ),
     ],
 )
 def test_report_bytes_are_pinned(write_system, capsys, rows, digest):
@@ -710,8 +722,20 @@ E6_ROWS = [[1, 2, 3, 2, 2, 2], [2, 1, 2, 3, 2, 2], [3, 2, 1, 3, 2, 2],
         (_line([4, 3, 3, 3]), "94d547f01fc2c987cf5683bf4afe450fef931c9336dfde5378be604a0ac86452"),
         (E6_ROWS, "eba9981d997372080045d7e123989a64717a8ef661bf1cb149fd585fa4d5914e"),
         (_line([4, 3, 3, 3, 3]), "6c386b279383a3aa0cd1d2c07f55474281b9c485fc916bcff4db546447f9a71f"),
+        (
+            _diagram(4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)]),
+            "f5a8a276153daa74d41cfc8bb6728dd7e40f7be1b2a4f10abf4bdceeabb99925",
+        ),
+        (
+            _diagram(5, [(0, 2, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3)]),
+            "7eae896f2e518d3cb8b5f5d87021785a9fb18d79556b79672079d228515aa326",
+        ),
+        (
+            _diagram(6, [(0, 2, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3)]),
+            "4af606a04435c18c66168200a4cfd58aa32742ddd57ca06f4f36f728d3a2bb9a",
+        ),
     ],
-    ids=["F4", "H4", "B5", "E6", "B6"],
+    ids=["F4", "H4", "B5", "E6", "B6", "D4", "D5", "D6"],
 )
 def test_dixon_table_dumps_are_pinned(write_system, capsys, rows, digest):
     # every parabolic of these types of rank >= 3 goes through Dixon's
@@ -721,13 +745,6 @@ def test_dixon_table_dumps_are_pinned(write_system, capsys, rows, digest):
                          "--output", "json", "--dump-tables", "--order-cap", "60000")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def _diagram(n, edges):
-    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    for i, j, label in edges:
-        m[i][j] = m[j][i] = label
-    return m
 
 
 def _groups(*ranks):
