@@ -10,14 +10,12 @@ subgroup:
   <w0> on its realized classes;
 * reducible parabolics are tensor products of their factor tables;
 * the other irreducible types (D, E, F4, H4) are realized as a Cayley
-  graph and go through the Burnside-Dixon modular algorithm with
-  Schneider's refinements: the common eigenvectors of the class-sum
-  matrices over F_p, p = 1 mod exponent(G), come from splitting each
-  current eigenspace by the block the next matrix induces on it (one
-  small mod-p nullspace per root of that block), the structure constants
-  are counted only for the classes the split reads, and the eigenvectors
-  are lifted to C by discrete Fourier inversion along power maps, where
-  they must come out real.
+  graph and go through Burnside's eigenvector method (dixon_table): the
+  central characters are the common eigenvectors of the class-sum
+  matrices, which are self-adjoint once each class's coordinate is
+  scaled by the square root of its size, so one symmetric eigenproblem
+  of a fixed combination of them gives every character, and each
+  eigenvector is checked against every class sum.
 
 Every finite Coxeter group is real: each element is conjugate to its
 inverse (Geck-Pfeiffer 2000), so every character is real-valued and
@@ -38,7 +36,7 @@ multiplicities.
 RepRingCache keys at two levels.  Tables with their fusion rules,
 models, classes and inductions are positional, keyed by the induced
 Coxeter matrix.  The Dixon values are keyed by irreducible type: one
-Burnside-Dixon build per D, E, F4 or H4 type serves every relabelled copy
+dixon_table build per D, E, F4 or H4 type serves every relabelled copy
 of it, whose own classes are mapped onto the stored ones by a generator
 map between reference labellings.
 """
@@ -46,7 +44,7 @@ map between reference labellings.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import cos, isqrt, lcm, pi, prod, sqrt
+from math import cos, pi, prod, sqrt
 
 import numpy as np
 
@@ -67,8 +65,6 @@ from .groups import (
 from .snf import IntMatrix
 
 VALUE_TOL = 1.0e-6
-PRIME_SEARCH_BOUND = 10_000_000
-_SCAN_CHUNK = 1 << 16  # values of F_p evaluated at once by _charpoly_roots
 
 
 @dataclass
@@ -97,7 +93,8 @@ class CharacterTable:
         return self.values.shape[0]
 
     def validate(self) -> None:
-        """Orthogonality and counting checks; ConsistencyError on failure."""
+        """Orthogonality and counting checks; ConsistencyError on failure,
+        also for a NaN value."""
         k = self.n_classes
         if self.n_irreducibles != k:
             raise ConsistencyError(
@@ -108,11 +105,11 @@ class CharacterTable:
         if sum(d * d for d in self.degrees) != self.order:
             raise ConsistencyError("degree squares do not sum to the group order")
         ident = self.values[:, 0]
-        if np.max(np.abs(ident - np.array(self.degrees, dtype=float))) > VALUE_TOL:
+        if not np.abs(ident - np.array(self.degrees, dtype=float)).max() <= VALUE_TOL:
             raise ConsistencyError("identity column disagrees with the degrees")
         sizes = np.array(self.class_sizes, dtype=float)
         gram = (self.values * sizes) @ self.values.T / self.order
-        if np.max(np.abs(gram - np.eye(k))) > VALUE_TOL:
+        if not np.abs(gram - np.eye(k)).max() <= VALUE_TOL:
             raise ConsistencyError("first orthogonality relations fail")
 
 
@@ -342,7 +339,7 @@ def icosahedral_values(model: GroupModel, classes: ConjugacyClasses):
         for s in word:  # y = w0 x = x w0
             y = model.right[y, s]
         rotation.append(int(classes.class_of[y]) if parity[c] else c)
-    orders = _power_maps(model, classes)[1].tolist()
+    orders = _rep_orders(model, classes)
     even = sorted((c for c in range(classes.count) if not parity[c]), key=lambda c: orders[c])
     if [(orders[c], classes.sizes[c]) for c in even] != _A5_ORDERS_SIZES:
         raise ConsistencyError("the rotation classes of H3 do not have the orders and sizes of A5")
@@ -353,128 +350,24 @@ def icosahedral_values(model: GroupModel, classes: ConjugacyClasses):
 
 
 # ---------------------------------------------------------------------------
-# Burnside-Dixon: modular character table of an arbitrary finite model
+# Burnside: the character table of an arbitrary finite model
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
+def _structure_matrices(model: GroupModel, classes: ConjugacyClasses):
+    """Class-algebra structure constants a_{ijk}, exact int64 counts, as
+    the matrices A_i[j, k] for i = 1, 2, ... in class order: with z fixed
+    in class k, a_{ijk} counts x in class i with x^{-1} z in class j.
+    Each class of a finite Coxeter group is closed under inversion, so
+    x^{-1} runs over class i as x does, and a_{ijk} also counts x in class
+    i with x z in class j.
 
-
-def _find_prime(exponent: int, minimum: int) -> int:
-    p = exponent + 1
-    while p <= minimum or not _is_prime(p):
-        p += exponent
-        if p > PRIME_SEARCH_BOUND:
-            raise ResourceCapError(
-                f"no prime = 1 mod {exponent} found below {PRIME_SEARCH_BOUND}"
-            )
-    return p
-
-
-def _primitive_root(p: int) -> int:
-    n = p - 1
-    factors = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
-        if all(pow(g, n // q, p) != 1 for q in factors):
-            return g
-    raise ConsistencyError("no primitive root found")
-
-
-def _mod_nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Columns spanning the nullspace of any m x n matrix mod p, and the
-    free columns: reduce to reduced row echelon form, one basis vector
-    per free column, so the basis restricted to the free rows is I."""
-    a = mat.astype(np.int64) % p
-    m, n = a.shape
-    pivots: list[int] = []
-    for col in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        nonzero = np.flatnonzero(a[r:, col])
-        if nonzero.size == 0:
-            continue
-        sel = r + int(nonzero[0])
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        row = a[r] * pow(int(a[r, col]), -1, p) % p
-        a -= np.multiply.outer(a[:, col], row)
-        a[r] = row
-        a %= p
-        pivots.append(col)
-    pivoted = set(pivots)
-    free = [c for c in range(n) if c not in pivoted]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    basis[free, range(len(free))] = 1
-    basis[pivots] = -a[: len(pivots), free] % p
-    return basis, free
-
-
-def _require_exact_float(length: int, p: int, what: str) -> None:
-    """Raise ResourceCapError unless float64 sums of `length` products of
-    residues mod p are exact: length (p - 1)^2 < 2^53."""
-    if length * (p - 1) ** 2 >= 2**53:
-        raise ResourceCapError(
-            f"float64 products mod {p} are not exact at {what} {length}"
-        )
-
-
-def _charpoly_roots(a: np.ndarray, p: int) -> list[int]:
-    """Roots in F_p of det(x I - a) by a scan of F_p in chunks of
-    _SCAN_CHUNK values, so memory does not grow with p, with coefficients
-    from Faddeev-LeVerrier: M_j = a M_{j-1} + c_{k-j+1} I and
-    c_{k-j} = -tr(a M_j) / j, so p must exceed k.  The products run in
-    float64 (BLAS), which is exact while k (p - 1)^2 < 2^53."""
-    k = a.shape[0]
-    _require_exact_float(k, p, "dimension")
-    af = (a % p).astype(np.float64)
-    eye = np.eye(k)
-    coeffs = [1]  # c_k, c_{k-1}, ..., c_0
-    am = np.zeros((k, k))
-    for j in range(1, k + 1):
-        am = af @ ((am + coeffs[-1] * eye) % p) % p
-        coeffs.append(-int(np.trace(am)) * pow(j, -1, p) % p)
-    roots: list[int] = []
-    for lo in range(0, p, _SCAN_CHUNK):
-        lam = np.arange(lo, min(lo + _SCAN_CHUNK, p), dtype=np.int64)
-        acc = np.zeros_like(lam)
-        for c in coeffs:
-            acc = (acc * lam + c) % p
-        roots.extend(lam[acc == 0].tolist())
-    return roots
-
-
-def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
-    """Class-algebra structure constants a_{ijk} mod p, as the matrices
-    A_i[j, k] for i = 1, 2, ... in class order, built only as they are
-    read: with z fixed in class k, a_{ijk} counts x in class i with
-    x^{-1} z in class j.  Each class of a finite Coxeter group is closed
-    under inversion, so x^{-1} runs over class i as x does, and a_{ijk}
-    also counts x in class i with x z in class j.
-
-    The classes come in blocks of 1, 2, 4, ... classes.  For a block,
-    x z comes from walking the words of all class representatives z
-    along the right Cayley table from x, for every x of the block
-    at once; the words are walked in lexicographic order, so each prefix
-    they share is walked once.  A split that reads few classes walks few
-    elements, and one that reads them all makes about log2 k passes over
-    the group.
+    Every class is read.  The classes come in blocks of 1, 2, 4, ...
+    classes, which only bounds the memory of one pass: for a block, x z
+    comes from walking the words of all class representatives z along the
+    right Cayley table from x, for every x of the block at once, and the
+    words are walked in lexicographic order, so each prefix they share is
+    walked once.  That makes about log2 k passes over the group.
     """
     k = classes.count
     class_of = classes.class_of.astype(np.int64)
@@ -500,73 +393,18 @@ def _structure_matrices(model: GroupModel, classes: ConjugacyClasses, p: int):
             hits = rows + class_of.take(walked[-1])
             a[:, :, c] = np.bincount(hits, minlength=(hi - lo) * k).reshape(hi - lo, k)
             prev = word
-        yield from a % p
+        yield from a
         lo, width = hi, 2 * width
 
 
-def _split_eigenvectors(mats, k: int, p: int) -> list[np.ndarray]:
-    """Common eigenvectors (normalized so entry 0 is 1) of a commuting
-    family of k x k matrices, read one at a time from the iterable mats
-    and only while some space still has dimension above 1.
+def _rep_orders(model: GroupModel, classes: ConjugacyClasses) -> list[int]:
+    """The order of every class representative.
 
-    Each current space is a column basis B with a row set R such that
-    B[R] = I, starting from I_k with R all rows.  A matrix A acts on the
-    space through the d x d block C = (A B)[R], and A B = B C mod p
-    checks that the space is A-invariant.  A scalar C leaves the space
-    whole; otherwise each root lam of C's own characteristic
-    polynomial, in ascending order, cuts off the piece
-    B N with N = null(C - lam I), whose free rows are I, so the piece's
-    row set is R at those rows.  The family is diagonalisable over F_p
-    (p does not divide |G|), so the pieces of an invariant space fill
-    it; the dimension count checks that they do.
-    """
-    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
-    mats = iter(mats)
-    while any(b.shape[1] > 1 for b, _ in spaces):
-        a = next(mats, None)
-        if a is None:
-            break
-        refined = []
-        for b, rows in spaces:
-            d = b.shape[1]
-            if d == 1:
-                refined.append((b, rows))
-                continue
-            ab = a @ b % p
-            c = ab[rows]
-            if np.any((ab - b @ c) % p):
-                raise ConsistencyError("class-sum matrix does not preserve an eigenspace")
-            eye = np.eye(d, dtype=np.int64)
-            if not np.any(c - c[0, 0] * eye):
-                refined.append((b, rows))
-                continue
-            total = 0
-            for lam in _charpoly_roots(c, p):
-                ns, free = _mod_nullspace(c - lam * eye, p)
-                total += len(free)
-                refined.append((b @ ns % p, rows[free]))
-            if total != d:
-                raise ConsistencyError("eigenspace refinement lost dimensions")
-        spaces = refined
-    vectors = []
-    for b, _ in spaces:
-        if b.shape[1] != 1:
-            raise ConsistencyError("class-sum matrices failed to split completely")
-        v = b[:, 0]
-        if v[0] == 0:
-            raise ConsistencyError("central character vanishes at the identity")
-        vectors.append(v * pow(int(v[0]), -1, p) % p)
-    return vectors
-
-
-def _power_maps(model: GroupModel, classes: ConjugacyClasses):
-    """Powers of every class representative, and their orders.
-
-    powers[l, i] is rep_i^l for l = 0..max order: each step walks every
-    representative's word along right at once, until each is back at the
-    identity.  Words shorter than the longest are padded with an extra
-    column of right that stays put, and the table is scaled by its width
-    so that each entry is already the flat offset of its row.
+    Each step walks every representative's word along right at once,
+    until each is back at the identity.  Words shorter than the longest
+    are padded with an extra column of right that stays put, and the table
+    is scaled by its width so that each entry is already the flat offset
+    of its row.
     """
     width = model.rank + 1
     words = classes.rep_words
@@ -575,15 +413,15 @@ def _power_maps(model: GroupModel, classes: ConjugacyClasses):
         letters[: len(word), i] = word
     steps = np.hstack([model.right, np.arange(model.order, dtype=np.int32)[:, None]])
     steps = steps.ravel() * width
-    powers = [np.zeros(len(words), dtype=np.int64)]
-    rep_orders = np.zeros(len(words), dtype=np.int64)
-    while not rep_orders.all():
-        cur = powers[-1]
+    cur = np.zeros(len(words), dtype=np.int64)
+    orders = np.zeros(len(words), dtype=np.int64)
+    power = 0
+    while not orders.all():
         for row in letters:
             cur = steps.take(cur + row)
-        rep_orders[(cur == 0) & (rep_orders == 0)] = len(powers)
-        powers.append(cur)
-    return np.array(powers) // width, rep_orders
+        power += 1
+        orders[(cur == 0) & (orders == 0)] = power
+    return orders.tolist()
 
 
 def _row_order(values: np.ndarray, degrees: list[int]) -> list[int]:
@@ -594,72 +432,49 @@ def _row_order(values: np.ndarray, degrees: list[int]) -> list[int]:
 
 
 def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
-    """Burnside-Dixon character table of a finite Coxeter group's model.
+    """Character table of a finite Coxeter group's model by Burnside's
+    eigenvector method; the name stays from the Burnside-Dixon algorithm
+    it replaced, and the trace wraps it under that name.
 
-    Its classes must be closed under inversion, as they are in every
-    finite Coxeter group: the degree formula pairs each class with itself,
-    and the lifted values must be real.  ConsistencyError otherwise.
+    A central character omega_t(i) = |C_i| chi_t(g_i) / chi_t(1) is a
+    common eigenvector of the class-sum matrices A_i: A_i omega_t =
+    omega_t(i) omega_t.  The classes must be closed under inversion, as
+    they are in every finite Coxeter group, and then each A_i D, with D =
+    diag(|C|), is symmetric, checked exactly (ConsistencyError otherwise).
+    So S = D^(-1/2) M D^(1/2) is symmetric for M = sum_i sin(i + 1) A_i, a
+    fixed combination whose eigenvalues separate the central characters,
+    and one eigh of S gives them all: omega_t = D^(1/2) u_t / u_t[0] for
+    its orthonormal eigenvectors u_t, entry 0 being the identity class.
+    Since u_t is a unit vector, u_t[0]^2 = 1 / sum_c omega_t(c)^2 / |C_c|
+    = chi_t(1)^2 / |G|, so the degree is |u_t[0]| sqrt(|G|).
+
+    Checks, each failed by NaN or inf: every degree lies within VALUE_TOL
+    of a positive integer, and every omega_t is an eigenvector of every
+    A_i, within VALUE_TOL |C_i|.  validate()'s orthogonality would hold for
+    any orthonormal u, so it cannot stand in for the eigenvector check.
+    The values are chi_t = d_t omega_t / |C|, rows in _row_order.
     """
     k = classes.count
     order = model.order
-    # power_class[i, l] is the class of rep_i^l for l = 0..exponent-1
-    powers, rep_orders = _power_maps(model, classes)
-    exponent = lcm(*rep_orders.tolist())
-    power_class = classes.class_of[
-        powers[np.arange(exponent) % rep_orders[:, None], np.arange(k)[:, None]]
-    ]
-    p = _find_prime(exponent, max(int(2 * sqrt(order)) + 1, k + 2, exponent + 1))
-    _require_exact_float(exponent, p, "exponent")  # the Fourier lift below
-
-    omegas = _split_eigenvectors(_structure_matrices(model, classes, p), k, p)
-    if len(omegas) != k:
-        raise ConsistencyError(f"found {len(omegas)} central characters, expected {k}")
-
-    inv_sizes = np.array([pow(int(s), -1, p) for s in classes.sizes], dtype=np.int64)
-
-    degrees = []
-    chi_bar = np.zeros((k, k), dtype=np.int64)
-    for t, omega in enumerate(omegas):
-        denom = int(np.sum(omega * omega % p * inv_sizes % p) % p)
-        if denom == 0:
-            raise ConsistencyError("degree denominator vanished mod p")
-        d_sq = order * pow(denom, -1, p) % p
-        d_t = next(
-            (d for d in range(1, isqrt(order) + 1) if d * d % p == d_sq), None
-        )
-        if d_t is None:
-            raise ConsistencyError("no integer degree matches mod p")
-        degrees.append(d_t)
-        chi_bar[t] = d_t * omega % p * inv_sizes % p
-
-    theta = pow(_primitive_root(p), (p - 1) // exponent, p)
-    theta_pow = np.array(
-        [pow(theta, j, p) for j in range(exponent)], dtype=np.float64
-    )
-    # fourier[j, l] = theta^(-j l)
-    fourier = theta_pow[(-np.outer(np.arange(exponent), np.arange(exponent))) % exponent]
-    inv_e = pow(exponent, -1, p)
-    zeta = np.exp(2j * pi * np.arange(exponent) / exponent)
-
-    # mults[t, i, l]: multiplicity of theta^l among the eigenvalues of
-    # rep_i in character t, for every t from one float64 product (BLAS) of
-    # chi_bar at the powers with the Fourier matrix; all entries stay
-    # integers below 2^53, so every step is exact
-    mults = chi_bar.astype(np.float64)[:, power_class].reshape(k * k, exponent) @ fourier.T
-    mults %= p
-    mults *= inv_e
-    mults %= p
-    mults = mults.reshape(k, k, exponent)
-    values = np.zeros((k, k), dtype=complex)
-    for t in range(k):
-        if np.any(mults[t] > degrees[t]):
-            raise ConsistencyError("lifted multiplicities exceed the degree")
-        if np.any(np.sum(mults[t], axis=1) != degrees[t]):
-            raise ConsistencyError("lifted multiplicities do not sum to the degree")
-        values[t] = mults[t].astype(complex) @ zeta
-    if np.max(np.abs(values.imag)) > VALUE_TOL:
-        raise ConsistencyError("a lifted character value is not real")
-    values = values.real
+    mats = np.array([np.eye(k, dtype=np.int64), *_structure_matrices(model, classes)])
+    sizes = np.array(classes.sizes, dtype=np.int64)
+    scaled = mats * sizes  # A_i D
+    if not np.array_equal(scaled, scaled.transpose(0, 2, 1)):
+        raise ConsistencyError("a class is not closed under inversion: A_i D is not symmetric")
+    mats = mats.astype(float)
+    root = np.sqrt(sizes.astype(float))
+    m = np.tensordot(np.sin(np.arange(1, k + 1)), mats, axes=1)
+    _, u = np.linalg.eigh(m * root / root[:, None])
+    degrees = np.abs(u[0]) * sqrt(order)
+    nearest = np.round(degrees)
+    if not np.all((np.abs(degrees - nearest) <= VALUE_TOL) & (nearest >= 1)):
+        raise ConsistencyError("a central character gives no integer degree")
+    omega = (root[:, None] * u / u[0]).T  # omega[t, c] = omega_t(c)
+    err = np.abs(omega @ mats.transpose(0, 2, 1) - omega.T[:, :, None] * omega)  # [i, t, j]
+    if not np.all(err <= VALUE_TOL * sizes[:, None, None]):
+        raise ConsistencyError("a central character is not an eigenvector of every class sum")
+    degrees = nearest.astype(int).tolist()
+    values = omega * (nearest[:, None] / sizes)
 
     row_order = _row_order(values, degrees)
     return CharacterTable(
@@ -680,9 +495,9 @@ def _round_int_rows(raw: np.ndarray, what: str) -> list[list[int]]:
     if np.iscomplexobj(raw):
         raise ConsistencyError(f"{what} has a complex entry")
     nearest = np.round(raw)
-    if raw.size and np.max(np.abs(raw - nearest)) > VALUE_TOL:
+    if not np.abs(raw - nearest).max(initial=0.0) <= VALUE_TOL:  # NaN fails too
         raise ConsistencyError(f"{what} has a non-integer entry")
-    if raw.size and np.min(nearest) < 0:
+    if nearest.min(initial=0.0) < 0:
         raise ConsistencyError(f"{what} has a negative entry")
     return nearest.astype(int).tolist()
 

@@ -23,4 +23,4 @@ class ConsistencyError(BredonError, RuntimeError):
 
 
 class ResourceCapError(BredonError, RuntimeError):
-    """A configured resource cap (group order, prime search) was exceeded."""
+    """A configured resource cap (group order) was exceeded."""

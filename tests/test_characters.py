@@ -2,25 +2,22 @@
 
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from bredon import characters
 from bredon.characters import (
+    VALUE_TOL,
     RepRingCache,
-    _charpoly_roots,
-    _mod_nullspace,
     _relabelling,
-    _split_eigenvectors,
     dixon_table,
     icosahedral_values,
     induction_matrix,
 )
 from bredon.cli import run_analysis
 from bredon.coxeter import classify_subset, enumerate_spherical, parse_matrix
-from bredon.errors import ConsistencyError, ContractError, ResourceCapError
+from bredon.errors import ConsistencyError, ContractError
 from bredon.groups import ConjugacyClasses, GroupModel, conjugacy_classes, realize_group
 from oracles import dense, inverses, matmul, restriction_matrix
 
@@ -57,7 +54,7 @@ def test_dihedral_tables_validate(rings, m):
 
 
 def test_dihedral_closed_form_matches_dixon(rings):
-    # the generic splitting algorithm must reproduce the closed-form table
+    # Burnside's eigenvector method must reproduce the closed-form table
     for m in (3, 4, 5, 6):
         w = parse_matrix([[1, m], [m, 1]])
         g = rings.model(w, w.generators)
@@ -87,7 +84,7 @@ def test_dihedral_closed_form_matches_dixon(rings):
 )
 def test_dixon_matches_product_tables(rings, rows):
     # products have many repeated eigenvalues in their class-sum matrices,
-    # so the split must cut multi-dimensional eigenspaces several times
+    # so only the fixed combination of all of them separates the characters
     w = parse_matrix(rows)
     product = rings.table(w, w.generators)
     generic = dixon_table(rings.model(w, w.generators), rings.classes(w, w.generators))
@@ -102,69 +99,10 @@ def test_dixon_matches_product_tables(rings, rows):
     assert pairs(generic) == pairs(product)
 
 
-# -- mod-p linear algebra of the Dixon split -----------------------------------
+# -- Burnside's eigenvectors ---------------------------------------------------
 
 
-def _kernel_size(mat, p):
-    """Number of vectors x in F_p^n with mat x = 0, by enumeration."""
-    n = mat.shape[1]
-    vecs = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
-    return int(np.sum(np.all(mat @ vecs % p == 0, axis=0)))
-
-
-def _brute_nullity(mat, p):
-    size, nullity = _kernel_size(mat, p), 0
-    while size > 1:
-        size //= p
-        nullity += 1
-    return nullity
-
-
-def _mod_p_cases():
-    rng = np.random.default_rng(20260)
-    cases = []
-    for p in (5, 7):
-        for m, n in ((1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (1, 3), (5, 3), (3, 4)):
-            cases.append((p, np.zeros((m, n), dtype=np.int64)))
-            cases.append((p, rng.integers(0, p, (m, n))))
-            r = min(m, n) - 1 if min(m, n) > 1 else 1
-            cases.append((p, rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))))
-        for n in (1, 2, 3, 4):
-            cases.append((p, np.eye(n, dtype=np.int64) * 3))
-    return cases
-
-
-@pytest.mark.parametrize("p, mat", _mod_p_cases())
-def test_mod_nullspace_oracle(p, mat):
-    basis, _ = _mod_nullspace(mat, p)
-    n = mat.shape[1]
-    assert basis.shape == (n, _brute_nullity(mat, p))
-    assert not np.any(mat @ basis % p)
-    # independent: only the zero combination of the columns vanishes
-    assert _kernel_size(basis, p) == 1
-
-
-@pytest.mark.parametrize("p, mat", _mod_p_cases())
-def test_mod_nullspace_free_rows_are_the_identity(p, mat):
-    # the split reads a piece's row set off the free columns, so the
-    # basis must be I on exactly those rows, in order
-    basis, free = _mod_nullspace(mat, p)
-    assert list(free) == sorted(set(free))
-    assert len(free) == basis.shape[1]
-    assert np.array_equal(basis[free], np.eye(len(free), dtype=np.int64))
-
-
-@pytest.mark.parametrize(
-    "p, mat", [(p, m) for p, m in _mod_p_cases() if m.shape[0] == m.shape[1]]
-)
-def test_charpoly_roots_oracle(p, mat):
-    k = mat.shape[0]
-    eye = np.eye(k, dtype=np.int64)
-    expected = [x for x in range(p) if _brute_nullity((mat - x * eye) % p, p) > 0]
-    assert _charpoly_roots(mat % p, p) == expected
-
-
-def _structure_constants_by_full_walk(model, classes, p):
+def _structure_constants_by_full_walk(model, classes):
     # reference: walk every class word from x^{-1} for every x of the group,
     # as the definition reads; the library walks from x
     k = classes.count
@@ -174,7 +112,7 @@ def _structure_constants_by_full_walk(model, classes, p):
         for s in word:
             cur = model.right[cur, s]
         np.add.at(a[:, :, c], (classes.class_of, classes.class_of[cur]), 1)
-    return a % p
+    return a
 
 
 @pytest.mark.parametrize(
@@ -192,52 +130,57 @@ def test_structure_matrices_match_a_walk_over_the_whole_group(rows):
     w = parse_matrix(rows)
     model = realize_group(w)
     classes = conjugacy_classes(model)
-    p = 10007
-    blocks = np.array(list(characters._structure_matrices(model, classes, p)))
-    assert np.array_equal(blocks, _structure_constants_by_full_walk(model, classes, p)[1:])
+    blocks = np.array(list(characters._structure_matrices(model, classes)))
+    assert np.array_equal(blocks, _structure_constants_by_full_walk(model, classes)[1:])
 
 
 @pytest.mark.parametrize(
-    "rows, p",
+    "rows",
     [
-        ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], 61),  # H3, exponent 30
-        ([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]], 73),  # F4, exponent 24
+        [[1, 5, 2], [5, 1, 3], [2, 3, 1]],  # H3
+        [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]],  # F4
     ],
     ids=["H3", "F4"],
 )
-def test_split_vectors_are_eigenvectors_of_every_class_matrix(rows, p):
-    # the split stops reading class matrices once every space is a line;
-    # the lines it returns must still be eigenvectors of all of them
+def test_central_characters_multiply_by_the_structure_constants(rows):
+    # each row's central character omega_i = |C_i| chi(g_i) / chi(1) must
+    # satisfy omega_i omega_j = sum_k a_ijk omega_k, with the constants of
+    # the oracle's walk over the whole group
     w = parse_matrix(rows)
     model = realize_group(w)
     classes = conjugacy_classes(model)
-    k = classes.count
-    mats = list(characters._structure_matrices(model, classes, p))
-    assert len(mats) == k - 1
-    vectors = _split_eigenvectors(mats, k, p)
-    assert len(vectors) == k
-    assert len({tuple(v.tolist()) for v in vectors}) == k
-    for v in vectors:
-        assert v[0] == 1
-        for a in mats:
-            av = a @ v % p
-            assert np.array_equal(av, av[0] * v % p)
+    a = _structure_constants_by_full_walk(model, classes)
+    table = dixon_table(model, classes)
+    sizes = np.array(classes.sizes)
+    omegas = table.values * sizes / np.array(table.degrees)[:, None]
+    for omega in omegas:
+        assert abs(omega[0] - 1) <= VALUE_TOL
+        assert np.all(np.abs(np.outer(omega, omega) - a @ omega) <= VALUE_TOL * sizes[:, None])
 
 
-def test_split_rejects_non_commuting_matrices():
-    # b swaps e0 and e2, so it does not preserve a's eigenplane span(e0, e1)
-    p = 7
-    a = np.diag([1, 1, 2])
-    b = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    assert np.any((a @ b - b @ a) % p)
-    with pytest.raises(ConsistencyError, match="does not preserve"):
-        _split_eigenvectors([a, b], 3, p)
-
-
-def test_split_rejects_a_matrix_that_is_not_diagonalisable():
-    # a Jordan block has one eigenvalue and a one-dimensional eigenspace
-    with pytest.raises(ConsistencyError, match="lost dimensions"):
-        _split_eigenvectors([np.array([[1, 1], [0, 1]])], 2, 7)
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        # M = sin(1) I: eigh returns some orthonormal basis, whose entries at
+        # the identity class give no integer degrees
+        ((), "no integer degree"),
+        # the eigenvectors of A_1 alone give integer degrees on A3, and only
+        # the other (zero) class sums show that they are not central characters
+        ((1,), "not an eigenvector of every class sum"),
+    ],
+    ids=["all-zero", "only-A1"],
+)
+def test_dixon_refuses_planted_structure_constants(monkeypatch, keep, message):
+    # validate()'s orthogonality and degree sums hold for any orthonormal
+    # eigenbasis, so the eigenvector check is what refuses a wrong one;
+    # every A_i is zeroed except those in keep
+    model = realize_group(parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]]))
+    classes = conjugacy_classes(model)
+    true = list(characters._structure_matrices(model, classes))
+    planted = [a if i in keep else np.zeros_like(a) for i, a in enumerate(true, start=1)]
+    monkeypatch.setattr(characters, "_structure_matrices", lambda model, classes: iter(planted))
+    with pytest.raises(ConsistencyError, match=message):
+        dixon_table(model, classes)
 
 
 def test_dixon_degrees_for_rank3_types(rings):
@@ -388,6 +331,24 @@ def test_induction_matrix_keeps_its_checks(rings):
     for bad_sub, bad_big, message in cases:
         with pytest.raises(ConsistencyError, match=message):
             induction_matrix(bad_sub, bad_big, embed)
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_validate_refuses_a_nan_value(rings, column):
+    # NaN compares False both ways, so each check must pass only when its
+    # error is <= the tolerance: at the identity column and elsewhere
+    _, a3 = table_for(rings, [[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    values = a3.values.copy()
+    values[1, column] = np.nan
+    with pytest.raises(ConsistencyError):
+        dataclasses.replace(a3, values=values).validate()
+
+
+def test_round_int_rows_refuses_nan():
+    # np.round(nan).astype(int) is the least int64, which is no multiplicity
+    raw = np.array([[1.0, 0.0], [np.nan, 2.0]])
+    with pytest.raises(ConsistencyError, match="non-integer entry"):
+        characters._round_int_rows(raw, "induction matrix")
 
 
 def test_induction_transitivity(rings):
@@ -630,67 +591,10 @@ def test_empty_subset_table(rings):
     assert list(tab.degrees) == [1]
 
 
-def _charpoly_roots_int64(a, p):
-    """Faddeev-LeVerrier in exact int64 products: the reference for the
-    float64 products of _charpoly_roots."""
-    k = a.shape[0]
-    eye = np.eye(k, dtype=np.int64)
-    coeffs = [1]
-    am = np.zeros((k, k), dtype=np.int64)
-    for j in range(1, k + 1):
-        am = a @ ((am + coeffs[-1] * eye) % p) % p
-        coeffs.append(-int(np.trace(am)) * pow(j, -1, p) % p)
-    return [x for x in range(p) if sum(c * pow(x, len(coeffs) - 1 - i, p) for i, c in enumerate(coeffs)) % p == 0]
-
-
-@pytest.mark.parametrize("k, p", [(25, 61), (40, 601), (65, 2521)])
-def test_charpoly_roots_match_int64_products(k, p):
-    rng = np.random.default_rng(k * p)
-    # diag(0..k-1) under random elementary conjugations keeps its roots
-    similar = np.diag(np.arange(k, dtype=np.int64))
-    for _ in range(3 * k):
-        i, j = rng.choice(k, 2, replace=False)
-        c = int(rng.integers(1, p))
-        similar[i] = (similar[i] + c * similar[j]) % p
-        similar[:, j] = (similar[:, j] - c * similar[:, i]) % p
-    assert _charpoly_roots(similar, p) == list(range(k))
-    for a in (similar, rng.integers(0, p, (k, k))):
-        assert _charpoly_roots(a, p) == _charpoly_roots_int64(a, p)
-
-
-def test_charpoly_roots_refuses_inexact_float_products():
-    # 2 * (p - 1)^2 >= 2^53: float64 sums of products would round
-    with pytest.raises(ResourceCapError):
-        _charpoly_roots(np.zeros((2, 2), dtype=np.int64), 2**27 + 1)
-
-
-def test_exact_float_guard_boundary():
-    characters._require_exact_float(1, 2**26 + 1, "length")  # 2^52 < 2^53
-    with pytest.raises(ResourceCapError):
-        characters._require_exact_float(2, 2**26 + 1, "length")  # 2^53
-
-
-def test_dixon_refuses_an_inexact_fourier_lift(monkeypatch):
-    # A3 has exponent 12, and 33554473 is a prime = 1 mod 12 with
-    # 12 (p - 1)^2 >= 2^53: the float64 lift of the characters would
-    # round, so the table is refused before any class constant is counted
-    w = parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
-    model = realize_group(w)
-    classes = conjugacy_classes(model)
-    monkeypatch.setattr(characters, "_find_prime", lambda exponent, minimum: 33554473)
-
-    def counted(*args):
-        raise AssertionError("class constants counted")
-
-    monkeypatch.setattr(characters, "_structure_matrices", counted)
-    with pytest.raises(ResourceCapError, match="not exact at exponent 12"):
-        dixon_table(model, classes)
-
-
 def test_dixon_refuses_a_group_that_is_not_real():
     # the cyclic group C3 = <g> is no Coxeter group: g and g^2 are not
-    # conjugate, its characters are not real, and the degree formula, which
-    # pairs each class with itself, has no solution
+    # conjugate, so its class sums are not self-adjoint and its characters
+    # are not real
     right = np.array([[1], [2], [0]], dtype=np.int32)
     model = GroupModel(order=3, letter=np.zeros(3, dtype=np.int32), right=right, left=right)
     classes = ConjugacyClasses(
@@ -699,56 +603,6 @@ def test_dixon_refuses_a_group_that_is_not_real():
         sizes=[1, 1, 1],
         class_of=np.arange(3, dtype=np.int32),
     )
-    with pytest.raises(ConsistencyError, match="degree denominator vanished"):
+    with pytest.raises(ConsistencyError, match="not closed under inversion"):
         dixon_table(model, classes)
 
-
-def _charpoly_roots_leibniz(a, p):
-    """Roots of det(x I - a) mod p by evaluating the Leibniz sum at every
-    x in F_p at once."""
-    k = a.shape[0]
-    x = np.arange(p, dtype=np.int64)
-    entry = [[(x * (i == j) - int(a[i, j])) % p for j in range(k)] for i in range(k)]
-    det = np.zeros(p, dtype=np.int64)
-    for perm in itertools.permutations(range(k)):
-        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
-        term = np.full(p, (-1) ** inversions % p, dtype=np.int64)
-        for i in range(k):
-            term = term * entry[i][perm[i]] % p
-        det = (det + term) % p
-    return np.flatnonzero(det == 0).tolist()
-
-
-def _scan_cases(p):
-    rng = np.random.default_rng(p)
-    # roots at both ends of F_p and around the first chunk boundary
-    roots = sorted({0, 1, p - 1, min(p - 2, 1 << 16), (1 << 16) % p})
-    similar = np.diag(np.array(roots, dtype=np.int64))
-    for _ in range(12):
-        i, j = rng.choice(len(roots), 2, replace=False)
-        c = int(rng.integers(1, p))
-        similar[i] = (similar[i] + c * similar[j]) % p
-        similar[:, j] = (similar[:, j] - c * similar[:, i]) % p
-    return [similar, rng.integers(0, p, (3, 3)), np.zeros((2, 2), dtype=np.int64)]
-
-
-@pytest.mark.parametrize("p, chunk", [(61, 1 << 16), (61, 7), (131071, 1 << 16)])
-def test_charpoly_roots_scan_in_chunks(monkeypatch, p, chunk):
-    # p below one chunk, then above it: many chunks of 7, and two of the
-    # default size with the last one cut short
-    monkeypatch.setattr(characters, "_SCAN_CHUNK", chunk)
-    for a in _scan_cases(p):
-        assert _charpoly_roots(a, p) == _charpoly_roots_leibniz(a, p)
-
-
-def test_charpoly_roots_memory_does_not_grow_with_p():
-    # a scan of all of F_p at once would hold two int64 arrays of 8 MB
-    p = 1_000_003
-    tracemalloc.start()
-    try:
-        roots = _charpoly_roots(np.diag(np.array([5, p - 1], dtype=np.int64)), p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert roots == [5, p - 1]
-    assert peak < 4 * 2**20

@@ -738,8 +738,9 @@ E6_ROWS = [[1, 2, 3, 2, 2, 2], [2, 1, 2, 3, 2, 2], [3, 2, 1, 3, 2, 2],
     ids=["F4", "H4", "B5", "E6", "B6", "D4", "D5", "D6"],
 )
 def test_dixon_table_dumps_are_pinned(write_system, capsys, rows, digest):
-    # every parabolic of these types of rank >= 3 goes through Dixon's
-    # split, so its eigenvectors, degrees and row order all show here
+    # every D, E, F4 and H4 parabolic goes through dixon_table, and B
+    # through Murnaghan-Nakayama, so their values, degrees and row order
+    # all show here
     path = write_system(rows)
     code, out, err = run(capsys, "homology", path, "--method", "closed",
                          "--output", "json", "--dump-tables", "--order-cap", "60000")

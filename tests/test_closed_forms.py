@@ -5,8 +5,8 @@ tables and class fusion from formulas, without a group model.  Here each
 such type is realized after all and the formulas are checked against
 conjugacy_classes of the model: class words, sizes and order, the class
 of every element's word, and the fusion of every sub-parabolic's class
-words.  The character values are checked against the Burnside-Dixon
-table of the same model, column by column.
+words.  The character values are checked against dixon_table, Burnside's
+eigenvectors on the same model, column by column.
 """
 
 import itertools
