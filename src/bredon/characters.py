@@ -465,9 +465,9 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
     root = np.sqrt(sizes.astype(float))
     m = np.tensordot(np.sin(np.arange(1, k + 1)), mats, axes=1)
     _, u = np.linalg.eigh(m * root / root[:, None])
-    degrees = np.abs(u[0]) * sqrt(order)
-    nearest = np.round(degrees)
-    if not np.all((np.abs(degrees - nearest) <= VALUE_TOL) & (nearest >= 1)):
+    d = np.abs(u[0]) * sqrt(order)
+    nearest = np.round(d)
+    if not np.all((np.abs(d - nearest) <= VALUE_TOL) & (nearest >= 1)):
         raise ConsistencyError("a central character gives no integer degree")
     omega = (root[:, None] * u / u[0]).T  # omega[t, c] = omega_t(c)
     err = np.abs(omega @ mats.transpose(0, 2, 1) - omega.T[:, :, None] * omega)  # [i, t, j]
