@@ -94,7 +94,7 @@ class CharacterTable:
 
     def validate(self) -> None:
         """Orthogonality and counting checks; ConsistencyError on failure,
-        also for a NaN value."""
+        also for a NaN or infinite value."""
         k = self.n_classes
         if self.n_irreducibles != k:
             raise ConsistencyError(
@@ -104,6 +104,8 @@ class CharacterTable:
             raise ConsistencyError("class sizes do not sum to the group order")
         if sum(d * d for d in self.degrees) != self.order:
             raise ConsistencyError("degree squares do not sum to the group order")
+        if not np.isfinite(self.values).all():
+            raise ConsistencyError("a character value is not finite")
         ident = self.values[:, 0]
         if not np.abs(ident - np.array(self.degrees, dtype=float)).max() <= VALUE_TOL:
             raise ConsistencyError("identity column disagrees with the degrees")
@@ -494,8 +496,10 @@ def dixon_table(model: GroupModel, classes: ConjugacyClasses) -> CharacterTable:
 def _round_int_rows(raw: np.ndarray, what: str) -> list[list[int]]:
     if np.iscomplexobj(raw):
         raise ConsistencyError(f"{what} has a complex entry")
+    if not np.isfinite(raw).all():
+        raise ConsistencyError(f"{what} has a non-integer entry")
     nearest = np.round(raw)
-    if not np.abs(raw - nearest).max(initial=0.0) <= VALUE_TOL:  # NaN fails too
+    if not np.abs(raw - nearest).max(initial=0.0) <= VALUE_TOL:
         raise ConsistencyError(f"{what} has a non-integer entry")
     if nearest.min(initial=0.0) < 0:
         raise ConsistencyError(f"{what} has a negative entry")

@@ -1,7 +1,9 @@
 """Character tables, induction, restriction, and the representation-ring cache."""
 
 import dataclasses
+import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +82,23 @@ def test_dihedral_closed_form_matches_dixon(rings):
         [[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]],  # A2 x A2
         [[1, 5, 2, 2], [5, 1, 2, 2], [2, 2, 1, 4], [2, 2, 4, 1]],  # I2(5) x B2
         [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # A3 x A1
+        [[1, 2, 2], [2, 1, 2], [2, 2, 1]],  # A1^3: eight linear characters
+        [[1 if i == j else 2 for j in range(4)] for i in range(4)],  # A1^4
+        [[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 1]],  # A2 x A1 x A1
+        [[1, 6, 2], [6, 1, 2], [2, 2, 1]],  # I2(6) x A1
+        [[1, 5, 2, 2], [5, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 1]],  # I2(5) x A1 x A1
+        [[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 4], [2, 2, 4, 1]],  # A2 x B2
+        [[1, 4, 2, 2], [4, 1, 2, 2], [2, 2, 1, 4], [2, 2, 4, 1]],  # B2 x B2
+        [[1, 6, 2, 2], [6, 1, 2, 2], [2, 2, 1, 6], [2, 2, 6, 1]],  # I2(6) x I2(6)
+        [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # B3 x A1
+        [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 2], [2, 2, 2, 1]],  # H3 x A1
+        [  # A2 x A2 x A1
+            [1, 3, 2, 2, 2],
+            [3, 1, 2, 2, 2],
+            [2, 2, 1, 3, 2],
+            [2, 2, 3, 1, 2],
+            [2, 2, 2, 2, 1],
+        ],
     ],
 )
 def test_dixon_matches_product_tables(rings, rows):
@@ -115,17 +134,65 @@ def _structure_constants_by_full_walk(model, classes):
     return a
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[1, 3, 2], [3, 1, 3], [2, 3, 1]],  # A3: blocks of 1, 2, 1 classes
-        [[1, 4, 2], [4, 1, 3], [2, 3, 1]],  # B3
-        [[1, 5, 2], [5, 1, 3], [2, 3, 1]],  # H3
-        [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],  # D4
-        [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]],  # F4: 25 classes
+def _dihedral(m):
+    return [[1, m], [m, 1]]
+
+
+def _sum(*blocks):
+    """Coxeter matrix of the direct product of the given systems."""
+    n = sum(len(b) for b in blocks)
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    return rows
+
+
+_A3 = [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
+_B3 = [[1, 4, 2], [4, 1, 3], [2, 3, 1]]
+_H3 = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+_D4 = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+_F4 = [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]
+_H4 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
+
+# groups small enough for the oracle's walk over the whole group: the
+# irreducible types up to rank 4 but H4, D5, dihedral groups whose class
+# sizes 1, 2 and m (or m / 2) all occur, and products, whose class-sum
+# matrices share many eigenvalues
+_WALK_GROUPS = {
+    "A3": _A3,  # blocks of 1, 2, 1 classes
+    "B3": _B3,
+    "H3": _H3,
+    "D4": _D4,
+    "F4": _F4,  # 25 classes
+    "A1": [[1]],
+    "A2": _dihedral(3),
+    "A4": [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+    "B4": [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+    "D5": [
+        [1, 2, 3, 2, 2],
+        [2, 1, 3, 2, 2],
+        [3, 3, 1, 3, 2],
+        [2, 2, 3, 1, 3],
+        [2, 2, 2, 3, 1],
     ],
-    ids=["A3", "B3", "H3", "D4", "F4"],
-)
+    "I2(4)": _dihedral(4),
+    "I2(5)": _dihedral(5),
+    "I2(6)": _dihedral(6),
+    "I2(8)": _dihedral(8),
+    "I2(12)": _dihedral(12),
+    "A1xA1": _sum([[1]], [[1]]),
+    "A1xA1xA1": _sum([[1]], [[1]], [[1]]),
+    "A2xA1": _sum(_dihedral(3), [[1]]),
+    "A2xA2": _sum(_dihedral(3), _dihedral(3)),
+    "B3xA1": _sum(_B3, [[1]]),
+    "H3xA1": _sum(_H3, [[1]]),
+}
+
+
+@pytest.mark.parametrize("rows", _WALK_GROUPS.values(), ids=_WALK_GROUPS)
 def test_structure_matrices_match_a_walk_over_the_whole_group(rows):
     w = parse_matrix(rows)
     model = realize_group(w)
@@ -134,14 +201,7 @@ def test_structure_matrices_match_a_walk_over_the_whole_group(rows):
     assert np.array_equal(blocks, _structure_constants_by_full_walk(model, classes)[1:])
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[1, 5, 2], [5, 1, 3], [2, 3, 1]],  # H3
-        [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]],  # F4
-    ],
-    ids=["H3", "F4"],
-)
+@pytest.mark.parametrize("rows", _WALK_GROUPS.values(), ids=_WALK_GROUPS)
 def test_central_characters_multiply_by_the_structure_constants(rows):
     # each row's central character omega_i = |C_i| chi(g_i) / chi(1) must
     # satisfy omega_i omega_j = sum_k a_ijk omega_k, with the constants of
@@ -180,6 +240,61 @@ def test_dixon_refuses_planted_structure_constants(monkeypatch, keep, message):
     planted = [a if i in keep else np.zeros_like(a) for i, a in enumerate(true, start=1)]
     monkeypatch.setattr(characters, "_structure_matrices", lambda model, classes: iter(planted))
     with pytest.raises(ConsistencyError, match=message):
+        dixon_table(model, classes)
+
+
+# the types dixon_table serves (D4, F4, H4) and A3, with their class counts
+_CLASS_SUM_GROUPS = {"A3": (_A3, 5), "D4": (_D4, 13), "F4": (_F4, 25), "H4": (_H4, 34)}
+
+
+@functools.cache
+def _class_sums(name):
+    """model, classes and the true A_1 ... A_(k-1) of a _CLASS_SUM_GROUPS entry."""
+    rows, count = _CLASS_SUM_GROUPS[name]
+    model = realize_group(parse_matrix(rows))
+    classes = conjugacy_classes(model)
+    assert classes.count == count
+    return model, classes, tuple(characters._structure_matrices(model, classes))
+
+
+def _plant(monkeypatch, name, i, change):
+    """The model and classes of name, with _structure_matrices serving the
+    true class sums but A_i replaced by change(copy of A_i)."""
+    model, classes, true = _class_sums(name)
+    planted = [change(a.copy()) if j == i else a for j, a in enumerate(true, start=1)]
+    monkeypatch.setattr(characters, "_structure_matrices", lambda model, classes: iter(planted))
+    return model, classes
+
+
+_CLASS_SUM_CASES = [
+    (name, i) for name, (_, count) in _CLASS_SUM_GROUPS.items() for i in range(1, count)
+]
+_CLASS_SUM_IDS = [f"{name}-A{i}" for name, i in _CLASS_SUM_CASES]
+
+
+@pytest.mark.parametrize("name, i", _CLASS_SUM_CASES, ids=_CLASS_SUM_IDS)
+def test_dixon_reads_every_class_sum(monkeypatch, name, i):
+    # a zero A_i keeps A_i D symmetric, and the true central characters may
+    # still be the eigenvectors of M, but the trivial one has omega(i) =
+    # |C_i|, while the zero A_i sends it to 0: the eigenvector check of
+    # class i, or the degrees of a wrong eigenbasis, must refuse
+    model, classes = _plant(monkeypatch, name, i, np.zeros_like)
+    with pytest.raises(ConsistencyError, match="no integer degree|not an eigenvector"):
+        dixon_table(model, classes)
+
+
+@pytest.mark.parametrize("name, i", _CLASS_SUM_CASES, ids=_CLASS_SUM_IDS)
+def test_dixon_checks_every_class_sum_for_inversion_closure(monkeypatch, name, i):
+    # a_i0i = 1 (x = z^-1 for z in class i) and a_ii0 = |C_i|, so entries
+    # [0, i] and [i, 0] of A_i D are both |C_i|; counting x = z^-1 twice
+    # breaks the identity for class i alone
+    def twice(a):
+        assert a[0, i] == 1
+        a[0, i] = 2
+        return a
+
+    model, classes = _plant(monkeypatch, name, i, twice)
+    with pytest.raises(ConsistencyError, match="not closed under inversion"):
         dixon_table(model, classes)
 
 
@@ -342,6 +457,27 @@ def test_validate_refuses_a_nan_value(rings, column):
     values[1, column] = np.nan
     with pytest.raises(ConsistencyError):
         dataclasses.replace(a3, values=values).validate()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 2])
+def test_validate_refuses_an_infinite_value(rings, column, value):
+    # away from the identity column, inf * 0 in the Gram product would warn
+    # before any check could refuse: the refusal must come with no warning
+    _, a3 = table_for(rings, [[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    values = a3.values.copy()
+    values[1, column] = value
+    with warnings.catch_warnings(), pytest.raises(ConsistencyError):
+        warnings.simplefilter("error", RuntimeWarning)
+        dataclasses.replace(a3, values=values).validate()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_round_int_rows_refuses_an_infinite_entry(value):
+    # inf - round(inf) is NaN and would warn before the check refused it
+    with warnings.catch_warnings(), pytest.raises(ConsistencyError, match="non-integer entry"):
+        warnings.simplefilter("error", RuntimeWarning)
+        characters._round_int_rows(np.array([[1.0, value]]), "induction matrix")
 
 
 def test_round_int_rows_refuses_nan():
