@@ -395,11 +395,25 @@ MODEL_DIGESTS = {
     "D6": "de3607e0788d7c99fdc471990424a52eb25112e364c7b8b4c5e950042b03b71a",
     "B6": "80e50f746b5110e38546edc9f4c1e9b3533046057433c20ac827cf3a1c7cd355",
     "E6": "aee3f5b720e6fc416383fa985812876923a2d622ddf7aac3d979047e49dd5974",
+    "H4 as 3-3-5": "f34030f090a140f474dcd43696f635785142e16c4ef29b1d64be9eaa883bd9fa",
+    "B6 as 3-3-3-3-4": "4e495b6556e634b744fc3a4ba8e78c284be5380e0f1c5e41b51724ef847b74b8",
+    "D6 branched at 0": "4eb222a037b37672792052329d878c26902f0f417ca554724e386f6c02ba02a2",
+    "E6 branched at 0": "f623f8edc1f121f658d3b1a22d42a4c288201f6a2c2adc5b521865d1e95cbf64",
+    "A7": "3e94836873600702dc360371f33761bed07366b447ae38bbe3e2e3a37de6444d",
+    "B3xI2(5)": "497d921cc1a756ad878ad0afa66c5f5dba2c5180e28e55c25f84e6cf466301a7",
 }
 PINNED_MODELS = {
     "B5": path([4, 3, 3, 3]),
     "A6": path([3] * 5),
     **{name: CLASSICAL_COUNTS[name][0] for name in ("H4", "F4", "D6", "B6", "E6")},
+    # the same types numbered otherwise, so that the key digits and the
+    # orbits of the simple roots come in other orders
+    "H4 as 3-3-5": path([3, 3, 5]),
+    "B6 as 3-3-3-3-4": path([3, 3, 3, 3, 4]),
+    "D6 branched at 0": diagram(6, [(0, 1, 3), (0, 2, 3), (0, 3, 3), (3, 4, 3), (4, 5, 3)]),
+    "E6 branched at 0": diagram(6, [(0, 1, 3), (0, 2, 3), (0, 5, 3), (1, 3, 3), (2, 4, 3)]),
+    "A7": CLASSICAL_COUNTS["A7"][0],
+    "B3xI2(5)": diagram(5, [(0, 1, 4), (1, 2, 3), (3, 4, 5)]),
 }
 
 
