@@ -7,22 +7,28 @@ in simple-root coordinates with a matching tolerance, and the generators
 become exact permutations of the root list; floats only enter while the
 root set is being built.
 
-The elements are then closed one length layer at a time as root
-permutations.  An element is fixed by its images of the simple roots, and
-w(a_i) lies in the W-orbit of a_i, so each element gets one integer key:
-digit i is the place of w(a_i) inside that orbit, and the digits are
-packed mixed-radix (radix = orbit size) into an int64.  The ascents x s
-of a layer are numbered with array operations only: one stable sort of
-their keys groups equal keys, and each new element takes the place of
-its first ascent, which keeps the elements in (length, word) order.  The
-next layer's permutations and keys are gathered in blocks of rows, so
-memory stays near one layer's permutations.  Only the Cayley graph
-outlives the closure: the last letter of each element's shortlex-least
-word and the int32 tables of x s and s x.  Products, conjugation, words
-and powers are exact integer gathers on it.  The generators are
-involutions, so an element's word is read backwards through right, and
-no inverse table is kept: every element of a finite Coxeter group is
-conjugate to its inverse, so no class computation needs x^-1.
+The root closure also gives the reflection table refl[r, v], the index
+of s_r(root v): s_{s_j(b)} = s_j s_b s_j, so each root's row is its
+discovery parent's conjugated by a generator, all integer gathers.
+
+The elements are then closed one length layer at a time.  An element x
+is fixed by its images x(a_i) of the k simple roots, and those are all
+a layer keeps: x s x^-1 is the reflection in x(a_s), so the images of
+x s are s_{x(a_s)}(x(a_i)), one gather from the reflection table.
+w(a_i) lies in the W-orbit of a_i, so each element gets one integer
+key: digit i is the place of w(a_i) inside that orbit, and the digits
+are packed mixed-radix (radix = orbit size) into an int64.  The ascents
+x s of a layer are numbered with array operations only: one unstable
+sort of their keys groups equal keys into runs, the minimum of each run
+is the key's first ascent, and new elements are numbered in the order
+of their first ascents, which keeps the elements in (length, word)
+order.  Only the Cayley graph outlives the closure: the last letter of
+each element's shortlex-least word and the int32 tables of x s and s x.
+Products, conjugation, words and powers are exact integer gathers on it.
+The generators are involutions, so an element's word is read backwards
+through right, and no inverse table is kept: every element of a finite
+Coxeter group is conjugate to its inverse, so no class computation needs
+x^-1.
 
 A model realizes one induced system W_T and addresses its generators by
 *position* 0..|T|-1 only, carrying no labels of T, which makes it
@@ -42,7 +48,6 @@ DEFAULT_ORDER_CAP = 14400
 
 _MATCH_TOL = 1.0e-9
 _KEY_DECIMALS = 6  # root coordinates of the finite types are >> 1e-6 apart
-_GATHER_ROWS = 512  # rows of a layer's permutations gathered at once
 
 
 def _root_keys(vecs: np.ndarray) -> list[tuple]:
@@ -94,11 +99,12 @@ def _close_roots(b: np.ndarray):
     """Close the simple roots under the reflections s_i(v) = v - 2 B(a_i, v)
     a_i, one layer at a time, in simple-root coordinates.
 
-    Returns the generators as permutations of the roots, gen_perms[i, r]
-    being the index of s_i(root r), each root's W-orbit label (the least
-    simple root in its orbit) and a mask of the positive roots.  A new
-    root inherits its parent's orbit, and an image that is already known
-    joins the two.
+    Returns the reflection table, refl[r, v] being the index of
+    s_r(root v), each root's W-orbit label (the least simple root in its
+    orbit) and a mask of the positive roots.  Roots 0..k-1 are the simple
+    roots, so refl[i] is the generator s_i as a permutation of the roots.
+    A new root inherits its parent's orbit, and an image that is already
+    known joins the two.
     """
     k = len(b)
     eye = np.eye(k)
@@ -109,6 +115,7 @@ def _close_roots(b: np.ndarray):
     all_images = []
     root_index = {key: r for r, key in enumerate(_root_keys(frontier))}
     targets: list[int] = []  # index of s_i(root r) at r * k + i
+    found_at: list[int] = []  # each new root r = s_i(p) at p * k + i
     orbit = list(range(k))  # orbit label of each root
     joined = list(range(k))  # union-find over the simple roots' labels
 
@@ -132,6 +139,7 @@ def _close_roots(b: np.ndarray):
                 orbit.append(src)
                 fresh.append(c)
                 fresh_ids.append(r)
+                found_at.append(frontier_ids[c // k] * k + c % k)
             elif orbit[r] != src:  # equal labels are joined already
                 a, b = find(src), find(orbit[r])
                 joined[max(a, b)] = min(a, b)
@@ -145,12 +153,28 @@ def _close_roots(b: np.ndarray):
     targets = np.array(targets, dtype=np.int32)
     if np.abs(np.concatenate(all_images) - roots.take(targets, axis=0)).max() > _MATCH_TOL:
         raise ConsistencyError("root matching exceeded tolerance")
-    return targets.reshape(-1, k).T, [find(o) for o in orbit], roots.sum(axis=1) > 0
+
+    # s_{s_i(p)} = s_i s_p s_i, so the reflection of a new root r = s_i(p)
+    # is its parent's conjugated by s_i: refl[r, v] = s_i(refl[p, s_i(v)]).
+    # Parents are one layer older, so each layer is one pair of gathers.
+    nroots = len(roots)
+    refl = np.empty((nroots, nroots), dtype=np.intp)
+    refl[:k] = targets.reshape(-1, k).T
+    refl_flat = refl.reshape(-1)
+    parent, gen = np.divmod(np.array(found_at, dtype=np.intp), k)
+    parent_at, gen_at = parent[:, None] * nroots, gen[:, None] * nroots
+    lo = 0
+    for layer in layers[1:-1]:
+        hi = lo + len(layer)
+        s_i = refl.take(gen[lo:hi], axis=0)
+        refl[k + lo : k + hi] = refl_flat.take(gen_at[lo:hi] + refl_flat.take(parent_at[lo:hi] + s_i))
+        lo = hi
+    return refl, [find(o) for o in orbit], roots.sum(axis=1) > 0
 
 
 def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> GroupModel:
     """Build the Cayley graph of a spherical W, positioned as w's
-    generators, from its root permutations.
+    generators, from its elements' images of the simple roots.
 
     Raises ContractError when W is not spherical, ResourceCapError when
     the classified order exceeds order_cap or the element keys would not
@@ -172,8 +196,8 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
         empty = np.zeros((1, 0), dtype=np.int32)
         return GroupModel(order=1, letter=zero, right=empty, left=empty)
 
-    gen_perms, orbit, positive = _close_roots(cosine_matrix(w, t))
-    nroots = gen_perms.shape[1]
+    refl, orbit, positive = _close_roots(cosine_matrix(w, t))
+    nroots = len(refl)
 
     # key digits: the place of each root inside its orbit
     places = []
@@ -192,64 +216,56 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
         )
     key_weights = np.array(weights, dtype=np.int64)
 
-    # close the elements layer by layer, holding the root permutations of
-    # one length layer only.  x . s is longer than x exactly when x(a_s)
-    # is a positive root, and every such ascent is an element of the next
-    # layer, so keys are only told apart within a layer.  Ascents come in
-    # (x, s) order.  One stable sort of their keys puts each key's first
-    # ascent at the head of its run, and each new element is numbered by
-    # the place of that first ascent, so elements come in (length, word)
-    # order and an element's first ascent is its tree edge.  The next
-    # layer's permutations and keys are built _GATHER_ROWS rows at a time,
-    # so no gather index spans a whole layer.  The descents are filled
-    # after the closure from the ascents, one generator at a time:
-    # y . s = x gives x . s = y.  Gathers go through take, whose fixed cost
-    # is far below fancy indexing on the many tiny parabolics; every index
-    # is in range, and mode="clip" lets take write straight into out,
-    # which the default mode would buffer.
+    # close the elements layer by layer, holding only each element's
+    # images x(a_i) of the simple roots for one length layer (as intp,
+    # since take converts any other index type first).  x . s is longer
+    # than x exactly when x(a_s) is a positive root, and every such ascent
+    # is an element of the next layer, so keys are only told apart within
+    # a layer.  (x . s)(a_i) = s_{x(a_s)}(x(a_i)), so one gather from the
+    # reflection table gives the images of every ascent.  Ascents come in
+    # (x, s) order.  One sort of their keys groups equal keys into runs;
+    # the minimum of each run is the key's first ascent, and new elements
+    # are numbered in the order of their first ascents, so elements come
+    # in (length, word) order and an element's first ascent is its tree
+    # edge.  A layer without ascents ends the closure.  The descents are
+    # filled after the closure from the ascents, one generator at a time:
+    # y . s = x gives x . s = y.  Gathers go through take, whose fixed
+    # cost is far below fancy indexing on the many tiny parabolics.
     right = np.full((order, k), -1, dtype=np.int32)
     right_flat = right.reshape(-1)
-    simple_images = gen_perms[:, :k].ravel()  # s_s(a_i) at s k + i
-
-    def keys_of(rows):
-        """Keys of x . s for the root permutations x in rows, at x k + s."""
-        return root_place.take(rows.take(simple_images, axis=1)).reshape(-1, k).dot(key_weights)
-
-    perms = np.arange(nroots, dtype=np.int32)[None, :]  # root permutations of the layer
-    keys = keys_of(perms)
+    refl_flat = refl.reshape(-1)
+    imgs = np.arange(k)[None, :]  # x(a_i) for the layer's x
     layers = [0, 1]
     letters = [np.zeros(1, dtype=np.int32)]  # last letter of each word, by layer
     start, stop = 0, 1
     while stop < order:
-        ascents = positive.take(perms[:, :k]).reshape(-1).nonzero()[0]
-        keys = keys.take(ascents)
-        by_key = keys.argsort(kind="stable")
+        flat = imgs.reshape(-1)
+        ascents = positive.take(flat).nonzero()[0]
+        if not len(ascents):
+            break
+        images = refl_flat.take(
+            flat.take(ascents)[:, None] * nroots + imgs.take(ascents // k, axis=0)
+        )
+        keys = root_place.take(images).dot(key_weights)
+        by_key = keys.argsort()
         sorted_keys = keys.take(by_key)
-        head = by_key.take(sorted_keys.searchsorted(sorted_keys))  # each run's first ascent
-        number = np.zeros(len(keys), dtype=np.int32)
-        number[head] = 1
-        heads = number.nonzero()[0]
-        end = stop + len(heads)
+        new_run = np.empty(len(keys), dtype=bool)
+        new_run[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+        runs = new_run.nonzero()[0]
+        end = stop + len(runs)
         if end > order:
             raise ConsistencyError(f"closure exceeded the classified order {order}")
-        if end == stop:
-            break
+        first = np.minimum.reduceat(by_key, runs)  # each key's first ascent
+        number = np.zeros(len(keys), dtype=np.intp)
+        number[first] = 1
+        heads = number.nonzero()[0]  # the first ascents, in (x, s) order
         number[0] = stop  # ascent 0 heads element stop
-        np.add.accumulate(number, out=number)  # at each head: its element
-        right_flat[start * k : stop * k][ascents.take(by_key)] = number.take(head)
-        src, gen = np.divmod(ascents.take(heads), k)
-        letters.append(gen)
-        nxt = np.empty((end - stop, nroots), dtype=np.int32)
-        keys = np.empty((end - stop) * k, dtype=np.int64)
-        for lo in range(0, end - stop, _GATHER_ROWS):
-            hi = lo + _GATHER_ROWS
-            block = perms.take(
-                src[lo:hi, None] * nroots + gen_perms.take(gen[lo:hi], axis=0),
-                out=nxt[lo:hi],
-                mode="clip",
-            )
-            keys[lo * k : hi * k] = keys_of(block)
-        perms = nxt
+        np.add.accumulate(number, out=number)  # at each first ascent: its element
+        run_of = new_run.cumsum() - 1  # each sorted ascent's run
+        right_flat[start * k : stop * k][ascents.take(by_key)] = number.take(first).take(run_of)
+        letters.append(ascents.take(heads) % k)
+        imgs = images.take(heads, axis=0)
         layers.append(end)
         start, stop = stop, end
     if stop != order:
@@ -266,7 +282,9 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
 
     # left layer by layer from s (p t) = (s p) t, as flat gathers into
     # the table.  The tables are scaled by k while left is built, so that
-    # each entry is already the flat offset of its row.
+    # each entry is already the flat offset of its row.  Every index is in
+    # range, and mode="clip" lets take write straight into out, which the
+    # default mode would buffer.
     right_flat *= k
     left = np.empty_like(right)
     left[0] = right[0]

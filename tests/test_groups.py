@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bredon.characters import _rep_orders
-from bredon.coxeter import parse_matrix, spherical_order
+from bredon.coxeter import cosine_matrix, parse_matrix, spherical_order
 from bredon import groups
 from bredon.errors import ConsistencyError, ContractError, ResourceCapError
 from bredon.groups import conjugacy_classes, realize_group
@@ -155,34 +155,42 @@ def test_hyperoctahedral_class_count():
 # -- a root-permutation oracle, independent of the closure --------------------
 
 
+def root_system(rows):
+    """Roots of the cosine form's reflection representation, closed from
+    the simple roots under s_i(v) = v - 2 B(a_i, v) a_i one root at a time:
+    the roots as rows, the generators as permutations of them (gens[i, n]
+    is the index of s_i(root n)) and a dict from rounded coordinates to
+    root index."""
+    b = -np.cos(np.pi / np.array(rows, dtype=float))
+    k = len(rows)
+    roots = list(np.eye(k))
+    index = {tuple(np.round(r, 6) + 0.0): n for n, r in enumerate(roots)}
+    images = []  # images[n][i] = index of s_i(root n)
+    for v in roots:  # grows while it is read
+        row = []
+        for i in range(k):
+            u = v.copy()
+            u[i] -= 2 * b[i] @ v
+            key = tuple(np.round(u, 6) + 0.0)
+            if key not in index:
+                index[key] = len(roots)
+                roots.append(u)
+            row.append(index[key])
+        images.append(row)
+    return np.array(roots), np.array(images).T, index
+
+
 class RootPermutations:
     """Every element of a realized model as a permutation of its root
     system, for checking the Cayley graph.
 
-    The roots are closed from the simple roots under the reflections
-    s_i(v) = v - 2 B(a_i, v) a_i of the cosine form; each element's
-    permutation is the product of the generators' along g.word(e), and a
-    dict from permutation to element is the lookup.
+    The roots are those of root_system; each element's permutation is
+    the product of the generators' along g.word(e), and a dict from
+    permutation to element is the lookup.
     """
 
     def __init__(self, rows, g):
-        b = -np.cos(np.pi / np.array(rows, dtype=float))
-        k = len(rows)
-        roots = list(np.eye(k))
-        index = {tuple(np.round(r, 6) + 0.0): n for n, r in enumerate(roots)}
-        images = []  # images[n][i] = index of s_i(root n)
-        for v in roots:  # grows while it is read
-            row = []
-            for i in range(k):
-                u = v.copy()
-                u[i] -= 2 * b[i] @ v
-                key = tuple(np.round(u, 6) + 0.0)
-                if key not in index:
-                    index[key] = len(roots)
-                    roots.append(u)
-                row.append(index[key])
-            images.append(row)
-        self.gens = np.array(images).T
+        roots, self.gens, _ = root_system(rows)
         self.perms = np.empty((g.order, len(roots)), dtype=np.int64)
         for e in range(g.order):
             perm = np.arange(len(roots))
@@ -371,9 +379,10 @@ def test_e6_model_memory():
 
 
 def test_e6_closure_peak_memory():
-    # the closure gathers the next layer's permutations and keys a block of
-    # rows at a time, so no int64 gather index spans a whole layer (3,662
-    # elements x 72 roots); the model itself keeps 2.7 MB
+    # the closure keeps each element's 6 simple-root images for one length
+    # layer (at most 3,662 elements) and a 72 x 72 reflection table, never
+    # a permutation of the 72 roots per element; the model itself keeps
+    # 2.7 MB
     w = parse_matrix(CLASSICAL_COUNTS["E6"][0])
     tracemalloc.start()
     try:
@@ -381,7 +390,7 @@ def test_e6_closure_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20
+    assert peak < 4.5 * 2**20
 
 
 # sha256 of parent (right[x, letter[x]], 0 at the identity), letter, right,
@@ -453,6 +462,32 @@ def test_every_class_is_closed_under_inversion(name):
     g = realize(REAL_SYSTEMS[name], cap=60000)
     class_of = conjugacy_classes(g).class_of
     assert np.array_equal(class_of.take(inverses(g)), class_of)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SYSTEMS) + ["A1^14"])
+def test_reflection_table_matches_float_reflections(name):
+    # refl[r, v] is built by conjugating each root's parent's row with a
+    # generator; the oracle reflects every root v in every root r with
+    # floats, v - 2 B(r, v) r, and looks the image up by its coordinates
+    rows = diagram(14, []) if name == "A1^14" else REAL_SYSTEMS[name]
+    w = parse_matrix(rows)
+    refl, _, _ = groups._close_roots(cosine_matrix(w, w.generators))
+    roots, gens, index = root_system(rows)
+    n, k = len(roots), len(rows)
+    # both closures number the roots breadth first, so equal generator
+    # permutations mean equal root numberings
+    assert refl.shape == (n, n)
+    assert np.array_equal(refl[:k], gens)
+    b = -np.cos(np.pi / np.array(rows, dtype=float))
+    form = roots @ b @ roots.T  # form[r, v] = B(r, v)
+    images = roots[None, :, :] - 2 * form[:, :, None] * roots[:, None, :]
+    expected = [[index[tuple(np.round(u, 6) + 0.0)] for u in row] for row in images]
+    assert refl.tolist() == expected
+    ident = np.arange(n)
+    negative = [index[tuple(np.round(-r, 6) + 0.0)] for r in roots]
+    for r in range(n):
+        assert np.array_equal(refl[r].take(refl[r]), ident)
+        assert refl[r, r] == negative[r]
 
 
 def test_closure_checks_the_classified_order(monkeypatch):
