@@ -7,28 +7,25 @@ in simple-root coordinates with a matching tolerance, and the generators
 become exact permutations of the root list; floats only enter while the
 root set is being built.
 
-The root closure also gives the reflection table refl[r, v], the index
-of s_r(root v): s_{s_j(b)} = s_j s_b s_j, so each root's row is its
-discovery parent's conjugated by a generator, all integer gathers.
-
 The elements are then closed one length layer at a time.  An element x
-is fixed by its images x(a_i) of the k simple roots, and those are all
-a layer keeps: x s x^-1 is the reflection in x(a_s), so the images of
-x s are s_{x(a_s)}(x(a_i)), one gather from the reflection table.
-w(a_i) lies in the W-orbit of a_i, so each element gets one integer
-key: digit i is the place of w(a_i) inside that orbit, and the digits
-are packed mixed-radix (radix = orbit size) into an int64.  The ascents
-x s of a layer are numbered with array operations only: one unstable
-sort of their keys groups equal keys into runs, the minimum of each run
-is the key's first ascent, and new elements are numbered in the order
-of their first ascents, which keeps the elements in (length, word)
-order.  Only the Cayley graph outlives the closure: the last letter of
-each element's shortlex-least word and the int32 tables of x s and s x.
-Products, conjugation, words and powers are exact integer gathers on it.
-The generators are involutions, so an element's word is read backwards
-through right, and no inverse table is kept: every element of a finite
-Coxeter group is conjugate to its inverse, so no class computation needs
-x^-1.
+is fixed by the images x^-1(a_i) of the k simple roots, and those are
+all a layer keeps: (x s)^-1 = s x^-1, so the images for x s are the
+generator s's permutation applied to x's, one gather.  w^-1(a_i) lies in
+the W-orbit of a_i, so each element gets one integer key: digit i is the
+place of w^-1(a_i) inside that orbit, and the digits are packed
+mixed-radix (radix = orbit size) into an int64.  The ascents x s of a
+layer are numbered with array operations only: one unstable sort of
+their keys groups equal keys into runs, the minimum of each run is the
+key's first ascent, and new elements are numbered in the order of their
+first ascents, which keeps the elements in (length, word) order.  Each
+run also lists every descent of its new element, so the next layer's
+ascents are the products its runs leave open.  Only the Cayley graph
+outlives the closure: the last letter of each element's shortlex-least
+word and the int32 tables of x s and s x.  Products, conjugation, words
+and powers are exact integer gathers on it.  The generators are
+involutions, so an element's word is read backwards through right, and
+no inverse table is kept: every element of a finite Coxeter group is
+conjugate to its inverse, so no class computation needs x^-1.
 
 A model realizes one induced system W_T and addresses its generators by
 *position* 0..|T|-1 only, carrying no labels of T, which makes it
@@ -99,10 +96,9 @@ def _close_roots(b: np.ndarray):
     """Close the simple roots under the reflections s_i(v) = v - 2 B(a_i, v)
     a_i, one layer at a time, in simple-root coordinates.
 
-    Returns the reflection table, refl[r, v] being the index of
-    s_r(root v), each root's W-orbit label (the least simple root in its
-    orbit) and a mask of the positive roots.  Roots 0..k-1 are the simple
-    roots, so refl[i] is the generator s_i as a permutation of the roots.
+    Returns the generators as permutations of the roots, gen_perms[i, r]
+    being the index of s_i(root r), and each root's W-orbit label (the
+    least simple root in its orbit).  Roots 0..k-1 are the simple roots.
     A new root inherits its parent's orbit, and an image that is already
     known joins the two.
     """
@@ -115,7 +111,6 @@ def _close_roots(b: np.ndarray):
     all_images = []
     root_index = {key: r for r, key in enumerate(_root_keys(frontier))}
     targets: list[int] = []  # index of s_i(root r) at r * k + i
-    found_at: list[int] = []  # each new root r = s_i(p) at p * k + i
     orbit = list(range(k))  # orbit label of each root
     joined = list(range(k))  # union-find over the simple roots' labels
 
@@ -139,7 +134,6 @@ def _close_roots(b: np.ndarray):
                 orbit.append(src)
                 fresh.append(c)
                 fresh_ids.append(r)
-                found_at.append(frontier_ids[c // k] * k + c % k)
             elif orbit[r] != src:  # equal labels are joined already
                 a, b = find(src), find(orbit[r])
                 joined[max(a, b)] = min(a, b)
@@ -150,31 +144,15 @@ def _close_roots(b: np.ndarray):
     # new roots are numbered consecutively, so the frontiers' images come
     # in (root, generator) order
     roots = np.concatenate(layers)
-    targets = np.array(targets, dtype=np.int32)
-    if np.abs(np.concatenate(all_images) - roots.take(targets, axis=0)).max() > _MATCH_TOL:
+    gen_perms = np.array(targets, dtype=np.intp).reshape(-1, k).T
+    if np.abs(np.concatenate(all_images) - roots.take(gen_perms.T.reshape(-1), axis=0)).max() > _MATCH_TOL:
         raise ConsistencyError("root matching exceeded tolerance")
-
-    # s_{s_i(p)} = s_i s_p s_i, so the reflection of a new root r = s_i(p)
-    # is its parent's conjugated by s_i: refl[r, v] = s_i(refl[p, s_i(v)]).
-    # Parents are one layer older, so each layer is one pair of gathers.
-    nroots = len(roots)
-    refl = np.empty((nroots, nroots), dtype=np.intp)
-    refl[:k] = targets.reshape(-1, k).T
-    refl_flat = refl.reshape(-1)
-    parent, gen = np.divmod(np.array(found_at, dtype=np.intp), k)
-    parent_at, gen_at = parent[:, None] * nroots, gen[:, None] * nroots
-    lo = 0
-    for layer in layers[1:-1]:
-        hi = lo + len(layer)
-        s_i = refl.take(gen[lo:hi], axis=0)
-        refl[k + lo : k + hi] = refl_flat.take(gen_at[lo:hi] + refl_flat.take(parent_at[lo:hi] + s_i))
-        lo = hi
-    return refl, [find(o) for o in orbit], roots.sum(axis=1) > 0
+    return gen_perms, [find(o) for o in orbit]
 
 
 def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> GroupModel:
     """Build the Cayley graph of a spherical W, positioned as w's
-    generators, from its elements' images of the simple roots.
+    generators, from its elements' inverses' images of the simple roots.
 
     Raises ContractError when W is not spherical, ResourceCapError when
     the classified order exceeds order_cap or the element keys would not
@@ -196,8 +174,8 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
         empty = np.zeros((1, 0), dtype=np.int32)
         return GroupModel(order=1, letter=zero, right=empty, left=empty)
 
-    refl, orbit, positive = _close_roots(cosine_matrix(w, t))
-    nroots = len(refl)
+    gen_perms, orbit = _close_roots(cosine_matrix(w, t))
+    nroots = gen_perms.shape[1]
 
     # key digits: the place of each root inside its orbit
     places = []
@@ -216,37 +194,37 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
         )
     key_weights = np.array(weights, dtype=np.int64)
 
-    # close the elements layer by layer, holding only each element's
-    # images x(a_i) of the simple roots for one length layer (as intp,
-    # since take converts any other index type first).  x . s is longer
-    # than x exactly when x(a_s) is a positive root, and every such ascent
-    # is an element of the next layer, so keys are only told apart within
-    # a layer.  (x . s)(a_i) = s_{x(a_s)}(x(a_i)), so one gather from the
-    # reflection table gives the images of every ascent.  Ascents come in
-    # (x, s) order.  One sort of their keys groups equal keys into runs;
-    # the minimum of each run is the key's first ascent, and new elements
-    # are numbered in the order of their first ascents, so elements come
-    # in (length, word) order and an element's first ascent is its tree
-    # edge.  A layer without ascents ends the closure.  The descents are
-    # filled after the closure from the ascents, one generator at a time:
-    # y . s = x gives x . s = y.  Gathers go through take, whose fixed
-    # cost is far below fancy indexing on the many tiny parabolics.
+    # close the elements layer by layer, holding only the images
+    # x^-1(a_i) of the simple roots for each x of one length layer (as
+    # intp, since take converts any other index type first).
+    # (x . s)^-1(a_i) = s_s(x^-1(a_i)), so an ascent's key is one gather
+    # from place_flat, and the new elements' images one gather from the
+    # generators' permutations.  Ascents come in (x, s) order.  One sort
+    # of their keys groups equal keys into runs; the minimum of each run
+    # is the key's first ascent, and new elements are numbered in the
+    # order of their first ascents, so elements come in (length, word)
+    # order and an element's first ascent is its tree edge.  Each x . s
+    # = y is also y . s = x, and every descent of y leads into the
+    # layer, so y's run lists all of them: both entries go into right at
+    # once, and the entries of the new layer left at -1 are its ascents.
+    # A layer without ascents ends the closure.  Gathers go through take,
+    # whose fixed cost is far below fancy indexing on the many tiny
+    # parabolics.
     right = np.full((order, k), -1, dtype=np.int32)
     right_flat = right.reshape(-1)
-    refl_flat = refl.reshape(-1)
-    imgs = np.arange(k)[None, :]  # x(a_i) for the layer's x
+    gen_flat = gen_perms.reshape(-1)
+    place_flat = root_place.take(gen_flat)  # the key digit of s_s(root r)
+    inv = np.arange(k)[None, :]  # x^-1(a_i) for the layer's x
     layers = [0, 1]
     letters = [np.zeros(1, dtype=np.int32)]  # last letter of each word, by layer
     start, stop = 0, 1
     while stop < order:
-        flat = imgs.reshape(-1)
-        ascents = positive.take(flat).nonzero()[0]
+        ascents = (right_flat[start * k : stop * k] < 0).nonzero()[0]
         if not len(ascents):
             break
-        images = refl_flat.take(
-            flat.take(ascents)[:, None] * nroots + imgs.take(ascents // k, axis=0)
-        )
-        keys = root_place.take(images).dot(key_weights)
+        x, s = np.divmod(ascents, k)
+        at = (s * nroots)[:, None] + inv.take(x, axis=0)  # s_s(x^-1(a_i)) in gen_flat
+        keys = place_flat.take(at).dot(key_weights)
         by_key = keys.argsort()
         sorted_keys = keys.take(by_key)
         new_run = np.empty(len(keys), dtype=bool)
@@ -257,24 +235,23 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
         if end > order:
             raise ConsistencyError(f"closure exceeded the classified order {order}")
         first = np.minimum.reduceat(by_key, runs)  # each key's first ascent
-        number = np.zeros(len(keys), dtype=np.intp)
-        number[first] = 1
-        heads = number.nonzero()[0]  # the first ascents, in (x, s) order
-        number[0] = stop  # ascent 0 heads element stop
-        np.add.accumulate(number, out=number)  # at each first ascent: its element
-        run_of = new_run.cumsum() - 1  # each sorted ascent's run
-        right_flat[start * k : stop * k][ascents.take(by_key)] = number.take(first).take(run_of)
-        letters.append(ascents.take(heads) % k)
-        imgs = images.take(heads, axis=0)
+        by_first = first.argsort()
+        heads = first.take(by_first)  # the first ascents, in (x, s) order
+        number = np.empty(len(runs), dtype=np.intp)
+        number[by_first] = np.arange(stop, end)  # each run's new element
+        run_of = np.empty(len(keys), dtype=np.intp)
+        run_of[by_key] = new_run.cumsum() - 1
+        y = number.take(run_of)  # x . s for each ascent
+        right_flat[start * k : stop * k][ascents] = y
+        right_flat[y * k + s] = start + x
+        letters.append(s.take(heads))
+        inv = gen_flat.take(at.take(heads, axis=0))
         layers.append(end)
         start, stop = stop, end
     if stop != order:
         raise ConsistencyError(
             f"closure produced {stop} elements, classification says {order}"
         )
-    for col in right.T:
-        ascents = (col >= 0).nonzero()[0]
-        col[col.take(ascents)] = ascents
     if right_flat.min() < 0:
         raise ConsistencyError("closure left a product unresolved")
     letter = np.concatenate(letters, dtype=np.int32)

@@ -379,10 +379,10 @@ def test_e6_model_memory():
 
 
 def test_e6_closure_peak_memory():
-    # the closure keeps each element's 6 simple-root images for one length
-    # layer (at most 3,662 elements) and a 72 x 72 reflection table, never
-    # a permutation of the 72 roots per element; the model itself keeps
-    # 2.7 MB
+    # the closure keeps 6 simple-root images per element of one length
+    # layer (at most 3,662 elements) and the 6 generators' permutations
+    # of the 72 roots, never a permutation of the roots per element; the
+    # model itself keeps 2.7 MB
     w = parse_matrix(CLASSICAL_COUNTS["E6"][0])
     tracemalloc.start()
     try:
@@ -465,29 +465,47 @@ def test_every_class_is_closed_under_inversion(name):
 
 
 @pytest.mark.parametrize("name", sorted(REAL_SYSTEMS) + ["A1^14"])
-def test_reflection_table_matches_float_reflections(name):
-    # refl[r, v] is built by conjugating each root's parent's row with a
-    # generator; the oracle reflects every root v in every root r with
-    # floats, v - 2 B(r, v) r, and looks the image up by its coordinates
+def test_root_closure_matches_float_reflections(name):
+    # the oracle closes the roots one at a time and reflects each root in
+    # each simple root with floats; both closures number the roots
+    # breadth first, so the permutations must agree entry for entry
     rows = diagram(14, []) if name == "A1^14" else REAL_SYSTEMS[name]
     w = parse_matrix(rows)
-    refl, _, _ = groups._close_roots(cosine_matrix(w, w.generators))
+    gen_perms, orbit = groups._close_roots(cosine_matrix(w, w.generators))
     roots, gens, index = root_system(rows)
     n, k = len(roots), len(rows)
-    # both closures number the roots breadth first, so equal generator
-    # permutations mean equal root numberings
-    assert refl.shape == (n, n)
-    assert np.array_equal(refl[:k], gens)
-    b = -np.cos(np.pi / np.array(rows, dtype=float))
-    form = roots @ b @ roots.T  # form[r, v] = B(r, v)
-    images = roots[None, :, :] - 2 * form[:, :, None] * roots[:, None, :]
-    expected = [[index[tuple(np.round(u, 6) + 0.0)] for u in row] for row in images]
-    assert refl.tolist() == expected
+    assert gen_perms.shape == (k, n)
+    assert np.array_equal(gen_perms, gens)
     ident = np.arange(n)
-    negative = [index[tuple(np.round(-r, 6) + 0.0)] for r in roots]
-    for r in range(n):
-        assert np.array_equal(refl[r].take(refl[r]), ident)
-        assert refl[r, r] == negative[r]
+    for i in range(k):
+        assert np.array_equal(gen_perms[i].take(gen_perms[i]), ident)
+        assert gen_perms[i, i] == index[tuple(np.round(-roots[i], 6) + 0.0)]
+    # each root's label is the least simple root of its W-orbit: join
+    # every root with its images, one generator at a time
+    label = ident.copy()
+    while True:
+        nxt = label
+        for perm in gens:
+            nxt = np.minimum(nxt, nxt.take(perm))
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    assert orbit == label.tolist()
+
+
+def test_large_dihedral_closure_peak_memory():
+    # I2(2000) has 4,000 roots and 4,000 elements in 2,001 length layers
+    # of at most 2 elements; the closure keeps the two generators'
+    # permutations of the roots and 2 simple-root images per element of
+    # a layer, never a table of every root against every root (128 MB)
+    tracemalloc.start()
+    try:
+        g = realize_group(parse_matrix([[1, 2000], [2000, 1]]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 4000
+    assert peak < 2.5 * 2**20
 
 
 def test_closure_checks_the_classified_order(monkeypatch):
