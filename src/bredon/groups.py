@@ -152,7 +152,8 @@ def _close_roots(b: np.ndarray):
 
 def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> GroupModel:
     """Build the Cayley graph of a spherical W, positioned as w's
-    generators, from its elements' inverses' images of the simple roots.
+    generators, from the images of the simple roots under the inverses
+    of its elements.
 
     Raises ContractError when W is not spherical, ResourceCapError when
     the classified order exceeds order_cap or the element keys would not
@@ -204,7 +205,7 @@ def realize_group(w: CoxeterMatrix, order_cap: int = DEFAULT_ORDER_CAP) -> Group
     # is the key's first ascent, and new elements are numbered in the
     # order of their first ascents, so elements come in (length, word)
     # order and an element's first ascent is its tree edge.  Each x . s
-    # = y is also y . s = x, and every descent of y leads into the
+    # = y is also y . s = x, and every descent of y leads back into x's
     # layer, so y's run lists all of them: both entries go into right at
     # once, and the entries of the new layer left at -1 are its ascents.
     # A layer without ascents ends the closure.  Gathers go through take,
