@@ -17,7 +17,6 @@ from .chains import (
     assemble_complex,
     build_cells,
     cell_pair_homology,
-    relative_complex,
 )
 from .characters import (
     CharacterTable,

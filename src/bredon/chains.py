@@ -10,24 +10,29 @@ the barycentres of the cells sigma_V with T <= V <= U, of dimension
 where the first face changes the stabilizer and contributes the
 induction R(W_T) -> R(W_{T + s_i}), and the second keeps it and
 contributes the identity of R(W_T) (`boundary`).  The Bredon chain
-group in degree d is the direct sum of R_C(W_T) over the degree-d cells.
-The chain route reduces this complex (`assemble_complex`) and the cell
-dumps print it.  The cells [T', U] with U fixed are the cell pair of W_U
-(its Coxeter cell modulo the boundary), so relative complexes and cell
-pairs are sliced from it by the rank of U.
+group in degree d is the direct sum of R_C(W_T) over the degree-d cells
+(`build_cells`, `_layout`), which the cell dumps print.
 
-The cells [T, U] with a fixed bottom T form the dual cell of W_T, and
-their identity faces are blocks +-I.  An acyclic matching of them
-(`morse_matching`; Skoldberg 2006, algebraic Morse theory) pairs the
-cells off, leaving for each T a copy of R(W_T) per critical face of the
-link of T, whose chains carry the link's reduced homology;
-`homology_at` takes the pairs as its Smith forms' first pivots.  For a
-simplex group one cell per proper T is left: the faces of the chamber.
+The chain route reduces a smaller complex with the same homology.  The
+cells [T, U] with a fixed bottom T form the dual cell of W_T, and an
+acyclic matching of their identity faces (`morse_matching`) leaves
+critical cells.  By algebraic Morse theory (Skoldberg 2006) the Morse
+complex has one copy of R(W_T) per critical cell [T, U], and its block
+from c to a critical cell c' = [T', U'] one degree lower sums the
+gradient paths from c to c'.  Each step of a path keeps T (a block +-I)
+or enlarges it (an induction), and induction is transitive, so the block
+is n(c, c') ind_{W_T}^{W_T'}, where n(c, c') counts the paths with their
+signs alone (`morse_counts`).  For a simplex group one critical cell per
+proper T is left: the faces of the chamber.
+
+The cells [T', U] with U fixed are the cell pair of W_U (its Coxeter
+cell modulo the boundary), whose differential keeps only the induction
+faces (`cell_pair_homology`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .abelian import HomologyProfile
@@ -102,16 +107,68 @@ def morse_matching(cells: list[list[Cell]]) -> list[tuple[Cell, Cell]]:
     return pairs
 
 
-def _layout(block_ranks: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """(offsets, dims): each level's blocks sit side by side, so a block's
-    offset is the running sum of the ranks before it and the level's
-    dimension is their total."""
-    offsets, dims = [], []
-    for level in block_ranks:
-        sums = list(accumulate(level, initial=0))
+def morse_counts(cells: list[list[Cell]]) -> dict[Cell, dict[Cell, int]]:
+    """For each critical cell c of morse_matching(cells), in the order of
+    cells, the nonzero signed counts n(c, c') of the gradient paths from c
+    to the critical cells c' one degree lower, each path weighted by the
+    signs of `boundary` alone.
+
+    A path leaves a cell by a face.  A face matched with a cell above it
+    passes the path up to that cell, with the sign -e of their identity
+    face (e = +-1 is its own inverse), and on through the cell's other
+    faces; a path ends on a critical face and dies on a face matched with
+    a cell below it.  Each face's counts are memoized, so it is expanded
+    once, and the matching is acyclic, so the expansion ends.
+    """
+    up = dict(morse_matching(cells))
+    down = set(up.values())
+    flow: dict[Cell, dict[Cell, int]] = {}
+
+    def spread(faces) -> dict[Cell, int]:
+        out: dict[Cell, int] = {}
+        for face, sign in faces:
+            for c, n in reach(face).items():
+                out[c] = out.get(c, 0) + sign * n
+        return {c: n for c, n in out.items() if n}
+
+    def reach(x: Cell) -> dict[Cell, int]:
+        if x not in flow:
+            if x in up:
+                faces = boundary(up[x])
+                e = next(sign for face, sign, _ in faces if face == x)
+                flow[x] = spread((f, -e * sign) for f, sign, _ in faces if f != x)
+            else:
+                flow[x] = {} if x in down else {x: 1}
+        return flow[x]
+
+    return {
+        c: spread((f, sign) for f, sign, _ in boundary(c))
+        for level in cells
+        for c in level
+        if c not in up and c not in down
+    }
+
+
+def _layout(
+    w: CoxeterMatrix, rings: RepRingCache, cells: list[list[Cell]]
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """(block_ranks, offsets, dims) of cells: a cell [T, U] carries the
+    class count of W_T (order cap applies), each level's blocks sit side
+    by side, so a block's offset is the running sum of the ranks before
+    it, and the level's dimension is their total."""
+    rank_of: dict[tuple[int, ...], int] = {}
+    block_ranks, offsets, dims = [], [], []
+    for level in cells:
+        ranks = []
+        for t, _ in level:
+            if t not in rank_of:
+                rank_of[t] = rings.table(w, t).n_classes
+            ranks.append(rank_of[t])
+        sums = list(accumulate(ranks, initial=0))
+        block_ranks.append(ranks)
         offsets.append(sums[:-1])
         dims.append(sums[-1])
-    return offsets, dims
+    return block_ranks, offsets, dims
 
 
 @dataclass
@@ -122,9 +179,7 @@ class BredonComplex:
     holds the zero map out of degree 0 so lengths line up.  block_ranks
     mirror the cell lists: cell ci of dimension d occupies
     block_ranks[d][ci] consecutive coordinates starting at
-    offsets[d][ci].  matching[k] lists the (row, column) pairs of
-    differentials[k] that homology cancels first; it is empty where no
-    identity face is kept, as in relative complexes.
+    offsets[d][ci].
     """
 
     cells: list[list[Cell]]
@@ -132,14 +187,47 @@ class BredonComplex:
     offsets: list[list[int]]
     dims: list[int]
     differentials: list[IntMatrix]
-    matching: list[list[tuple[int, int]]] = field(default_factory=list)
 
     @property
     def top_dimension(self) -> int:
         return len(self.cells) - 1
 
     def homology(self) -> HomologyProfile:
-        return HomologyProfile(homology_at(self.differentials, self.top_dimension, self.matching))
+        return HomologyProfile(homology_at(self.differentials, self.top_dimension))
+
+
+def _complex_of(
+    w: CoxeterMatrix,
+    rings: RepRingCache,
+    cells: list[list[Cell]],
+    faces: dict[Cell, dict[Cell, int]],
+) -> BredonComplex:
+    """The complex on cells (by degree) with one block R(W_T) per cell
+    [T, U] and, for each entry face: n of faces[cell], the block n . I when
+    the face keeps T and n . ind_{W_T}^{W_T'} when its bottom is T'."""
+    block_ranks, offsets, dims = _layout(w, rings, cells)
+    inductions: dict[tuple[tuple[int, ...], tuple[int, ...]], IntMatrix] = {}
+    differentials = [IntMatrix.zero(0, dims[0])]
+    for d in range(1, len(cells)):
+        # Cells are visited in column order and the faces of one cell are
+        # distinct cells, so every row receives its entries sorted and no
+        # entry is written twice.
+        row_of = dict(zip(cells[d - 1], offsets[d - 1]))
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(dims[d - 1])]
+        for cell, col0, rank in zip(cells[d], offsets[d], block_ranks[d]):
+            for face, n in faces[cell].items():
+                row0 = row_of[face]
+                if face[0] == cell[0]:
+                    for j in range(rank):
+                        rows[row0 + j].append((col0 + j, n))
+                    continue
+                pair = (cell[0], face[0])
+                if pair not in inductions:
+                    inductions[pair] = rings.induction(w, *pair)
+                for r, brow in enumerate(inductions[pair].rows):
+                    rows[row0 + r].extend((col0 + j, n * v) for j, v in brow)
+        differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
+    return BredonComplex(cells, block_ranks, offsets, dims, differentials)
 
 
 def assemble_complex(
@@ -147,87 +235,35 @@ def assemble_complex(
     rings: RepRingCache,
     poset: SphericalPoset | None = None,
 ) -> BredonComplex:
-    """Build the cells [T, U] and their differentials for w.
-
-    Each block rank is the class count of W_T (order cap applies); the
-    boundary uses only the codimension-one inductions W_T < W_{T + s}.
+    """The Morse complex of w's cubical cells, which the chain route
+    reduces: its cells are the critical cells, and its block from a
+    critical cell [T, U] to a critical cell [T', U'] is n . I when T' = T
+    and n . ind_{W_T}^{W_T'} otherwise, for each count n of morse_counts.
     """
     if poset is None:
         poset = enumerate_spherical(w)
     cells = build_cells(poset)
-    rank_of = {t: rings.table(w, t).n_classes for t in poset.subsets}
-    block_ranks = [[rank_of[t] for t, _ in level] for level in cells]
-    offsets, dims = _layout(block_ranks)
-
-    offset_of = [dict(zip(level, starts)) for level, starts in zip(cells, offsets)]
-    inductions: dict[Cell, IntMatrix] = {}  # keyed by (T, T + s)
-    differentials = [IntMatrix.zero(0, dims[0])]
-    for d in range(1, len(cells)):
-        # Cells are visited in column order and the faces of one cell are
-        # distinct cells, so every row receives its entries sorted and no
-        # entry is written twice.
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(dims[d - 1])]
-        for ci, cell in enumerate(cells[d]):
-            col0 = offsets[d][ci]
-            for face, sign, kind in boundary(cell):
-                row0 = offset_of[d - 1][face]
-                if kind == "identity":
-                    for j in range(block_ranks[d][ci]):
-                        rows[row0 + j].append((col0 + j, sign))
-                    continue
-                pair = (cell[0], face[0])
-                if pair not in inductions:
-                    inductions[pair] = rings.induction(w, *pair)
-                for r, brow in enumerate(inductions[pair].rows):
-                    rows[row0 + r].extend((col0 + j, sign * v) for j, v in brow)
-        differentials.append(IntMatrix(dims[d - 1], dims[d], rows))
-    matching: list[list[tuple[int, int]]] = [[] for _ in cells]
-    for face, cell in morse_matching(cells):
-        d = len(cell[1]) - len(cell[0])
-        row0, col0 = offset_of[d - 1][face], offset_of[d][cell]
-        n = rank_of[cell[0]]
-        matching[d].extend(zip(range(row0, row0 + n), range(col0, col0 + n)))
-    return BredonComplex(cells, block_ranks, offsets, dims, differentials, matching)
-
-
-def relative_complex(full: BredonComplex, n: int) -> BredonComplex:
-    """Subquotient complex of the cells [T, U] with |U| = n.
-
-    Models the pair (rank-n skeleton, rank-(n-1) skeleton): faces whose
-    top subset U drops below rank n are projected away.
-    """
-    if n < 0:
-        raise ContractError("rank must be non-negative")
-    keep: list[list[int]] = []
-    for level in full.cells:
-        keep.append([ci for ci, cell in enumerate(level) if len(cell[-1]) == n])
-    while keep and not keep[-1]:
-        keep.pop()
-    cells = [[full.cells[d][ci] for ci in keep[d]] for d in range(len(keep))]
-    block_ranks = [
-        [full.block_ranks[d][ci] for ci in keep[d]] for d in range(len(keep))
-    ]
-    offsets, dims = _layout(block_ranks)
-    coord_lists = []
-    for d, kept in enumerate(keep):
-        starts, ranks = full.offsets[d], full.block_ranks[d]
-        coord_lists.append([c for ci in kept for c in range(starts[ci], starts[ci] + ranks[ci])])
-    differentials = [IntMatrix.zero(0, dims[0] if dims else 0)]
-    for d in range(1, len(keep)):
-        differentials.append(
-            full.differentials[d].submatrix(coord_lists[d - 1], coord_lists[d])
-        )
-    return BredonComplex(cells, block_ranks, offsets, dims, differentials)
+    counts = morse_counts(cells)
+    critical = [[c for c in level if c in counts] for level in cells]
+    return _complex_of(w, rings, critical, counts)
 
 
 def cell_pair_homology(w: CoxeterMatrix, t, rings: RepRingCache) -> HomologyProfile:
     """Relative homology of one closed cell modulo its boundary.
 
     t must be spherical; the computation runs inside the subsystem on t,
-    keeping only the cells [T', t].
+    over the cells [T', t], keeping only their induction faces: the
+    identity faces drop the top t, so they lie in the boundary.
     """
     t = canonical_subset(t)
     if spherical_order(w, t) is None:
         raise ContractError(f"subset {t} is not spherical")
     sub = w.submatrix(t)
-    return relative_complex(assemble_complex(sub, rings), len(t)).homology()
+    u = sub.generators
+    cells = [[(low, u) for low in combinations(u, len(u) - d)] for d in range(len(u) + 1)]
+    faces = {
+        cell: {face: sign for face, sign, kind in boundary(cell) if kind == "induction"}
+        for level in cells
+        for cell in level
+    }
+    return _complex_of(sub, rings, cells, faces).homology()

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .abelian import FgAbGroup, HomologyProfile
-from .chains import BredonComplex, assemble_complex, boundary
+from .chains import _layout, assemble_complex, boundary, build_cells
 from .characters import RepRingCache
 from .coxeter import CoxeterMatrix, SphericalPoset, enumerate_spherical, parse_matrix
 from .errors import (
@@ -112,11 +112,10 @@ def _run_route(
     w: CoxeterMatrix,
     rings: RepRingCache,
     poset: SphericalPoset,
-    complexes: dict | None = None,
 ) -> HomologyProfile:
     """Homology of w along one route; raises ResourceCapError above
-    rings.order_cap.  The chain route reduces the cubical complex, which
-    it leaves in complexes["chain"] when complexes is given."""
+    rings.order_cap.  The chain route reduces the Morse complex of the
+    cubical cells (assemble_complex)."""
     if name == "chain":
         max_parabolic = max(poset.orders.values())
         if max_parabolic > rings.order_cap:
@@ -124,10 +123,7 @@ def _run_route(
                 f"largest spherical parabolic has order {max_parabolic}, "
                 f"above the cap {rings.order_cap}"
             )
-        cx = assemble_complex(w, rings, poset)
-        if complexes is not None:
-            complexes[name] = cx
-        return cx.homology()
+        return assemble_complex(w, rings, poset).homology()
     if name == "kunneth":
         combined = None
         for factor in diagram_factors(w):
@@ -158,19 +154,18 @@ def run_analysis(
     poset: SphericalPoset | None = None,
     method: str = "auto",
     max_degree: int | None = None,
-    complexes: dict | None = None,
 ):
     """Run the requested homology routes and reconcile them.
 
     The routes are the applicable closed forms, then kunneth when the
     diagram splits, then chain; method "auto" runs them all and any other
-    method the ones it names.  The chain route reduces the cubical
-    complex of the chamber, one cell per interval [T, U] of spherical
-    subsets, which the cell dumps print.  A route above rings.order_cap
-    is listed under "skipped", but a plan of one route (chain, kunneth,
-    or closed with one form) raises unless the method is auto.  A dict
-    passed as complexes receives the chain route's complex under "chain"
-    when that route runs, so a cell dump need not assemble it again.
+    method the ones it names.  The chain route reduces the Morse complex
+    of the chamber's cubical cells (one cell per interval [T, U] of
+    spherical subsets, which the cell dumps print): one block per
+    critical cell, joined by path counts times inductions.  A route above
+    rings.order_cap is listed under "skipped", but a plan of one route
+    (chain, kunneth, or closed with one form) raises unless the method
+    is auto.
     Returns (report dict, timings dict, exit code).  The report is fully
     JSON-serializable and deterministic; timings are text-mode garnish.
     """
@@ -195,7 +190,7 @@ def run_analysis(
     for name in plan:
         start = time.perf_counter()
         try:
-            profiles[name] = _run_route(name, w, rings, poset, complexes)
+            profiles[name] = _run_route(name, w, rings, poset)
         except ResourceCapError as exc:
             if method != "auto" and len(plan) == 1:
                 raise
@@ -283,32 +278,36 @@ def tables_payload(w: CoxeterMatrix, rings: RepRingCache, poset) -> list[dict]:
     return out
 
 
-def cells_payload(cx: BredonComplex, poset) -> dict:
+def cells_payload(w: CoxeterMatrix, rings: RepRingCache, poset) -> dict:
+    """The cubical cells of w, their blocks' ranks and offsets, and the
+    faces of each cell's boundary with their signs and kinds."""
+    all_cells = build_cells(poset)
+    block_ranks, offsets, dims = _layout(w, rings, all_cells)
     dimensions = []
-    for d, level in enumerate(cx.cells):
+    for d, level in enumerate(all_cells):
         cells = []
         for ci, (t, u) in enumerate(level):
             cells.append(
                 {
                     "interval": [list(t), list(u)],
                     "stabilizer": poset.label_name(t),
-                    "block_rank": cx.block_ranks[d][ci],
-                    "offset": cx.offsets[d][ci],
+                    "block_rank": block_ranks[d][ci],
+                    "offset": offsets[d][ci],
                 }
             )
         dimensions.append({"dim": d, "cells": cells})
     blocks = []
-    for d in range(1, len(cx.cells)):
+    for d in range(1, len(all_cells)):
         level_blocks = []
-        index_of = {cell: fi for fi, cell in enumerate(cx.cells[d - 1])}
-        for ci, cell in enumerate(cx.cells[d]):
+        index_of = {cell: fi for fi, cell in enumerate(all_cells[d - 1])}
+        for ci, cell in enumerate(all_cells[d]):
             for face, sign, kind in boundary(cell):
                 level_blocks.append(
                     {"cell": ci, "face": index_of[face], "sign": sign, "kind": kind}
                 )
         blocks.append({"degree": d, "blocks": level_blocks})
     return {
-        "dims": cx.dims,
+        "dims": dims,
         "dimensions": dimensions,
         "differentials": blocks,
     }
@@ -520,10 +519,8 @@ def cmd_homology(args) -> int:
     w = load_system(args.input)
     rings = RepRingCache(args.order_cap)
     poset = enumerate_spherical(w)
-    complexes: dict = {}
     report, timings, code = run_analysis(
-        w, rings, poset, method=args.method, max_degree=args.max_degree,
-        complexes=complexes,
+        w, rings, poset, method=args.method, max_degree=args.max_degree
     )
     extra_renderers = []
     if args.dump_tables:
@@ -531,8 +528,7 @@ def cmd_homology(args) -> int:
         report["tables"] = tables
         extra_renderers.append(lambda out: _tables_text(tables, out))
     if args.cells:
-        cx = complexes.get("chain") or assemble_complex(w, rings, poset)
-        cells = cells_payload(cx, poset)
+        cells = cells_payload(w, rings, poset)
         report["cells"] = cells
         extra_renderers.append(lambda out: _cells_text(cells, out))
 
@@ -549,7 +545,7 @@ def cmd_cells(args) -> int:
     w = load_system(args.input)
     rings = RepRingCache(args.order_cap)
     poset = enumerate_spherical(w)
-    payload = cells_payload(assemble_complex(w, rings, poset), poset)
+    payload = cells_payload(w, rings, poset)
     report = {"input": {"rank": w.rank, "m": w.to_raw()}, **payload}
     _emit(args, report, lambda out: _cells_text(payload, out))
     return EXIT_OK

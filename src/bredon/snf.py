@@ -2,17 +2,12 @@
 
 Matrices are stored by row, keeping only their nonzero entries, in
 arbitrary-precision Python ints: intermediate entries can outgrow any
-fixed width, and the Bredon differentials are about 1% dense.  Homology
-is read off the ranks and invariant factors of the differentials, each
-found by one sparse elimination that splits off one diagonal entry per
-pivot.  A complex may come with a matching: pairs of +-1 entries, each
-coordinate in at most one pair, such as the identity faces of the
-cubical complex.  The pairs of a differential are its first pivots, and
-the row or column each pair leaves in the differentials beside it is
-dropped.  After them the elimination takes units row by row in passes,
-and an entry of least magnitude when a pass finds none; no cost order
-is needed, since the matched pairs are the pivots that would fill.  Only
-the invariant factors are kept, so no transform matrix is ever formed.
+fixed width, and the Bredon differentials are sparse.  Homology is read
+off the ranks and invariant factors of the differentials, each found by
+one sparse elimination that splits off one diagonal entry per pivot.
+The elimination takes units row by row in passes, and an entry of least
+magnitude when a pass finds none.  Only the invariant factors are kept,
+so no transform matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ class IntMatrix:
 
     rows[i] lists the nonzero entries of row i as (column, value) pairs in
     increasing column order; zeros are never stored.  A matrix is built
-    zero or from dense rows and cut by submatrix; the library's only
-    product is the zero test of a composite, _composite_vanishes.
+    zero or from dense rows; the library's only product is the zero test
+    of a composite, _composite_vanishes.
     """
 
     nrows: int
@@ -50,14 +45,6 @@ class IntMatrix:
             raise ContractError("ragged rows")
         return cls(len(rows), ncols, [[(j, v) for j, v in enumerate(r) if v] for r in rows])
 
-    def submatrix(self, row_ids: list[int], col_ids: list[int]) -> "IntMatrix":
-        """The rows row_ids and columns col_ids, both increasing, renumbered from 0."""
-        new_col = {c: n for n, c in enumerate(col_ids)}
-        rows = [
-            [(new_col[c], v) for c, v in self.rows[r] if c in new_col] for r in row_ids
-        ]
-        return IntMatrix(len(row_ids), len(col_ids), rows)
-
 
 @dataclass
 class SmithResult:
@@ -67,7 +54,7 @@ class SmithResult:
     rank: int
 
 
-def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithResult:
+def smith_normal_form(a: IntMatrix) -> SmithResult:
     """Invariant factors of a by sparse elimination, one pivot at a time.
 
     A step on the entry v at (i, j) leaves every other entry of column j
@@ -79,17 +66,11 @@ def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithR
     diagonal equivalent to a, so their divisor chain is its Smith form,
     in whatever order they are taken.
 
-    The (row, column) entries listed in first are the first pivots, in
-    turn; each must be +-1 when its turn comes.  After them, pivots come
-    in passes over the rows, each taking the first +-1 entry of each row
-    in turn (a unit step empties its row); passes repeat while one finds
-    a unit, and a pass that finds none pivots on an entry of least
-    magnitude, ties to the lowest (row, column).  Units need no cost
-    order: the order does not change the result, and on the Bredon
-    differentials the pivots that would fill are the matched pairs.
+    Pivots come in passes over the rows, each taking the first +-1 entry
+    of each row in turn (a unit step empties its row); passes repeat
+    while one finds a unit, and a pass that finds none pivots on an entry
+    of least magnitude, ties to the lowest (row, column).
     """
-    if not all(0 <= i < a.nrows and 0 <= j < a.ncols for i, j in first):
-        raise ContractError(f"a given pivot lies outside the {a.nrows}x{a.ncols} matrix")
     rows = [dict(r) for r in a.rows]
     cols: list[set[int]] = [set() for _ in range(a.ncols)]
     for i, row in enumerate(rows):
@@ -98,11 +79,6 @@ def smith_normal_form(a: IntMatrix, first: list[tuple[int, int]] = ()) -> SmithR
 
     def pivot_order():
         """(row, column) of each pivot in turn, until a is reduced."""
-        for i, j in first:
-            v = rows[i].get(j, 0)
-            if v != 1 and v != -1:
-                raise ConsistencyError(f"pivot ({i}, {j}) is {v}, not a unit")
-            yield i, j
         while True:
             found = False
             for i, row in enumerate(rows):
@@ -180,30 +156,19 @@ def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
     return True
 
 
-def homology_at(
-    differentials: list[IntMatrix],
-    top: int,
-    matching: list[list[tuple[int, int]]] = (),
-) -> dict[int, FgAbGroup]:
+def homology_at(differentials: list[IntMatrix], top: int) -> dict[int, FgAbGroup]:
     """Homology H_0 .. H_top of a chain complex of free Z-modules.
 
     differentials[k] is the map C_k -> C_{k-1} on column vectors, with
     index 0 the zero map out of C_0; a negative top gives no groups.
-    matching[k], when given, lists (row, column) pairs of d_k whose
-    entries are +-1, each coordinate of the complex in at most one pair
-    (an acyclic matching keeps them units through the elimination).
-    Each pair is a cancellable summand 0 -> Z -> Z -> 0, so d_{k+1} loses
-    the pairs' columns as rows and d_{k-1} loses their rows as columns.
-    Each of d_1 .. d_{top+1} that exists, less those rows and columns,
-    goes once through smith_normal_form with its own pairs as the first
-    pivots; with r_k its rank, which counts the pairs,
+    Each of d_1 .. d_{top+1} that exists goes once through
+    smith_normal_form; with r_k its rank,
 
         H_d = Z^(n_d - r_d - r_{d+1})  +  torsion factors of d_{d+1}.
 
     This holds because im d_d lies in the free module C_{d-1}, so ker d_d
-    is a direct summand of C_d.  The composites d_k . d_{k+1} of the
-    complex as given are checked to vanish, since neither the formula nor
-    the dropped rows and columns are sound otherwise.
+    is a direct summand of C_d.  The composites d_k . d_{k+1} are checked
+    to vanish, since the formula is not sound otherwise.
     """
     if top >= len(differentials):
         raise ContractError(
@@ -213,29 +178,13 @@ def homology_at(
         if differentials[k].nrows != differentials[k - 1].ncols:
             raise ContractError("chain degrees do not line up")
     last = min(top + 1, len(differentials) - 1)
-    pairs = list(matching[: last + 1])
-    pairs += [[]] * (last + 2 - len(pairs))
-    for k in range(last + 1):
-        d = differentials[k]
-        if not all(0 <= b < d.nrows and 0 <= a < d.ncols for b, a in pairs[k]):
-            raise ContractError(f"a matched pair lies outside d_{k}")
-        rows, cols = {b for b, _ in pairs[k]}, {a for _, a in pairs[k]}
-        if len(rows) < len(pairs[k]) or len(cols) < len(pairs[k]) or any(
-            b in cols for b, _ in pairs[k + 1]
-        ):
-            raise ContractError(f"the matching uses a coordinate twice in degree {k}")
     ranks = [0] * (top + 2)
     torsion: list[list[int]] = [[] for _ in range(top + 2)]
     for k in range(1, last + 1):
         d = differentials[k]
         if k < last and not _composite_vanishes(d, differentials[k + 1]):
             raise ConsistencyError(f"d_{k} . d_{k + 1} is nonzero")
-        drop_rows, drop_cols = {a for _, a in pairs[k - 1]}, {b for b, _ in pairs[k + 1]}
-        kept = [
-            [] if i in drop_rows else [e for e in row if e[0] not in drop_cols]
-            for i, row in enumerate(d.rows)
-        ]
-        res = smith_normal_form(IntMatrix(d.nrows, d.ncols, kept), pairs[k])
+        res = smith_normal_form(d)
         ranks[k] = res.rank
         torsion[k] = [x for x in res.diagonal if x > 1]
     return {

@@ -15,11 +15,7 @@ from itertools import combinations
 import pytest
 
 from bredon.abelian import FgAbGroup, HomologyProfile
-from bredon.chains import (
-    assemble_complex,
-    cell_pair_homology,
-    relative_complex,
-)
+from bredon.chains import assemble_complex, cell_pair_homology
 from bredon.characters import RepRingCache, induction_matrix
 from bredon.coxeter import (
     enumerate_spherical,
@@ -37,11 +33,13 @@ from bredon.formulas import (
 from bredon.groups import conjugacy_classes, realize_group
 from bredon.snf import IntMatrix, smith_normal_form
 from oracles import (
+    cubical_complex,
     is_zero,
     matmul,
     numeric_finiteness_check,
     odd_dihedral_cell_formula,
     relative_cell_formula,
+    relative_complex,
     restriction_matrix,
 )
 
@@ -206,15 +204,16 @@ def test_criterion_10_random_matrix_property_suite(rings):
                     exact = spherical_order(w, t) is not None
                     assert numeric_finiteness_check(w, t) == exact, (rows, t)
 
-            # the assembled boundary maps compose to zero
-            cx = assemble_complex(w, rings)
-            for k in range(1, cx.top_dimension):
-                assert is_zero(matmul(cx.differentials[k], cx.differentials[k + 1])), rows
+            # the Morse and the cubical boundary maps compose to zero
+            cubical = cubical_complex(w, rings)
+            for cx in (assemble_complex(w, rings), cubical):
+                for k in range(1, cx.top_dimension):
+                    assert is_zero(matmul(cx.differentials[k], cx.differentials[k + 1])), rows
 
             # skeleton decomposition holds degree by degree
             poset = enumerate_spherical(w)
             for skel_rank in range(1, n + 1):
-                rel = relative_complex(cx, skel_rank)
+                rel = relative_complex(cubical, skel_rank)
                 level = (
                     poset.by_rank[skel_rank]
                     if skel_rank < len(poset.by_rank)

@@ -1,5 +1,6 @@
-"""Cubical cells of the quotient complex and their boundary maps, checked
-against the flag complex of the test oracle."""
+"""Cubical cells of the quotient complex, their boundary maps and the
+Morse complex the chain route reduces, checked against the full cubical
+complex and the flag complex of the test oracles."""
 
 import itertools
 import json
@@ -15,14 +16,14 @@ from bredon.chains import (
     boundary,
     build_cells,
     cell_pair_homology,
+    morse_counts,
     morse_matching,
-    relative_complex,
 )
 from bredon.characters import RepRingCache
 from bredon.coxeter import enumerate_spherical, parse_matrix
 from bredon.errors import ConsistencyError
 from bredon.snf import IntMatrix, homology_at
-from oracles import dense, is_zero, matmul
+from oracles import cubical_complex, dense, is_zero, matmul, relative_complex
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +36,13 @@ def complex_for(rows, rings):
     return w, assemble_complex(w, rings)
 
 
+def cubical_for(rows, rings):
+    w = parse_matrix(rows)
+    return w, cubical_complex(w, rings)
+
+
 def test_cell_counts_infinite_dihedral(rings):
-    w, cx = complex_for([[1, 0], [0, 1]], rings)
+    w, cx = cubical_for([[1, 0], [0, 1]], rings)
     # intervals in the poset {emptyset, {1}, {2}}: three points [T, T]
     # and two edges [{}, {i}]
     assert [len(level) for level in cx.cells] == [3, 2]
@@ -44,7 +50,7 @@ def test_cell_counts_infinite_dihedral(rings):
 
 
 def test_cell_counts_a3(rings):
-    w, cx = complex_for([[1, 3, 2], [3, 1, 3], [2, 3, 1]], rings)
+    w, cx = cubical_for([[1, 3, 2], [3, 1, 3], [2, 3, 1]], rings)
     # Sym(4): all 1 + 3 + 3 + 1 = 8 subsets are spherical; the intervals
     # [T, U] with |U - T| = d number C(3, d) * 2^(3 - d); top dimension 3
     assert cx.top_dimension == 3
@@ -61,15 +67,15 @@ def test_boundary_squares_to_zero(rings):
         [[1, 3, 0], [3, 1, 4], [0, 4, 1]],
     ]
     for rows in cases:
-        _, cx = complex_for(rows, rings)
-        for k in range(1, cx.top_dimension):
-            prod = matmul(cx.differentials[k], cx.differentials[k + 1])
-            assert is_zero(prod)
+        for build in (complex_for, cubical_for):
+            _, cx = build(rows, rings)
+            for k in range(1, cx.top_dimension):
+                prod = matmul(cx.differentials[k], cx.differentials[k + 1])
+                assert is_zero(prod)
 
 
-def test_each_induction_block_is_requested_once_per_pair():
-    w = parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
-    rings = RepRingCache()
+def _counted_inductions(rings):
+    """The (T, T') pairs of every rings.induction call, in call order."""
     calls = []
     induction = rings.induction
 
@@ -78,7 +84,27 @@ def test_each_induction_block_is_requested_once_per_pair():
         return induction(w, t1, t2)
 
     rings.induction = counted
-    cx = assemble_complex(w, rings)
+    return calls
+
+
+def test_each_induction_block_is_requested_once_per_pair():
+    # two infinite labels and a commuting pair
+    w = parse_matrix([[1, 0, 0], [0, 1, 2], [0, 2, 1]])
+    rings = RepRingCache()
+    calls = _counted_inductions(rings)
+    assemble_complex(w, rings)
+    # one call per pair of bottoms that some path count joins, and no other
+    counts = morse_counts(build_cells(enumerate_spherical(w)))
+    pairs = {(c[0], f[0]) for c, row in counts.items() for f in row if f[0] != c[0]}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == pairs
+    # codimension-two inductions are read too
+    assert any(len(t2) - len(t1) == 2 for t1, t2 in pairs)
+
+    w = parse_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    rings = RepRingCache()
+    calls = _counted_inductions(rings)
+    cx = cubical_complex(w, rings)
     # the edges [T, T + s] are exactly the codimension-one pairs
     assert sorted(calls) == cx.cells[1]
 
@@ -173,7 +199,7 @@ def test_finite_group_concentrated_in_degree_zero(rings):
 def test_max_degree_truncation(rings):
     w = parse_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
     cx = assemble_complex(w, rings)
-    prof = HomologyProfile(homology_at(cx.differentials, 0, cx.matching))
+    prof = HomologyProfile(homology_at(cx.differentials, 0))
     assert prof.group_at(0) == FgAbGroup.free(5)
     assert prof.max_degree == 0
 
@@ -182,7 +208,7 @@ def test_relative_complex_skeleton_decomposition(rings):
     # the n-th relative skeleton complex splits over rank-n spherical
     # subsets U into the cell pairs, the cells [T, U] with U fixed
     w = parse_matrix([[1, 2, 4], [2, 1, 4], [4, 4, 1]])
-    full = assemble_complex(w, rings)
+    full = cubical_complex(w, rings)
     poset = enumerate_spherical(w)
     for n in range(1, w.rank + 1):
         rel = relative_complex(full, n)
@@ -205,7 +231,7 @@ def test_relative_complex_skeleton_decomposition(rings):
 def test_relative_complex_layout(rings, rows):
     # each relative complex lays its blocks out side by side, and its
     # differentials are the full ones restricted to the kept coordinates
-    w, full = complex_for(rows, rings)
+    w, full = cubical_for(rows, rings)
     for n in range(w.rank + 1):
         rel = relative_complex(full, n)
         for d, ranks in enumerate(rel.block_ranks):
@@ -293,41 +319,37 @@ def test_cubical_matches_flag_on_pinned_classes():
     for key in sample:
         w = parse_matrix(_from_key(key))
         flag = flag_oracle.assemble_complex(w, rings)
-        assert assemble_complex(w, rings).homology() == flag.homology(), key
+        assert cubical_complex(w, rings).homology() == flag.homology(), key
 
 
 @pytest.mark.parametrize("name", sorted(FLAG_CHECKED))
 def test_cubical_matches_flag_on_larger_systems(rings, name):
     w = parse_matrix(FLAG_CHECKED[name])
     flag = flag_oracle.assemble_complex(w, rings)
-    assert assemble_complex(w, rings).homology() == flag.homology()
+    assert cubical_complex(w, rings).homology() == flag.homology()
 
 
 # ---------------------------------------------------------------------------
-# the matching of identity faces that homology cancels before the Smith form
+# the Morse complex of the identity-face matching, which the chain route
+# reduces, against the full cubical complex
 # ---------------------------------------------------------------------------
 
 
-def _unmatched(cx):
-    return homology_at(cx.differentials, cx.top_dimension)
-
-
-def test_matching_cancels_to_the_same_homology_on_pinned_classes():
+def test_morse_complex_matches_cubical_on_pinned_classes():
     rings = RepRingCache()
-    for key in _pinned_sample():
-        cx = assemble_complex(parse_matrix(_from_key(key)), rings)
-        assert any(cx.matching), key
-        assert cx.homology() == HomologyProfile(_unmatched(cx)), key
+    keys = sorted(json.loads(PINNED.read_text())["answers"])
+    assert len(keys) == 2508
+    for key in keys:
+        w = parse_matrix(_from_key(key))
+        morse, cubical = assemble_complex(w, rings), cubical_complex(w, rings)
+        assert sum(morse.dims) < sum(cubical.dims), key
+        assert morse.homology() == cubical.homology(), key
 
 
 @pytest.mark.parametrize("name", sorted(FLAG_CHECKED))
-def test_matching_cancels_to_the_same_homology_on_larger_systems(rings, name):
-    cx = assemble_complex(parse_matrix(FLAG_CHECKED[name]), rings)
-    want = _unmatched(cx)
-    assert homology_at(cx.differentials, cx.top_dimension, cx.matching) == want
-    # the entries stay units in any order, so the order only sets the fill
-    backwards = [pairs[::-1] for pairs in cx.matching]
-    assert homology_at(cx.differentials, cx.top_dimension, backwards) == want
+def test_morse_complex_matches_cubical_on_larger_systems(rings, name):
+    w = parse_matrix(FLAG_CHECKED[name])
+    assert assemble_complex(w, rings).homology() == cubical_complex(w, rings).homology()
 
 
 @pytest.mark.parametrize(
@@ -361,17 +383,69 @@ def test_simplex_group_survivors_are_the_chamber_faces(rings, rows, survivors):
     w = parse_matrix(rows)
     poset = enumerate_spherical(w)
     cx = assemble_complex(w, rings, poset)
-    pairs = [len(m) for m in cx.matching] + [0]
-    got = [n - pairs[k] - pairs[k + 1] for k, n in enumerate(cx.dims)]
-    assert got == survivors
-    assert got == [
+    assert cx.dims == survivors
+    assert cx.dims == [
         sum(rings.table(w, t).n_classes for t in poset.subsets if len(t) == w.rank - 1 - k)
         for k in range(len(cx.dims))
     ]
 
 
+@pytest.mark.parametrize(
+    "rows, nonzero",
+    [(_cycle(4), 28), (_line([5, 3, 5]), 28), (_cycle(8), 1016)],
+    ids=["affine-A3", "5-3-5", "affine-A7"],
+)
+def test_simplex_group_path_counts_follow_the_chamber_formula(rows, nonzero):
+    # one critical cell per proper T, and its path counts reach exactly the
+    # cells of the bottoms T + s, with n = eps_c (-1)^pos(s, S - T) for one
+    # sign eps_c per cell: the boundary of the chamber's face T, up to the
+    # orientation the matching leaves that cell
+    w = parse_matrix(rows)
+    counts = morse_counts(build_cells(enumerate_spherical(w)))
+    cell_of = {c[0]: c for c in counts}
+    assert len(cell_of) == len(counts) == 2**w.rank - 1
+    for (t, u), row in counts.items():
+        assert len(u) - len(t) == w.rank - 1 - len(t)
+        rest = [s for s in w.generators if s not in t]
+        want = {
+            cell_of[tuple(sorted((*t, s)))]: (-1) ** i
+            for i, s in enumerate(rest)
+            if len(t) + 1 < w.rank
+        }
+        eps = row.get(next(iter(want), None), 1)
+        assert eps in (1, -1), (t, u)
+        assert row == {c: eps * n for c, n in want.items()}, (t, u)
+    assert sum(len(row) for row in counts.values()) == nonzero
+
+
+def test_wrong_induction_block_is_refused():
+    # one entry more in any induction block the Morse complex reads breaks
+    # d . d = 0, and homology refuses the complex
+    w = parse_matrix(_line([4, 3, 4]))
+    rings = RepRingCache()
+    calls = _counted_inductions(rings)
+    assemble_complex(w, rings).homology()  # the true blocks pass
+    pairs = list(calls)
+    assert len(pairs) == 28
+    for pair in pairs:
+        planted = RepRingCache()
+        induction = planted.induction
+
+        def wrong(w, t1, t2, pair=pair):
+            block = induction(w, t1, t2)
+            if (t1, t2) != pair:
+                return block
+            rows = [dict(r) for r in block.rows]
+            rows[0][0] = rows[0].get(0, 0) + 1
+            return IntMatrix(block.nrows, block.ncols, [sorted(r.items()) for r in rows])
+
+        planted.induction = wrong
+        with pytest.raises(ConsistencyError, match="nonzero"):
+            assemble_complex(w, planted).homology()
+
+
 def test_flipped_identity_block_is_caught(rings):
-    w, cx = complex_for(_line([3, 3, 4, 0]), rings)
+    w, cx = cubical_for(_line([3, 3, 4, 0]), rings)
     face, cell = next(p for p in morse_matching(cx.cells) if len(p[1][1]) - len(p[1][0]) == 2)
     row0 = cx.offsets[1][cx.cells[1].index(face)]
     col0 = cx.offsets[2][cx.cells[2].index(cell)]
@@ -396,7 +470,7 @@ def test_cubical_cell_counts(rings, rows):
     # degree d holds one cell per d-subset of U - T: sum over U of C(|U|, d)
     w = parse_matrix(rows)
     poset = enumerate_spherical(w)
-    cx = assemble_complex(w, rings, poset)
+    cx = cubical_complex(w, rings, poset)
     top = max(len(u) for u in poset.subsets)
     assert cx.top_dimension == top
     for d, level in enumerate(cx.cells):
@@ -408,7 +482,7 @@ def test_cubical_cell_counts(rings, rows):
 
 def test_cubical_infinite_dihedral_worked_boundary(rings):
     # d[{}, {i}] = ind [{i}, {i}] - [{}, {}]; coordinates [{}], [{1}] x2, [{2}] x2
-    cx = assemble_complex(parse_matrix([[1, 0], [0, 1]]), rings)
+    cx = cubical_complex(parse_matrix([[1, 0], [0, 1]]), rings)
     assert cx.cells == [[((), ()), ((0,), (0,)), ((1,), (1,))], [((), (0,)), ((), (1,))]]
     d1 = dense(cx.differentials[1])
     assert [row[0] for row in d1] == [-1, 1, 1, 0, 0]
@@ -419,7 +493,7 @@ def test_cubical_square_signs():
     # U - T = {s_0 < s_1}: the faces that add or drop s_1 carry the sign -1
     w = parse_matrix([[1, 2], [2, 1]])
     rings = RepRingCache()
-    cx = assemble_complex(w, rings)
+    cx = cubical_complex(w, rings)
     (square,) = cx.cells[2]
     assert square == ((), (0, 1))
     d2 = dense(cx.differentials[2])

@@ -198,15 +198,16 @@ def test_dump_tables(write_system, capsys):
 @pytest.mark.parametrize(
     "rows, dims",
     [
-        # A3: Dixon table, finite route
-        ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], [22, 25, 9, 1]),
+        # the cubical and the Morse dimensions: A3, a Dixon table, finite route
+        ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], ([22, 25, 9, 1], [5, 0, 0, 0])),
         # infinite, dihedral tables
-        ([[1, 4, 6], [4, 1, 0], [6, 0, 1]], [18, 11, 2]),
+        ([[1, 4, 6], [4, 1, 0], [6, 0, 1]], ([18, 11, 2], [11, 2, 0])),
         # rank5-334inf: 425 coordinates, where the flag complex has 1,041
-        (_line([3, 3, 4, 0]), [127, 177, 96, 23, 2]),
+        (_line([3, 3, 4, 0]), ([127, 177, 96, 23, 2], [30, 5, 0, 0, 0])),
     ],
 )
 def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows, dims):
+    cubical, morse = dims
     path = write_system(rows)
     _, plain, _ = run(capsys, "homology", path, "--output", "json")
     built = []
@@ -219,16 +220,16 @@ def test_dumps_share_the_analysis_cache(write_system, capsys, monkeypatch, rows,
     monkeypatch.setattr(bredon.cli, "assemble_complex", recorded)
     code, dumped, _ = run(capsys, "homology", path, "--dump-tables", "--cells",
                           "--output", "json")
-    # assembled once, by the chain route, and the cells dump prints that
-    # complex
-    assert [cx.dims for cx in built] == [dims]
+    # the chain route assembles its Morse complex once, and the cells dump
+    # prints the cubical cells, which it does not assemble
+    assert [cx.dims for cx in built] == [morse]
     _, cells, _ = run(capsys, "cells", path, "--output", "json")
     assert code == 0
     report = json.loads(dumped)
     assert report.pop("tables")
     cells_report = json.loads(cells)
     del cells_report["input"]
-    assert cells_report["dims"] == dims
+    assert cells_report["dims"] == cubical
     assert report.pop("cells") == cells_report
     assert report == json.loads(plain)
 

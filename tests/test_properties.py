@@ -10,13 +10,16 @@ import random
 import pytest
 
 import flag_oracle
-from oracles import is_zero, matmul, numeric_finiteness_check, restriction_matrix
-from bredon.abelian import FgAbGroup, HomologyProfile
-from bredon.chains import (
-    assemble_complex,
-    cell_pair_homology,
+from oracles import (
+    cubical_complex,
+    is_zero,
+    matmul,
+    numeric_finiteness_check,
     relative_complex,
+    restriction_matrix,
 )
+from bredon.abelian import FgAbGroup, HomologyProfile
+from bredon.chains import assemble_complex, cell_pair_homology
 from bredon.characters import RepRingCache, induction_matrix
 from bredon.coxeter import (
     enumerate_spherical,
@@ -79,11 +82,11 @@ def test_classification_matches_numeric_on_all_subsets():
                 assert numeric_finiteness_check(w, t) == exact, (w.m, t)
 
 
-def test_skeleton_decomposition_degree_by_degree(rings, complexes):
+def test_skeleton_decomposition_degree_by_degree(rings):
     # the cubical skeleton pairs split over U into cell pairs, and their
     # homology is that of the flag complex's pairs, sliced by top entry
-    for i, w in enumerate(POOL):
-        full = complexes[i]
+    for w in POOL:
+        full = cubical_complex(w, rings)
         flag = flag_oracle.assemble_complex(w, rings)
         poset = enumerate_spherical(w)
         for n in range(1, w.rank + 1):
