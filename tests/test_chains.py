@@ -4,6 +4,7 @@ complex and the flag complex of the test oracles."""
 
 import itertools
 import json
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -416,6 +417,103 @@ def test_simplex_group_path_counts_follow_the_chamber_formula(rows, nonzero):
         assert eps in (1, -1), (t, u)
         assert row == {c: eps * n for c, n in want.items()}, (t, u)
     assert sum(len(row) for row in counts.values()) == nonzero
+
+
+def _solve(m, rhs):
+    """(X, det m) with m X = rhs, for a square m, by exact elimination."""
+    n = len(m)
+    a = [[Fraction(v) for v in row] + [Fraction(v) for v in extra] for row, extra in zip(m, rhs)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])  # StopIteration: singular
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        a[k] = [v / a[k][k] for v in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+    return [row[n:] for row in a], det
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0], [0, 1]],
+        [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
+        [[1, 3, 0], [3, 1, 4], [0, 4, 1]],
+        _line([3, 3, 4, 0]),
+        _line([4, 3, 4]),
+        AFFINE_D4,
+    ],
+    ids=["infinite-dihedral", "A3", "3-4-inf-inf", "rank5-334inf", "affine-C3", "affine-D4"],
+)
+def test_path_counts_match_the_morse_matrix_formula(rows):
+    # With C, A and B the critical cells, the cells matched with a face
+    # below and the cells matched with a cell above, the Morse differential
+    # of the cubical chain complex over Z is d_CC - d_CA d_BA^-1 d_BC, and
+    # d_BA (B one degree below A) is invertible over Z as the matching is
+    # acyclic.  This sums the gradient paths without following any.
+    cells = build_cells(enumerate_spherical(parse_matrix(rows)))
+    counts = morse_counts(cells)
+    up = dict(morse_matching(cells))
+    down = set(up.values())
+    assert all(not counts[c] for c in cells[0] if c in counts)
+    for d in range(1, len(cells)):
+        col = {c: j for j, c in enumerate(cells[d])}
+        entry = [[0] * len(cells[d]) for _ in cells[d - 1]]
+        row_of = {c: i for i, c in enumerate(cells[d - 1])}
+        for c in cells[d]:
+            for face, sign, _ in boundary(c):
+                entry[row_of[face]][col[c]] = sign
+        crit = [c for c in cells[d] if c not in up and c not in down]
+        a = [c for c in cells[d] if c in down]
+        crit_below = [f for f in cells[d - 1] if f not in up and f not in down]
+        b = [f for f in cells[d - 1] if f in up]
+        assert len(a) == len(b)
+
+        def block(rs, cs):
+            return [[entry[row_of[r]][col[c]] for c in cs] for r in rs]
+
+        x, det = _solve(block(b, a), block(b, crit)) if a else ([[] for _ in crit], 1)
+        assert det in (1, -1)
+        d_ca = block(crit_below, a)
+        for j, c in enumerate(crit):
+            want = {}
+            for i, f in enumerate(crit_below):
+                n = entry[row_of[f]][col[c]] - sum(
+                    (d_ca[i][k] * x[k][j] for k in range(len(a))), Fraction(0)
+                )
+                assert n.denominator == 1
+                if n:
+                    want[f] = int(n)
+            assert counts[c] == want, c
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 0], [0, 1]], _line([3, 3, 4, 0]), _line([4, 3, 4]), _line([5, 3, 3, 3]), _cycle(8)],
+    ids=["infinite-dihedral", "rank5-334inf", "affine-C3", "hyperbolic-5333", "affine-A7"],
+)
+def test_path_counts_give_the_homology_of_the_chamber(rows):
+    # with one Z per critical cell the counts are the Morse complex of the
+    # chamber K's cubical chains, and K is a cone on the empty subset
+    w = parse_matrix(rows)
+    cells = build_cells(enumerate_spherical(w))
+    counts = morse_counts(cells)
+    critical = [[c for c in level if c in counts] for level in cells]
+    differentials = [IntMatrix.zero(0, len(critical[0]))]
+    for d in range(1, len(critical)):
+        row_of = {c: i for i, c in enumerate(critical[d - 1])}
+        entries: list[list[tuple[int, int]]] = [[] for _ in critical[d - 1]]
+        for j, c in enumerate(critical[d]):
+            for face, n in counts[c].items():
+                entries[row_of[face]].append((j, n))
+        differentials.append(IntMatrix(len(critical[d - 1]), len(critical[d]), entries))
+    got = homology_at(differentials, len(critical) - 1)
+    assert got == {k: FgAbGroup.free(1 if k == 0 else 0) for k in range(len(critical))}
 
 
 def test_wrong_induction_block_is_refused():
