@@ -4,12 +4,11 @@ Tables are computed three ways, chosen by the classification of the
 subgroup:
 
 * closed forms: the textbook tables of the trivial group, rank 1 and
-  dihedral parabolics, classes included, Murnaghan-Nakayama over
+  dihedral parabolics, classes included, and Murnaghan-Nakayama over
   (bi)partitions for types A_n and B_n (n >= 3) on their realized
-  classes, and for H3 = A5 x <w0> the A5 table times the characters of
-  <w0> on its realized classes;
+  classes;
 * reducible parabolics are tensor products of their factor tables;
-* the other irreducible types (D, E, F4, H4) are realized as a Cayley
+* the other irreducible types (D, E, F4, H3, H4) are realized as a Cayley
   graph and go through Burnside's eigenvector method (dixon_table): the
   central characters are the common eigenvectors of the class-sum
   matrices, which are self-adjoint once each class's coordinate is
@@ -36,7 +35,7 @@ multiplicities.
 RepRingCache keys at two levels.  Tables with their fusion rules,
 models, classes and inductions are positional, keyed by the induced
 Coxeter matrix.  The Dixon values are keyed by irreducible type: one
-dixon_table build per D, E, F4 or H4 type serves every relabelled copy
+dixon_table build per D, E, F4, H3 or H4 type serves every relabelled copy
 of it, whose own classes are mapped onto the stored ones by a generator
 map between reference labellings.
 """
@@ -306,51 +305,6 @@ def murnaghan_nakayama(sub: CoxeterMatrix, label, walk, words) -> list[list[int]
     return [[chi(alpha, beta, cycles) for cycles in cycle_types] for alpha, beta in labels]
 
 
-_PHI = (1 + sqrt(5)) / 2
-# A5 on its classes 1, (12)(34), (123), 5A, 5B: orders 1, 2, 3, 5, 5
-_A5_ORDERS_SIZES = [(1, 1), (2, 15), (3, 20), (5, 12), (5, 12)]
-_A5_TABLE = [
-    [1, 1, 1, 1, 1],
-    [3, -1, 0, _PHI, 1 - _PHI],
-    [3, -1, 0, 1 - _PHI, _PHI],
-    [4, 0, 1, -1, -1],
-    [5, 1, -1, 0, 0],
-]
-
-
-def icosahedral_values(model: GroupModel, classes: ConjugacyClasses):
-    """Every irreducible character of W(H3) = A5 x <w0> at each class of
-    its realized model, one row per A5 character and character of <w0>,
-    and the degrees.
-
-    w0, the longest element and the model's last, is central of length 15,
-    and the rotations (the elements of even length) form A5.  A class
-    representative x is y w0^e with e the parity of its length, so the
-    rotation class of an odd class is the class of x w0.  A rotation's A5
-    class follows from its order; the first rotation class of order 5 is
-    5A.  chi x delta takes chi(y) delta(w0)^e at x: the rows are the A5
-    characters times 1, then times the sign of <w0>.
-    """
-    w0 = model.order - 1
-    if len(model.word(w0)) != 15 or not np.array_equal(model.right[w0], model.left[w0]):
-        raise ConsistencyError("the last element of H3 is not a central w0 of length 15")
-    parity = [len(word) % 2 for word in classes.rep_words]
-    rotation = []
-    for c, word in enumerate(classes.rep_words):
-        y = w0
-        for s in word:  # y = w0 x = x w0
-            y = model.right[y, s]
-        rotation.append(int(classes.class_of[y]) if parity[c] else c)
-    orders = _rep_orders(model, classes)
-    even = sorted((c for c in range(classes.count) if not parity[c]), key=lambda c: orders[c])
-    if [(orders[c], classes.sizes[c]) for c in even] != _A5_ORDERS_SIZES:
-        raise ConsistencyError("the rotation classes of H3 do not have the orders and sizes of A5")
-    column = {c: i for i, c in enumerate(even)}  # sorted stably, so 5A comes first
-    a5 = np.array(_A5_TABLE, dtype=float)[:, [column[r] for r in rotation]]
-    sign = np.array([(-1) ** e for e in parity])  # delta(w0) = -1
-    return np.vstack([a5, a5 * sign]), [row[0] for row in _A5_TABLE] * 2
-
-
 # ---------------------------------------------------------------------------
 # Burnside: the character table of an arbitrary finite model
 # ---------------------------------------------------------------------------
@@ -397,33 +351,6 @@ def _structure_matrices(model: GroupModel, classes: ConjugacyClasses):
             prev = word
         yield from a
         lo, width = hi, 2 * width
-
-
-def _rep_orders(model: GroupModel, classes: ConjugacyClasses) -> list[int]:
-    """The order of every class representative.
-
-    Each step walks every representative's word along right at once,
-    until each is back at the identity.  Words shorter than the longest
-    are padded with an extra column of right that stays put, and the table
-    is scaled by its width so that each entry is already the flat offset
-    of its row.
-    """
-    width = model.rank + 1
-    words = classes.rep_words
-    letters = np.full((max(map(len, words)), len(words)), model.rank)
-    for i, word in enumerate(words):
-        letters[: len(word), i] = word
-    steps = np.hstack([model.right, np.arange(model.order, dtype=np.int32)[:, None]])
-    steps = steps.ravel() * width
-    cur = np.zeros(len(words), dtype=np.int64)
-    orders = np.zeros(len(words), dtype=np.int64)
-    power = 0
-    while not orders.all():
-        for row in letters:
-            cur = steps.take(cur + row)
-        power += 1
-        orders[(cur == 0) & (orders == 0)] = power
-    return orders.tolist()
 
 
 def _row_order(values: np.ndarray, degrees: list[int]) -> list[int]:
@@ -576,7 +503,7 @@ class RepRingCache:
     rank >= 3 are realized for their entries; model and classes realize
     any finite parabolic on demand.
 
-    The Dixon values, of types D, E, F4 and H4 only, are keyed by
+    The Dixon values, of types D, E, F4, H3 and H4 only, are keyed by
     irreducible type instead: each type runs dixon_table once, on its
     first orientation, and every orientation (a relabelled copy such as
     the four D4 of affine D4) maps its own classes onto the stored ones
@@ -648,7 +575,7 @@ class RepRingCache:
     def _irreducible(self, sub: CoxeterMatrix, label, walk):
         """An irreducible parabolic of rank >= 3: its type's values on its
         own model's classes, rows ordered as dixon_table orders them, and
-        fusion by evaluation in that model.  Types A, B and H3 have closed
+        fusion by evaluation in that model.  Types A and B have closed
         values.  Any other type's first orientation stores its dixon_table
         and rule; every orientation maps its class words, relabelled walk to
         walk, by that rule and takes those columns of the stored values."""
@@ -658,8 +585,6 @@ class RepRingCache:
         if label.family in ("A", "B"):
             chars = murnaghan_nakayama(sub, label, walk, classes.rep_words)
             values, degrees = np.array(chars, dtype=float), [row[0] for row in chars]
-        elif label.name == "H3":
-            values, degrees = icosahedral_values(model, classes)
         else:
             if label not in self._dixon:
                 self._dixon[label] = (sub, walk, dixon_table(model, classes), rule)

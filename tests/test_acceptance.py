@@ -176,7 +176,7 @@ def test_criterion_8_product_three_ways(rings):
 def test_criterion_9_finite_group_class_count(rings):
     with criterion(9, "order-120 system: H_0 rank equals the class count", 60.0):
         w = parse_matrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
-        table = rings.table(w, w.generators)  # H3: the A5 x <w0> path
+        table = rings.table(w, w.generators)  # H3: the dixon_table path
         model = realize_group(w)
         assert model.order == 120
         oracle = conjugacy_classes(model).count

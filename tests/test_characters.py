@@ -14,11 +14,10 @@ from bredon.characters import (
     RepRingCache,
     _relabelling,
     dixon_table,
-    icosahedral_values,
     induction_matrix,
 )
 from bredon.cli import run_analysis
-from bredon.coxeter import classify_subset, enumerate_spherical, parse_matrix
+from bredon.coxeter import classify_subset, cosine_matrix, enumerate_spherical, parse_matrix
 from bredon.errors import ConsistencyError, ContractError
 from bredon.groups import ConjugacyClasses, GroupModel, conjugacy_classes, realize_group
 from oracles import dense, inverses, matmul, restriction_matrix
@@ -243,7 +242,7 @@ def test_dixon_refuses_planted_structure_constants(monkeypatch, keep, message):
         dixon_table(model, classes)
 
 
-# the types dixon_table serves (D4, F4, H4) and A3, with their class counts
+# three types dixon_table serves (D4, F4, H4) and A3, with their class counts
 _CLASS_SUM_GROUPS = {"A3": (_A3, 5), "D4": (_D4, 13), "F4": (_F4, 25), "H4": (_H4, 34)}
 
 
@@ -605,7 +604,8 @@ def _closed_systems():
     """A_n and B_n for n = 3..6, B_n also read from its 3 end, H3 in all
     six numberings, three affine systems whose A and B parabolics come in
     several orientations, the hyperbolic systems with H3 parabolics, and H4
-    for its H3."""
+    for its H3.  H3 goes through Dixon; its entries check the type store's
+    map of one stored build onto every numbering."""
     systems = {}
     for n in range(3, 7):
         systems[f"A{n}"] = _line([3] * (n - 1))
@@ -627,8 +627,8 @@ def _closed_systems():
 
 @pytest.mark.parametrize("name, rows", _closed_systems().items(), ids=_closed_systems())
 def test_closed_tables_match_dixon(name, rows):
-    # the Murnaghan-Nakayama tables of types A and B and the A5 x C2 table
-    # of H3, on every orientation of every such parabolic of the system
+    # the Murnaghan-Nakayama tables of types A and B, and H3's table mapped
+    # from the type store, on every orientation of every such parabolic
     rings = RepRingCache(order_cap=46080)
     w, subsets = _dixon_orientations(rows)
     labels = {t: classify_subset(w, t)[0] for t in subsets}
@@ -638,20 +638,64 @@ def test_closed_tables_match_dixon(name, rows):
         _assert_fresh_dixon(rings, w, t, (name, t))
 
 
-def test_icosahedral_values_check_a5_times_c2():
-    # B3's w0 is central but of length 9
-    b3 = realize_group(parse_matrix(_line([4, 3])), order_cap=48)
-    with pytest.raises(ConsistencyError, match="not a central w0 of length 15"):
-        icosahedral_values(b3, conjugacy_classes(b3))
-    # H3 with its class sizes 15 and 20 exchanged: the rotations no longer fit A5
-    h3 = realize_group(parse_matrix(_line([5, 3])), order_cap=120)
-    classes = conjugacy_classes(h3)
-    sizes = [{15: 20, 20: 15}.get(size, size) for size in classes.sizes]
-    with pytest.raises(ConsistencyError, match="orders and sizes of A5"):
-        icosahedral_values(h3, dataclasses.replace(classes, sizes=sizes))
+_PHI = (1 + 5**0.5) / 2
+# A5 on its classes 1, (12)(34), (123), 5A, 5B: their sizes, element orders and characters
+_A5_CLASSES = [(1, 1), (15, 2), (20, 3), (12, 5), (12, 5)]
+_A5_TABLE = [
+    [1, 1, 1, 1, 1],
+    [3, -1, 0, _PHI, 1 - _PHI],
+    [3, -1, 0, 1 - _PHI, _PHI],
+    [4, 0, 1, -1, -1],
+    [5, 1, -1, 0, 0],
+]
 
 
-def _dixon_builds(monkeypatch, rows):
+def _reflection_image(w, word):
+    """A word's matrix in the reflection representation, where s_i(v) =
+    v - 2 B(a_i, v) a_i for the cosine form B."""
+    b = cosine_matrix(w, w.generators)
+    element = np.eye(w.rank)
+    for s in word:
+        reflection = np.eye(w.rank)
+        reflection[s] -= 2 * b[s]
+        element = element @ reflection
+    return element
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_h3_table_is_a5_times_c2(perm):
+    # W(H3) = A5 x <w0> with w0 = -1 of odd length, so a class is an A5
+    # class times w0^e, e the parity of its length: the A5 class's size,
+    # and its element order, doubled if odd when e = 1.  That places every
+    # class but the two of 5-cycles in each parity.  Their trace in the
+    # reflection representation is +-phi or +-(phi - 1), and w0 only
+    # negates it, so |trace| > 1 is 5A in both parities; exchanging 5A
+    # and 5B exchanges the two rows of degree 3, which row order allows.
+    h3 = _line([5, 3])
+    w = parse_matrix([[h3[i][j] for j in perm] for i in perm])
+    table = RepRingCache().table(w, w.generators)
+    candidates = {}
+    for a, (size, order) in enumerate(_A5_CLASSES):
+        for e in (0, 1):
+            doubled = 2 * order if e and order % 2 else order
+            candidates.setdefault((size, doubled, e), []).append(a)
+    columns, places = [], []
+    for word, size in zip(table.class_words, table.class_sizes):
+        element = _reflection_image(w, word)
+        power, order = element, 1
+        while not np.allclose(power, np.eye(3)):
+            power, order = power @ element, order + 1
+        key = (size, order, len(word) % 2)
+        places.append(key)
+        a5 = candidates.get(key, [None])
+        columns.append((a5[0] if len(a5) == 1 else 3 + (abs(np.trace(element)) < 1), key[2]))
+    assert sorted(places) == sorted(key for key, a5 in candidates.items() for _ in a5)
+    textbook = [[row[a] * (-1) ** (e * j) for a, e in columns] for j in (0, 1) for row in _A5_TABLE]
+    assert sorted(np.round(textbook, 6).tolist()) == sorted(np.round(table.values, 6).tolist())
+
+
+def _counting_dixon(monkeypatch):
+    """Count dixon_table calls: the list of the orders of their models."""
     calls = []
     build = characters.dixon_table
 
@@ -660,23 +704,44 @@ def _dixon_builds(monkeypatch, rows):
         return build(model, classes)
 
     monkeypatch.setattr(characters, "dixon_table", counting)
-    w = parse_matrix(rows)
-    run_analysis(w, RepRingCache())
+    return calls
+
+
+def _dixon_builds(monkeypatch, rows):
+    calls = _counting_dixon(monkeypatch)
+    run_analysis(parse_matrix(rows), RepRingCache())
     return sorted(calls)
 
 
 def test_one_dixon_build_per_type(monkeypatch):
-    # types A, B and H3 never reach Dixon: affine A3 has four A3, affine A5
-    # six each of A5, A4 and A3, rank5-334inf A3, B3 and B4, affine C3 B3,
-    # and the hyperbolic systems two H3 or one H3 and one B3
-    for name in ("affine-A3", "affine-A5", "rank5-334inf", "affine-C3",
-                 "hyperbolic-535", "hyperbolic-435", "hyperbolic-353"):
+    # types A and B never reach Dixon: affine A3 has four A3, affine A5 six
+    # each of A5, A4 and A3, rank5-334inf A3, B3 and B4, affine C3 B3
+    for name in ("affine-A3", "affine-A5", "rank5-334inf", "affine-C3"):
         assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS[name]) == [], name
+    # the two H3 orientations of 5-3-5 (5-3 and 3-5) share one build, as do
+    # those of 3-5-3, and 4-3-5 has one H3 beside its B3
+    for name in ("hyperbolic-535", "hyperbolic-435", "hyperbolic-353"):
+        assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS[name]) == [120], name
     # the four D4 orientations of affine D4 share one build, as do the two
-    # H4 of 5-3-3-5, and F4 has one
+    # H4 and the two H3 of 5-3-3-5, and F4 has one
     assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["affine-D4"]) == [192]
-    assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["lanner-5335"]) == [14400]
+    assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["lanner-5335"]) == [120, 14400]
     assert _dixon_builds(monkeypatch, _TYPE_STORE_SYSTEMS["affine-F4"]) == [1152]
+
+
+def test_h3_times_h3_shares_one_dixon_build(monkeypatch):
+    # the second factor read as 3-5: |W| = 14,400, the default order cap
+    h3, reversed_h3 = _line([5, 3]), _line([3, 5])
+    rows = [[1 if i == j else 2 for j in range(6)] for i in range(6)]
+    for i, j in itertools.product(range(3), repeat=2):
+        rows[i][j], rows[3 + i][3 + j] = h3[i][j], reversed_h3[i][j]
+    calls = _counting_dixon(monkeypatch)
+    report, _, code = run_analysis(parse_matrix(rows), RepRingCache())
+    assert code == 0
+    h0 = {"0": {"free_rank": 100, "torsion": []}}
+    routes = ("closed:finite", "kunneth", "chain")
+    assert report["methods"] == {name: {"homology": h0} for name in routes}
+    assert calls == [120]
 
 
 def _walk_as_given(monkeypatch, walk=None):

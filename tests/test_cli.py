@@ -739,7 +739,7 @@ E6_ROWS = [[1, 2, 3, 2, 2, 2], [2, 1, 2, 3, 2, 2], [3, 2, 1, 3, 2, 2],
     ids=["F4", "H4", "B5", "E6", "B6", "D4", "D5", "D6"],
 )
 def test_dixon_table_dumps_are_pinned(write_system, capsys, rows, digest):
-    # every D, E, F4 and H4 parabolic goes through dixon_table, and B
+    # every D, E, F4, H3 and H4 parabolic goes through dixon_table, and B
     # through Murnaghan-Nakayama, so their values, degrees and row order
     # all show here
     path = write_system(rows)

@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bredon.characters import _rep_orders
 from bredon.coxeter import cosine_matrix, parse_matrix, spherical_order
 from bredon import groups
 from bredon.errors import ConsistencyError, ContractError, ResourceCapError
@@ -528,20 +527,3 @@ def test_closure_checks_the_classified_order(monkeypatch):
         ConsistencyError, match="closure produced 120 elements, classification says 121"
     ):
         realize_group(h3)
-
-
-@pytest.mark.parametrize("name", ["F4", "H4"])
-def test_power_maps_match_permutation_orders(name):
-    # each representative's order, by powering its root permutation
-    rows = CLASSICAL_COUNTS[name][0]
-    g = realize(rows)
-    classes = conjugacy_classes(g)
-    oracle = RootPermutations(rows, g)
-    ident = np.arange(oracle.perms.shape[1])
-    orders = []
-    for rep in classes.reps:
-        cur, n = oracle.perms[rep], 1
-        while not (cur == ident).all():
-            cur, n = cur[oracle.perms[rep]], n + 1
-        orders.append(n)
-    assert _rep_orders(g, classes) == orders
